@@ -421,6 +421,24 @@ impl CfBlock {
         Self::default()
     }
 
+    /// An empty block of `dim`-wide rows with room for `rows` rows, so
+    /// that pushing them never reallocates.
+    #[must_use]
+    pub(crate) fn with_capacity(dim: usize, rows: usize) -> Self {
+        let mut b = Self {
+            dim,
+            ..Self::default()
+        };
+        let slots = rows * b.stride();
+        b.n.reserve_exact(rows);
+        b.scalar.reserve_exact(rows);
+        b.vec_sq.reserve_exact(rows);
+        b.vec.reserve_exact(slots);
+        #[cfg(not(feature = "classic-cf"))]
+        b.vec_c.reserve_exact(slots);
+        b
+    }
+
     /// A block mirroring `cfs` in order.
     #[must_use]
     pub fn from_cfs<'a, I: IntoIterator<Item = &'a Cf>>(cfs: I) -> Self {

@@ -460,13 +460,16 @@ impl Node {
     #[must_use]
     pub fn to_page_words(&self) -> (PageKind, u32, u64, u64, Vec<u64>) {
         let chain = |link: &Option<NodeId>| link.map_or(NO_NEIGHBOR, |id| u64::from(id.0));
+        let sized = |kind| {
+            Vec::with_capacity(self.entry_count() * Self::words_per_entry(kind, self.block.dim()))
+        };
         match &self.kind {
             NodeKind::Leaf {
                 entries,
                 prev,
                 next,
             } => {
-                let mut words = Vec::with_capacity(entries.len() * Cf::words_per_entry(1));
+                let mut words = sized(PageKind::Leaf);
                 for e in entries {
                     e.to_words(&mut words);
                 }
@@ -479,7 +482,7 @@ impl Node {
                 )
             }
             NodeKind::Interior { children } => {
-                let mut words = Vec::new();
+                let mut words = sized(PageKind::Interior);
                 for c in children {
                     c.cf.to_words(&mut words);
                     words.push(u64::from(c.child.0));
@@ -499,7 +502,9 @@ impl Node {
     /// on the page — the caller (the tree) stamps it. Entries are replayed
     /// through the mutators, so the SoA mirror comes back in sync and the
     /// CF memos are recomputed under their exact contracts: the rebuilt
-    /// node is bit-identical to the one serialized.
+    /// node is bit-identical to the one serialized. The entry `Vec` and
+    /// the mirror's slabs are sized from the page's count up front, so
+    /// the replay never reallocates.
     ///
     /// # Panics
     ///
@@ -519,20 +524,32 @@ impl Node {
             "page word count does not match {} entries of {per} words",
             page.count
         );
+        let rows = page.count as usize;
+        let block = CfBlock::with_capacity(dim, rows);
         match page.kind {
             PageKind::Leaf => {
-                let mut node = Self::new_leaf();
+                let mut node = Self {
+                    kind: NodeKind::Leaf {
+                        entries: Vec::with_capacity(rows),
+                        prev: chain(page.prev),
+                        next: chain(page.next),
+                    },
+                    block,
+                    id: UNALLOCATED,
+                };
                 for row in page.words.chunks_exact(per) {
                     node.push_leaf_entry(Cf::from_words(row, dim));
-                }
-                if let NodeKind::Leaf { prev, next, .. } = &mut node.kind {
-                    *prev = chain(page.prev);
-                    *next = chain(page.next);
                 }
                 node
             }
             PageKind::Interior => {
-                let mut node = Self::new_interior();
+                let mut node = Self {
+                    kind: NodeKind::Interior {
+                        children: Vec::with_capacity(rows),
+                    },
+                    block,
+                    id: UNALLOCATED,
+                };
                 for row in page.words.chunks_exact(per) {
                     let child = NodeId(
                         u32::try_from(row[per - 1]).expect("child pointer exceeds arena range"),

@@ -2183,6 +2183,11 @@ mod tests {
         assert!(s.evictions > 0, "no evictions despite budget pressure");
         assert!(s.faults > 0, "no faults despite evictions");
         assert!(s.spill_bytes_written > 0);
+        // Regression pin: the clock's victim order decides every fault
+        // and eviction of this walk. A change here means the eviction
+        // sequence moved, not just its cost — intentional policy changes
+        // must update the pin.
+        assert_eq!((s.refs, s.faults, s.evictions), PAGED_WALK_PIN);
 
         // Descent order, splits, and CF arithmetic are untouched by
         // paging: counters and leaf stats must be exactly equal.
@@ -2192,6 +2197,10 @@ mod tests {
         paged.audit().unwrap();
         assert_bit_identical(&paged, &resident);
     }
+
+    /// `(refs, faults, evictions)` of the walk in
+    /// `paged_build_bounds_residency_and_matches_unpaged`.
+    const PAGED_WALK_PIN: (u64, u64, u64) = (3518, 2716, 3117);
 
     #[test]
     fn checkpoint_reopen_is_bit_identical_and_continues_equally() {

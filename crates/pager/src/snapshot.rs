@@ -26,10 +26,11 @@
 //! or truncated snapshots surface as typed [`SnapshotError`]s — reopen
 //! paths must degrade to an error, never to a silently wrong tree.
 
-use crate::page::crc32;
+use crate::page::{crc32, crc32_update};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// First eight bytes of every snapshot file.
@@ -38,13 +39,13 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BIRCHSN1";
 /// Current snapshot container version.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
+/// Bytes of the file header, and of each section header.
+const HEADER_BYTES: usize = 16;
+
 /// Section checksum: covers the tag too, so a flipped tag byte cannot
 /// silently reroute a section to a different consumer.
 fn section_crc(tag: [u8; 4], payload: &[u8]) -> u32 {
-    let mut covered = Vec::with_capacity(4 + payload.len());
-    covered.extend_from_slice(&tag);
-    covered.extend_from_slice(payload);
-    crc32(&covered)
+    crc32_update(crc32(&tag), payload)
 }
 
 /// Why a snapshot failed to load.
@@ -158,10 +159,12 @@ impl SnapshotWriter {
     }
 }
 
-/// A fully validated, in-memory view of a snapshot file.
+/// A fully validated, in-memory view of a snapshot file: the file's
+/// bytes, read once, and where each section's payload lies in them.
 #[derive(Debug)]
 pub struct SnapshotReader {
-    sections: Vec<([u8; 4], Vec<u8>)>,
+    bytes: Vec<u8>,
+    sections: Vec<([u8; 4], Range<usize>)>,
 }
 
 impl SnapshotReader {
@@ -174,7 +177,7 @@ impl SnapshotReader {
     /// reader.
     pub fn open(path: &Path) -> Result<Self, SnapshotError> {
         let bytes = fs::read(path)?;
-        if bytes.len() < 16 {
+        if bytes.len() < HEADER_BYTES {
             return Err(SnapshotError::Truncated { context: "header" });
         }
         if bytes[0..8] != SNAPSHOT_MAGIC {
@@ -185,10 +188,13 @@ impl SnapshotReader {
             return Err(SnapshotError::BadVersion(version));
         }
         let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-        let mut sections = Vec::with_capacity(count as usize);
-        let mut at = 16usize;
+        // The header is not checksummed, so the count may be garbage:
+        // reserve no more sections than the file has room for headers.
+        let room = (bytes.len() - HEADER_BYTES) / HEADER_BYTES;
+        let mut sections = Vec::with_capacity((count as usize).min(room));
+        let mut at = HEADER_BYTES;
         for _ in 0..count {
-            if bytes.len() < at + 16 {
+            if bytes.len() - at < HEADER_BYTES {
                 return Err(SnapshotError::Truncated {
                     context: "section header",
                 });
@@ -196,23 +202,21 @@ impl SnapshotReader {
             let tag: [u8; 4] = bytes[at..at + 4].try_into().expect("4 bytes");
             let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().expect("8 bytes"));
             let stored = u32::from_le_bytes(bytes[at + 12..at + 16].try_into().expect("4 bytes"));
-            at += 16;
-            let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated {
-                context: "section length",
-            })?;
-            if bytes.len() < at + len {
-                return Err(SnapshotError::Truncated {
+            at += HEADER_BYTES;
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| at.checked_add(len))
+                .filter(|&end| end <= bytes.len())
+                .ok_or(SnapshotError::Truncated {
                     context: "section payload",
-                });
-            }
-            let payload = bytes[at..at + len].to_vec();
-            if section_crc(tag, &payload) != stored {
+                })?;
+            if section_crc(tag, &bytes[at..end]) != stored {
                 return Err(SnapshotError::ChecksumMismatch {
                     tag: String::from_utf8_lossy(&tag).into_owned(),
                 });
             }
-            sections.push((tag, payload));
-            at += len;
+            sections.push((tag, at..end));
+            at = end;
         }
         if at != bytes.len() {
             // A corrupted (shrunken) section count would otherwise drop
@@ -221,7 +225,7 @@ impl SnapshotReader {
                 detail: format!("{} trailing bytes after last section", bytes.len() - at),
             });
         }
-        Ok(Self { sections })
+        Ok(Self { bytes, sections })
     }
 
     /// The first section with `tag`, if present.
@@ -230,7 +234,7 @@ impl SnapshotReader {
         self.sections
             .iter()
             .find(|(t, _)| *t == tag)
-            .map(|(_, p)| p.as_slice())
+            .map(|(_, r)| &self.bytes[r.clone()])
     }
 
     /// All sections with `tag`, in file order.
@@ -239,7 +243,7 @@ impl SnapshotReader {
         self.sections
             .iter()
             .filter(|(t, _)| *t == tag)
-            .map(|(_, p)| p.as_slice())
+            .map(|(_, r)| &self.bytes[r.clone()])
             .collect()
     }
 
@@ -305,6 +309,38 @@ mod tests {
                 "flip at byte {i} went undetected"
             );
         }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn huge_section_count_and_length_are_truncation_not_abort() {
+        // The header is not checksummed: a count of u32::MAX must not
+        // reserve u32::MAX sections, and a length of u64::MAX must not
+        // overflow the payload bound.
+        let path = temp_path("huge");
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
+        bytes.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            SnapshotReader::open(&path),
+            Err(SnapshotError::Truncated {
+                context: "section header"
+            })
+        ));
+
+        bytes.extend_from_slice(b"META");
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&[1, 2, 3]);
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            SnapshotReader::open(&path),
+            Err(SnapshotError::Truncated {
+                context: "section payload"
+            })
+        ));
         fs::remove_file(&path).unwrap();
     }
 
