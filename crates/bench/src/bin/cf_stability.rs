@@ -1,15 +1,17 @@
-//! CF numerical-stability sweep: classic (N, LS, SS) vs stable
-//! (N, μ, SSE) backends against a 128-bit ground truth.
+//! CF numerical-stability sweep: the paper's (N, LS, SS) triple vs the
+//! (N, μ, SSE) CF against a 128-bit ground truth.
 //!
 //! For each dim ∈ {2, 8, 32} × coordinate offset ∈ {0, 1e4, 1e8}, two
 //! tight clusters are generated with *dyadic* spreads (exact multiples
 //! of 2⁻¹¹), so the shifted cloud is an exact translate of the origin
 //! cloud and every reported error is CF-algebra arithmetic, not input
-//! rounding. Both backends ingest the identical points; their radius and
+//! rounding. Both forms ingest the identical points; their radius and
 //! D4 (between the two clusters) are compared to a double-double
 //! recomputation from the realized points.
 //!
-//! The committed `BENCH_cf_stability.json` is the evidence pair for the
+//! The classic triple lives only here, as a private cancellation foil
+//! ([`ClassicCf`]): birch-core computes with `(N, μ, SSE)` alone. The
+//! committed `BENCH_cf_stability.json` is the evidence pair for the
 //! cancellation bug: classic's relative error explodes (or clamps to
 //! exactly 0, which is reported as error 1) by offset 1e8, while stable
 //! stays ≤ 1e-9 across the whole sweep — asserted at the end of the run.
@@ -19,8 +21,9 @@
 //!     [-- --seed 42 --out BENCH_cf_stability.json]
 //! ```
 
-use birch_core::cf::{classic, stable};
+use birch_core::point::dot;
 use birch_core::quad::{dd_mean, dd_sq_deviation, Dd};
+use birch_core::{Cf, DistanceMetric, Point};
 
 const DIMS: [usize; 3] = [2, 8, 32];
 const OFFSETS: [f64; 3] = [0.0, 1e4, 1e8];
@@ -30,6 +33,55 @@ const PER_CLUSTER: usize = 64;
 const QUANTUM: f64 = 4.882_812_5e-4;
 /// Inter-cluster gap along every axis (2¹, trivially dyadic).
 const GAP: f64 = 2.0;
+
+/// The paper's `(N, LS, SS)` CF (Definition 4.1) with a memoized `‖LS‖²`.
+/// Unweighted points only. The operand order of every expression is part
+/// of the committed JSON (the test below pins it): reorder one and the
+/// classic errors no longer reproduce bit for bit.
+struct ClassicCf {
+    n: f64,
+    ls: Vec<f64>,
+    ss: f64,
+    /// `‖LS‖²`, recomputed exactly after every point.
+    ls_sq: f64,
+}
+
+impl ClassicCf {
+    fn empty(dim: usize) -> Self {
+        Self {
+            n: 0.0,
+            ls: vec![0.0; dim],
+            ss: 0.0,
+            ls_sq: 0.0,
+        }
+    }
+
+    fn add_point(&mut self, p: &[f64]) {
+        self.n += 1.0;
+        for (l, c) in self.ls.iter_mut().zip(p) {
+            *l += c;
+        }
+        self.ss += dot(p, p);
+        self.ls_sq = dot(&self.ls, &self.ls);
+    }
+
+    /// Radius `sqrt((SS − ‖LS‖²/N)/N)` (eq. 2), the deviation clamped at 0.
+    fn radius(&self) -> f64 {
+        if self.n == 0.0 {
+            return 0.0;
+        }
+        ((self.ss - self.ls_sq / self.n).max(0.0) / self.n).sqrt()
+    }
+
+    /// D4 (eq. 8) in closed form: `‖LS_a‖²/N_a + ‖LS_b‖²/N_b − ‖LS_m‖²/N`,
+    /// the self-norms summed first.
+    fn d4(&self, other: &Self) -> f64 {
+        let n = self.n + other.n;
+        let merged = (self.ls_sq + other.ls_sq) + 2.0 * dot(&self.ls, &other.ls);
+        let inc = self.ls_sq / self.n + other.ls_sq / other.n - merged / n;
+        inc.max(0.0).sqrt()
+    }
+}
 
 /// xorshift64 — deterministic input without external RNG crates.
 struct Rng(u64);
@@ -94,6 +146,48 @@ struct Row {
     stable_err: f64,
 }
 
+/// The radius and D4 rows of one dimension, offsets in sweep order.
+fn sweep(seed: u64, dim: usize) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for &offset in &OFFSETS {
+        // Same spread pattern at every offset (seed ignores the offset),
+        // so each sweep row is an exact translate of its offset-0 sibling.
+        let mut rng = Rng(seed ^ ((dim as u64) << 8));
+        let pts_a = cluster(dim, offset, false, &mut rng);
+        let pts_b = cluster(dim, offset, true, &mut rng);
+
+        let mut ca = ClassicCf::empty(dim);
+        let mut sa = Cf::empty(dim);
+        for p in &pts_a {
+            ca.add_point(p);
+            sa.add_point(&Point::new(p.clone()));
+        }
+        let mut cb = ClassicCf::empty(dim);
+        let mut sb = Cf::empty(dim);
+        for p in &pts_b {
+            cb.add_point(p);
+            sb.add_point(&Point::new(p.clone()));
+        }
+
+        let (radius_truth, d4_truth) = dd_truth(&pts_a, &pts_b);
+        let stable_d4 = DistanceMetric::D4.distance(&sa, &sb);
+        for (stat, truth, c_est, s_est) in [
+            ("radius", radius_truth, ca.radius(), sa.radius()),
+            ("d4", d4_truth, ca.d4(&cb), stable_d4),
+        ] {
+            rows.push(Row {
+                dim,
+                offset,
+                stat,
+                truth,
+                classic_err: rel_err(c_est, truth),
+                stable_err: rel_err(s_est, truth),
+            });
+        }
+    }
+    rows
+}
+
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:?}")
@@ -135,77 +229,17 @@ fn main() {
         "dim", "offset", "stat", "truth", "classic-err", "stable-err"
     );
 
-    let mut rows: Vec<Row> = Vec::new();
-    for &dim in &DIMS {
-        for &offset in &OFFSETS {
-            // Same spread pattern at every offset (seed ignores the
-            // offset), so each sweep row is an exact translate of its
-            // offset-0 sibling.
-            let mut rng = Rng(seed ^ ((dim as u64) << 8));
-            let pts_a = cluster(dim, offset, false, &mut rng);
-            let pts_b = cluster(dim, offset, true, &mut rng);
-
-            let mut ca = classic::Cf::empty(dim);
-            let mut sa = stable::Cf::empty(dim);
-            for p in &pts_a {
-                ca.add_point(&birch_core::Point::new(p.clone()));
-                sa.add_point(&birch_core::Point::new(p.clone()));
-            }
-            let mut cb = classic::Cf::empty(dim);
-            let mut sb = stable::Cf::empty(dim);
-            for p in &pts_b {
-                cb.add_point(&birch_core::Point::new(p.clone()));
-                sb.add_point(&birch_core::Point::new(p.clone()));
-            }
-
-            let (radius_truth, d4_truth) = dd_truth(&pts_a, &pts_b);
-
-            use birch_core::distance::{
-                classic_distance, stable_distance, ClassicView, StableView,
-            };
-            let classic_d4 = classic_distance(
-                birch_core::DistanceMetric::D4,
-                &ClassicView::of(&ca),
-                &ClassicView::of(&cb),
-            );
-            let stable_d4 = stable_distance(
-                birch_core::DistanceMetric::D4,
-                &StableView::of(&sa),
-                &StableView::of(&sb),
-            );
-
-            for (stat, truth, c_est, s_est) in [
-                ("radius", radius_truth, ca.radius(), sa.radius()),
-                ("d4", d4_truth, classic_d4, stable_d4),
-            ] {
-                let row = Row {
-                    dim,
-                    offset,
-                    stat,
-                    truth,
-                    classic_err: rel_err(c_est, truth),
-                    stable_err: rel_err(s_est, truth),
-                };
-                println!(
-                    "{:>4} {:>8.0e} {:>7} {:>13.6e} {:>13.3e} {:>13.3e}",
-                    row.dim, row.offset, row.stat, row.truth, row.classic_err, row.stable_err
-                );
-                rows.push(row);
-            }
-        }
+    let rows: Vec<Row> = DIMS.iter().flat_map(|&dim| sweep(seed, dim)).collect();
+    for row in &rows {
+        println!(
+            "{:>4} {:>8.0e} {:>7} {:>13.6e} {:>13.3e} {:>13.3e}",
+            row.dim, row.offset, row.stat, row.truth, row.classic_err, row.stable_err
+        );
     }
 
-    // Which backend `birch_core::Cf` aliases in this build — the sweep
-    // itself always measures both explicitly, but the committed JSON
-    // should name the default the claims defend.
-    let default_backend = if cfg!(feature = "classic-cf") {
-        "classic"
-    } else {
-        "stable"
-    };
     let mut json = format!(
         "{{\"bench\":\"cf_stability\",\"seed\":{seed},\
-         \"default_backend\":\"{default_backend}\",\
+         \"default_backend\":\"stable\",\
          \"points_per_cluster\":{PER_CLUSTER},\"gap\":{GAP},\
          \"spread_quantum\":{QUANTUM},\"rows\":["
     );
@@ -253,4 +287,41 @@ fn main() {
         }
     }
     println!("claims hold: stable <= 1e-9 everywhere; classic >= 1e-2 at offset 1e8");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The foil's arithmetic is pinned: the dim-2 rows recomputed here
+    /// must equal the committed `BENCH_cf_stability.json` bit for bit.
+    #[test]
+    fn dim2_rows_match_committed_json() {
+        // (offset, stat, classic_rel_err, stable_rel_err)
+        let committed: [(f64, &str, f64, f64); 6] = [
+            (0.0, "radius", 0.0, 0.0),
+            (0.0, "d4", 0.0, 0.0),
+            (1e4, "radius", 0.000_131_972_887_819_189_6, 0.0),
+            (1e4, "d4", 2.814_528_272_137_533e-9, 0.0),
+            (1e8, "radius", 161.363_622_165_244_92, 0.0),
+            (1e8, "d4", 1.0, 0.0),
+        ];
+        let rows = sweep(42, 2);
+        assert_eq!(rows.len(), committed.len());
+        for (r, &(offset, stat, classic, stable)) in rows.iter().zip(&committed) {
+            assert_eq!((r.offset, r.stat), (offset, stat));
+            assert_eq!(
+                r.classic_err.to_bits(),
+                classic.to_bits(),
+                "classic {stat} at offset {offset:e}: {} vs {classic}",
+                r.classic_err
+            );
+            assert_eq!(
+                r.stable_err.to_bits(),
+                stable.to_bits(),
+                "stable {stat} at offset {offset:e}: {} vs {stable}",
+                r.stable_err
+            );
+        }
+    }
 }

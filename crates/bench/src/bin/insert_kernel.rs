@@ -11,17 +11,16 @@
 //!   entries, [`pair_in_block_scalar`] vs [`pair_in_block`].
 //!
 //! Both sides scan the same [`CfBlock`]; the baseline routes every
-//! distance through the scalar kernel (bit-identical to
-//! `DistanceMetric::distance`) while the production side takes whatever
-//! [`KERNEL_KIND`] names — the lane path on default builds, the same
-//! scalar path under `classic-cf` / `--no-default-features`. The reported
-//! speedup therefore isolates exactly the lane-vs-scalar dispatch choice
-//! the `simd` feature makes. On lane builds the bin asserts the speedup
-//! matrix stays at or above [`MIN_LANE_SPEEDUP`] in every cell.
-//! Writes `BENCH_insert_kernel.json` (each row carries a `simd` column
-//! naming the kernel family measured) and finishes with two end-to-end
-//! `# METRICS` lines (D0 descent-prune off/on) so the distance-call
-//! counters land in the committed bench trajectory.
+//! distance through the scalar oracle kernel (bit-identical to
+//! `DistanceMetric::distance`) while the production side runs the `f64x4`
+//! lane kernels. The reported speedup therefore isolates exactly what the
+//! lane kernels buy over the scalar forms they replaced, and the bin
+//! asserts the speedup matrix stays at or above [`MIN_LANE_SPEEDUP`] in
+//! every cell. Writes `BENCH_insert_kernel.json` (each row carries a
+//! `simd` column naming the kernel family measured, always `"lane"`) and
+//! finishes with two end-to-end `# METRICS` lines (D0 descent-prune
+//! off/on) so the distance-call counters land in the committed bench
+//! trajectory.
 //!
 //! ```text
 //! cargo run --release -p birch-bench --bin insert_kernel \
@@ -31,7 +30,7 @@
 use birch_bench::{print_header, print_metrics, print_row};
 use birch_core::distance::{
     closest_among, closest_among_scalar, farthest_pair, farthest_pair_scalar, pair_in_block,
-    pair_in_block_scalar, CfBlock, KERNEL_KIND,
+    pair_in_block_scalar, CfBlock,
 };
 use birch_core::{Birch, BirchConfig, Cf, DistanceMetric, Point};
 use std::time::Instant;
@@ -41,8 +40,8 @@ const DESCENT_FANOUT: usize = 25;
 const SPLIT_ENTRIES: usize = 32;
 const PHASE3_ENTRIES: usize = 64;
 
-/// Floor the full speedup matrix must clear on lane builds: the lane
-/// path must never be slower than the scalar kernel form it replaces.
+/// Floor the full speedup matrix must clear: the lane path must never be
+/// slower than the scalar kernel form it replaces.
 /// The dim ≤ 4 serial specializations share the scalar arithmetic but
 /// hoist the slab accessors out of the scan (the scalar form re-derives
 /// its row views per distance), so even the smallest cells measure
@@ -285,7 +284,7 @@ fn main() {
 
     let mut json = format!(
         "{{\"bench\":\"insert_kernel\",\"seed\":{seed},\"reps\":{reps},\
-         \"simd\":\"{KERNEL_KIND}\",\
+         \"simd\":\"lane\",\
          \"descent_fanout\":{DESCENT_FANOUT},\"split_entries\":{SPLIT_ENTRIES},\
          \"phase3_entries\":{PHASE3_ENTRIES},\"rows\":["
     );
@@ -294,7 +293,7 @@ fn main() {
             json.push(',');
         }
         json.push_str(&format!(
-            "{{\"dim\":{},\"metric\":\"{}\",\"op\":\"{}\",\"simd\":\"{KERNEL_KIND}\",\
+            "{{\"dim\":{},\"metric\":\"{}\",\"op\":\"{}\",\"simd\":\"lane\",\
              \"scalar_ns\":{},\"kernel_ns\":{},\"speedup\":{}}}",
             r.dim,
             r.metric,
@@ -308,33 +307,30 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("\nresults written to {out_path}");
 
-    // On lane builds the dispatch contract is "never slower than the
-    // scalar form": every cell of the speedup matrix must clear the
-    // noise-calibrated floor. Scalar-only builds time the same path twice,
-    // so the ratio is pure timer noise and the assert would be vacuous.
-    if KERNEL_KIND == "lane" {
-        let worst = rows
-            .iter()
-            .min_by(|a, b| {
-                let (sa, sb) = (a.scalar_ns / a.kernel_ns, b.scalar_ns / b.kernel_ns);
-                sa.total_cmp(&sb)
-            })
-            .expect("bench produced rows");
-        let worst_speedup = worst.scalar_ns / worst.kernel_ns;
-        assert!(
-            worst_speedup >= MIN_LANE_SPEEDUP - LANE_NOISE_TOL,
-            "lane kernel slower than its scalar form: dim={} metric={} op={} speedup={:.2} < {} - {LANE_NOISE_TOL} noise allowance",
-            worst.dim,
-            worst.metric,
-            worst.op,
-            worst_speedup,
-            MIN_LANE_SPEEDUP,
-        );
-        println!(
-            "speedup matrix floor: {worst_speedup:.2} (>= {} - {LANE_NOISE_TOL} noise allowance required)",
-            MIN_LANE_SPEEDUP
-        );
-    }
+    // The lane kernels' contract is "never slower than the scalar form":
+    // every cell of the speedup matrix must clear the noise-calibrated
+    // floor.
+    let worst = rows
+        .iter()
+        .min_by(|a, b| {
+            let (sa, sb) = (a.scalar_ns / a.kernel_ns, b.scalar_ns / b.kernel_ns);
+            sa.total_cmp(&sb)
+        })
+        .expect("bench produced rows");
+    let worst_speedup = worst.scalar_ns / worst.kernel_ns;
+    assert!(
+        worst_speedup >= MIN_LANE_SPEEDUP - LANE_NOISE_TOL,
+        "lane kernel slower than its scalar form: dim={} metric={} op={} speedup={:.2} < {} - {LANE_NOISE_TOL} noise allowance",
+        worst.dim,
+        worst.metric,
+        worst.op,
+        worst_speedup,
+        MIN_LANE_SPEEDUP,
+    );
+    println!(
+        "speedup matrix floor: {worst_speedup:.2} (>= {} - {LANE_NOISE_TOL} noise allowance required)",
+        MIN_LANE_SPEEDUP
+    );
 
     // End-to-end counter datapoints: a fixed D0 workload with the descent
     // prune off vs on. The clusterings are identical (the prune is

@@ -18,68 +18,14 @@ use birch_core::{Birch, BirchConfig, BirchModel, Cf, DistanceMetric};
 use birch_datagen::{presets, Dataset, DatasetSpec};
 use std::time::{Duration, Instant};
 
-/// Memo-free, block-free replica of [`DistanceMetric::distance`] for the
-/// active CF backend: every self-term is re-derived from the `Cf`'s own
-/// statistics (no `‖·‖²` cache, no SoA block) — the seed-era scalar
-/// arithmetic the batched kernels replaced.
+/// Memo-free, block-free replica of [`DistanceMetric::distance`]: the
+/// deviation-form kernel (compensated `Δμᵢ = (μ_aᵢ − μ_bᵢ) + (c_aᵢ −
+/// c_bᵢ)`) re-derived from the `Cf`'s own statistics, with no SoA block —
+/// the scalar arithmetic the batched kernels replaced.
 ///
-/// The kernel benches and the `insert_kernel` bin use this as their
-/// scalar baseline. Results are bit-identical to the production path
-/// (the memo is itself refreshed by exact recomputation, and the operand
-/// order below matches `distance.rs` term for term); only the cost
-/// differs. The default (stable) build repeats the deviation-form
-/// kernel (compensated `Δμ`); under `classic-cf` the replica repeats
-/// the classic closed forms instead.
-#[cfg(feature = "classic-cf")]
-#[must_use]
-pub fn scalar_distance_replica(metric: DistanceMetric, a: &Cf, b: &Cf) -> f64 {
-    fn dot(a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
-    let (na, nb) = (a.n(), b.n());
-    let (lsa, lsb) = (a.vec_stat(), b.vec_stat());
-    match metric {
-        DistanceMetric::D0 => lsa
-            .iter()
-            .zip(lsb)
-            .map(|(&x, &y)| {
-                let d = x / na - y / nb;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt(),
-        DistanceMetric::D1 => lsa
-            .iter()
-            .zip(lsb)
-            .map(|(&x, &y)| (x / na - y / nb).abs())
-            .sum(),
-        DistanceMetric::D2 => {
-            let num = nb * a.scalar_stat() + na * b.scalar_stat() - 2.0 * dot(lsa, lsb);
-            (num.max(0.0) / (na * nb)).sqrt()
-        }
-        DistanceMetric::D3 => {
-            let n = na + nb;
-            if n <= 1.0 {
-                return 0.0;
-            }
-            let ss = a.scalar_stat() + b.scalar_stat();
-            let merged = dot(lsa, lsa) + 2.0 * dot(lsa, lsb) + dot(lsb, lsb);
-            let num = 2.0 * n * ss - 2.0 * merged;
-            (num.max(0.0) / (n * (n - 1.0))).sqrt()
-        }
-        DistanceMetric::D4 => {
-            let n = na + nb;
-            let merged = dot(lsa, lsa) + 2.0 * dot(lsa, lsb) + dot(lsb, lsb);
-            let inc = dot(lsa, lsa) / na + dot(lsb, lsb) / nb - merged / n;
-            inc.max(0.0).sqrt()
-        }
-    }
-}
-
-/// Stable-backend variant: repeats `distance.rs`'s deviation-form kernel
-/// (`Δμᵢ = (μ_aᵢ − μ_bᵢ) + (c_aᵢ − c_bᵢ)`) term for term. See the
-/// classic variant's docs.
-#[cfg(not(feature = "classic-cf"))]
+/// The kernel benches use this as their scalar baseline. Results are
+/// bit-identical to the production path (the operand order below matches
+/// `distance.rs` term for term); only the cost differs.
 #[must_use]
 pub fn scalar_distance_replica(metric: DistanceMetric, a: &Cf, b: &Cf) -> f64 {
     let dmu = |i: usize| (a.mean()[i] - b.mean()[i]) + (a.mean_carry()[i] - b.mean_carry()[i]);
@@ -94,7 +40,7 @@ pub fn scalar_distance_replica(metric: DistanceMetric, a: &Cf, b: &Cf) -> f64 {
     match metric {
         DistanceMetric::D0 => dmu_sq().sqrt(),
         DistanceMetric::D1 => (0..a.mean().len()).map(|i| dmu(i).abs()).sum(),
-        DistanceMetric::D2 => (a.scalar_stat() / a.n() + b.scalar_stat() / b.n() + dmu_sq())
+        DistanceMetric::D2 => (a.sse() / a.n() + b.sse() / b.n() + dmu_sq())
             .max(0.0)
             .sqrt(),
         DistanceMetric::D3 => {
@@ -102,7 +48,7 @@ pub fn scalar_distance_replica(metric: DistanceMetric, a: &Cf, b: &Cf) -> f64 {
             if n <= 1.0 {
                 return 0.0;
             }
-            let sse_m = a.scalar_stat() + b.scalar_stat() + (a.n() * b.n() / n) * dmu_sq();
+            let sse_m = a.sse() + b.sse() + (a.n() * b.n() / n) * dmu_sq();
             (2.0 * sse_m / (n - 1.0)).max(0.0).sqrt()
         }
         DistanceMetric::D4 => {

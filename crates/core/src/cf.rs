@@ -1,9 +1,20 @@
-//! The numerically stable CF backend: BETULA's `(N, μ, SSE)` form.
+//! The Clustering Feature (CF) — the paper's central data structure, in
+//! BETULA's numerically stable `(N, μ, SSE)` form.
 //!
-//! The paper's `(N, LS, SS)` triple loses every quality-bearing statistic
-//! to catastrophic cancellation when clusters are tight relative to their
-//! coordinate magnitude: `SS − ‖LS‖²/N` subtracts two numbers agreeing in
-//! all their leading digits. BETULA (Lang & Schubert, PAPERS.md) replaces
+//! **Definition 4.1**: for a cluster of `N` `d`-dimensional points `{Xᵢ}`,
+//! `CF = (N, LS, SS)` where `LS = Σ Xᵢ` is the linear sum and `SS = Σ Xᵢ·Xᵢ`
+//! is the (scalar) square sum. The **CF Additivity Theorem (4.1)** — merging
+//! disjoint clusters adds their CFs component-wise — is what lets BIRCH
+//! cluster incrementally: centroid `X0` (eq. 1), radius `R` (eq. 2),
+//! diameter `D` (eq. 3) and the inter-cluster distances `D0…D4` (eqs. 4–8)
+//! are all computable from CFs alone, without storing the points.
+//!
+//! The paper's triple is algebraically exact but *numerically* treacherous:
+//! every quality-bearing statistic evaluates a difference of large, nearly
+//! equal terms (`SS − ‖LS‖²/N` and friends). For a tight cluster at a large
+//! coordinate offset the true deviation falls below the f64 rounding of the
+//! operands and the clamped difference silently collapses to 0 —
+//! catastrophic cancellation. BETULA (Lang & Schubert, PAPERS.md) replaces
 //! the raw sums with the *translation-invariant* statistics
 //!
 //! * `N` — weighted point count (unchanged),
@@ -13,9 +24,12 @@
 //! updated incrementally (Welford-style). Radius, diameter and the
 //! deviation-form distances then read `SSE` *directly* — no cancelling
 //! subtraction ever happens, so shifting the data by 1e8 does not change
-//! a single statistic beyond input rounding.
+//! a single statistic beyond input rounding. The additivity theorem holds
+//! in this form too (the merge rule below). The paper's `(N, LS, SS)`
+//! triple survives only as the cancellation foil of the `cf_stability`
+//! bench.
 //!
-//! On top of BETULA's algebra this backend compensates both accumulators
+//! On top of BETULA's algebra the CF compensates both accumulators
 //! (Neumaier/Kahan via error-free [`two_sum`]): the mean is kept as a
 //! `mean + mean_c` pair (per-dimension carry) and `SSE` as `sse + sse_c`.
 //! Plain Welford at offset 1e8 still rounds each mean update at
@@ -36,18 +50,25 @@
 //!           SSEa' = SSE − SSEb − (na'·nb/n)·‖μa' − μb‖²,  clamped ≥ 0
 //! ```
 //!
-//! The API mirrors [`classic`](crate::cf::classic) exactly — same
-//! constructors, algebra, statistics and backend-agnostic accessors
-//! (`vec_stat` = μ, `scalar_stat` = SSE, `vec_stat_sq` = memoized `‖μ‖²`,
-//! refreshed by exact recomputation under the same zero-drift contract as
-//! the classic `‖LS‖²` memo).
+//! The squared mean norm `‖μ‖²` is memoized ([`Cf::mean_sq`]) and
+//! refreshed by exact recomputation after every mutation of the mean, so
+//! it stays bit-identical to a from-scratch `dot(μ, μ)`.
+//!
+//! Weights: the paper allows a weighted clustering function (§1) and the
+//! image application (§6.8) weights pixels. A point `x` with weight `w` is
+//! the singleton CF `(w, x, 0)`; with all weights 1 this is the paper's CF.
 
-use crate::cf::N_DUST_REL;
 use crate::point::{dot, Point};
 use crate::quad::{quick_two_sum, two_sum};
 use std::fmt;
 
-/// A Clustering Feature in the stable `(N, μ, SSE)` representation, with
+/// Relative dust threshold for [`Cf::subtract`]: a residual weight at or
+/// below `N_DUST_REL` times the pre-subtraction weight is floating-point
+/// dust, not a real cluster, and snaps to the empty CF. The same constant
+/// makes the "cannot subtract more than is present" guard relative.
+const N_DUST_REL: f64 = 1e-9;
+
+/// A Clustering Feature in the `(N, μ, SSE)` representation, with
 /// Neumaier-compensated mean and deviation-sum accumulators.
 #[derive(Clone, PartialEq)]
 pub struct Cf {
@@ -63,7 +84,7 @@ pub struct Cf {
     /// Compensation carry for `sse`.
     sse_c: f64,
     /// Memoized `‖μ‖² = dot(mean, mean)`, refreshed on every mutation of
-    /// `mean` by exact recomputation (same contract as classic `ls_sq`).
+    /// `mean` by exact recomputation.
     mean_sq: f64,
 }
 
@@ -162,8 +183,8 @@ impl Cf {
         &self.mean
     }
 
-    /// The per-dimension compensation carry: the backend's best estimate
-    /// of the true mean is `mean()[i] + mean_carry()[i]`. The deviation-form
+    /// The per-dimension compensation carry: the best estimate of the
+    /// true mean is `mean()[i] + mean_carry()[i]`. The deviation-form
     /// distance kernels consume it so differences of means keep full
     /// precision at large coordinate offsets.
     #[must_use]
@@ -177,33 +198,18 @@ impl Cf {
         self.sse + self.sse_c
     }
 
-    /// Backend-agnostic vector statistic: the mean `μ` for this backend
-    /// (the linear sum `LS` for [`classic`](crate::cf::classic)).
+    /// Memoized `‖μ‖²`. Bit-identical to recomputing `dot(mean, mean)`
+    /// from scratch: every mutation of the mean refreshes the memo by exact
+    /// recomputation, so callers may substitute this value anywhere that
+    /// dot product appears without changing a single result bit.
     #[must_use]
-    pub fn vec_stat(&self) -> &[f64] {
-        &self.mean
-    }
-
-    /// Backend-agnostic scalar statistic: the deviation sum `SSE` for this
-    /// backend (the square sum `SS` for [`classic`](crate::cf::classic)).
-    #[must_use]
-    pub fn scalar_stat(&self) -> f64 {
-        self.sse()
-    }
-
-    /// Backend-agnostic memoized `‖vec_stat‖²`: `‖μ‖²` here. Bit-identical
-    /// to `dot(vec_stat, vec_stat)` by the exact-recomputation contract.
-    #[must_use]
-    pub fn vec_stat_sq(&self) -> f64 {
+    pub fn mean_sq(&self) -> f64 {
         self.mean_sq
     }
 
     /// Test-only corruption of the memoized norm, giving the auditor's
-    /// norm-cache check a deterministic failure to detect. Only the
-    /// feature-selected backend's helper is reachable from the audit
-    /// tests, so the other one is intentionally dead per build.
+    /// norm-cache check a deterministic failure to detect.
     #[cfg(test)]
-    #[allow(dead_code)]
     pub(crate) fn corrupt_norm_memo_for_test(&mut self, delta: f64) {
         self.mean_sq += delta;
     }
@@ -354,8 +360,16 @@ impl Cf {
 
     /// Removes a previously merged CF (inverse of [`Cf::merge`]) —
     /// BETULA's subtract rule, mean updated first so the scatter term uses
-    /// the recovered mean. Same relative weight guard and dust snapping as
-    /// the classic backend (see `classic::Cf::subtract`).
+    /// the recovered mean. Used when a tentative absorption is rolled back
+    /// and by Phase-4 reassignment.
+    ///
+    /// The weight guard is *relative*: `other` may exceed `self` by up to
+    /// `N_DUST_REL · self.n` of round-off (a fixed absolute slack would
+    /// spuriously reject float dust at large `N` and wave through real
+    /// oversubtraction at tiny `N`). Any residual weight at or below
+    /// `N_DUST_REL` of the original is likewise dust and snaps to the true
+    /// empty CF, so no near-zero `N` with leftover statistics survives to
+    /// feed divide-by-near-zero centroids.
     ///
     /// # Panics
     ///
@@ -490,7 +504,7 @@ impl Cf {
 
     /// Sum of squared deviations from the centroid: the stored `SSE`
     /// itself — no cancelling subtraction, which is the whole point of
-    /// this backend. Clamped at 0 against compensation round-off.
+    /// the `(N, μ, SSE)` form. Clamped at 0 against compensation round-off.
     #[must_use]
     pub fn sq_deviation(&self) -> f64 {
         if self.is_empty() {
@@ -567,8 +581,8 @@ mod tests {
     #[test]
     fn additivity_theorem_within_round_off() {
         // Merge vs direct construction walk different op orders, so the
-        // comparison is to round-off tolerance, not bitwise (the classic
-        // backend's raw sums are order-independent; means are not).
+        // comparison is to round-off tolerance, not bitwise (raw sums
+        // would be order-independent; means are not).
         let a = pts(&[[0.0, 0.0], [1.0, 1.0]]);
         let b = pts(&[[4.0, 0.0], [5.0, 5.0], [6.0, 2.0]]);
         let cf_a = Cf::from_points(&a);
@@ -642,12 +656,11 @@ mod tests {
     #[test]
     fn statistics_survive_large_offset() {
         // The motivating failure: a tight cluster (spread ~1e-3) at offset
-        // 1e8. The classic backend's radius collapses to 0 here; the
-        // stable backend must agree with the same cloud at the origin to
-        // ~1e-9 relative. Dyadic spreads (multiples of 2⁻¹¹ ≈ 4.9e-4) are
-        // exact multiples of ulp(1e8) = 2⁻²⁶, so the shifted cloud is an
-        // *exact* translate — any drift is the backend's own error, not
-        // input rounding.
+        // 1e8. The paper's (N, LS, SS) radius collapses to 0 here; this
+        // CF must agree with the same cloud at the origin to ~1e-9
+        // relative. Dyadic spreads (multiples of 2⁻¹¹ ≈ 4.9e-4) are exact
+        // multiples of ulp(1e8) = 2⁻²⁶, so the shifted cloud is an *exact*
+        // translate — any drift is the CF's own error, not input rounding.
         const S: f64 = 9.765_625e-4; // 2⁻¹⁰
         const H: f64 = 4.882_812_5e-4; // 2⁻¹¹
         let spread = [[0.0, 0.0], [S, 0.0], [0.0, S], [S, S], [H, H]];
@@ -741,28 +754,16 @@ mod tests {
     #[test]
     fn mean_sq_cache_is_bit_exact_across_mutations() {
         let mut cf = Cf::empty(2);
-        assert_eq!(cf.vec_stat_sq(), 0.0);
+        assert_eq!(cf.mean_sq(), 0.0);
         cf.add_point(&Point::xy(1.5, -2.25));
-        assert_eq!(
-            cf.vec_stat_sq().to_bits(),
-            dot(cf.mean(), cf.mean()).to_bits()
-        );
+        assert_eq!(cf.mean_sq().to_bits(), dot(cf.mean(), cf.mean()).to_bits());
         cf.add_weighted_point(&Point::xy(0.3, 0.7), 2.5);
-        assert_eq!(
-            cf.vec_stat_sq().to_bits(),
-            dot(cf.mean(), cf.mean()).to_bits()
-        );
+        assert_eq!(cf.mean_sq().to_bits(), dot(cf.mean(), cf.mean()).to_bits());
         let other = Cf::from_points(&pts(&[[4.0, 1.0], [-2.0, 3.0]]));
         cf.merge(&other);
-        assert_eq!(
-            cf.vec_stat_sq().to_bits(),
-            dot(cf.mean(), cf.mean()).to_bits()
-        );
+        assert_eq!(cf.mean_sq().to_bits(), dot(cf.mean(), cf.mean()).to_bits());
         cf.subtract(&other);
-        assert_eq!(
-            cf.vec_stat_sq().to_bits(),
-            dot(cf.mean(), cf.mean()).to_bits()
-        );
+        assert_eq!(cf.mean_sq().to_bits(), dot(cf.mean(), cf.mean()).to_bits());
     }
 
     #[test]
@@ -772,18 +773,12 @@ mod tests {
         scratch.assign_point(&p);
         let fresh = Cf::from_point(&p);
         assert!(scratch == fresh);
-        assert_eq!(
-            scratch.vec_stat_sq().to_bits(),
-            fresh.vec_stat_sq().to_bits()
-        );
+        assert_eq!(scratch.mean_sq().to_bits(), fresh.mean_sq().to_bits());
 
         scratch.assign_weighted_point(&p, 2.0);
         let fresh_w = Cf::from_weighted_point(&p, 2.0);
         assert!(scratch == fresh_w);
-        assert_eq!(
-            scratch.vec_stat_sq().to_bits(),
-            fresh_w.vec_stat_sq().to_bits()
-        );
+        assert_eq!(scratch.mean_sq().to_bits(), fresh_w.mean_sq().to_bits());
     }
 
     #[test]
@@ -806,7 +801,7 @@ mod tests {
         let mut m = a.clone();
         m.subtract(&a);
         assert!(m.is_empty());
-        assert_eq!(m.vec_stat_sq(), 0.0);
+        assert_eq!(m.mean_sq(), 0.0);
         assert_eq!(m.mean(), &[0.0, 0.0]);
         assert_eq!(m.sse(), 0.0);
     }
@@ -850,7 +845,7 @@ mod tests {
         let back = Cf::from_words(&words, 2);
         // PartialEq compares every field including carries and the memo.
         assert!(back == cf);
-        assert_eq!(back.vec_stat_sq().to_bits(), cf.vec_stat_sq().to_bits());
+        assert_eq!(back.mean_sq().to_bits(), cf.mean_sq().to_bits());
         assert_eq!(back.sse().to_bits(), cf.sse().to_bits());
     }
 
@@ -858,30 +853,5 @@ mod tests {
     #[should_panic(expected = "word count mismatch")]
     fn from_words_rejects_wrong_length() {
         let _ = Cf::from_words(&[0; 5], 2);
-    }
-
-    #[test]
-    fn agrees_with_classic_backend_when_well_conditioned() {
-        // On well-conditioned data the two backends must tell the same
-        // story to near round-off: same N, same centroid, and radius/
-        // diameter within 1e-12 relative.
-        use crate::cf::classic;
-        let raw = [
-            [0.5, 1.5],
-            [2.0, -3.0],
-            [4.25, 0.125],
-            [-1.0, 2.5],
-            [3.0, 3.0],
-        ];
-        let points = pts(&raw);
-        let s = Cf::from_points(&points);
-        let c = classic::Cf::from_points(&points);
-        assert_eq!(s.n(), c.n());
-        for (x, y) in s.centroid().iter().zip(c.centroid().iter()) {
-            assert!((x - y).abs() <= 1e-12 * (1.0 + y.abs()));
-        }
-        assert!((s.radius() - c.radius()).abs() <= 1e-12 * (1.0 + c.radius()));
-        assert!((s.diameter() - c.diameter()).abs() <= 1e-12 * (1.0 + c.diameter()));
-        assert!((s.sq_deviation() - c.sq_deviation()).abs() <= 1e-12 * (1.0 + c.sq_deviation()));
     }
 }

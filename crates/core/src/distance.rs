@@ -13,41 +13,34 @@
 //! * **D4** — variance-increase distance (eq. 8): the growth in total
 //!   squared deviation caused by merging.
 //!
-//! Two kernel families compute these, one per CF backend, and both are
-//! always compiled (the `classic-cf` feature only selects which one the
-//! pipeline routes through; the stable kernel is the default):
+//! The paper states D2–D4 as closed forms over `(N, LS, SS)`. Those
+//! subtract large near-equal quantities and collapse far from the origin
+//! (the `cf_stability` bench keeps them as its cancellation foil), so the
+//! kernel here, [`stable_distance`] over [`StableView`], evaluates the
+//! deviation forms on the CF's `(N, μ, SSE)` with the compensated centroid
+//! difference `Δμᵢ = (μ₁ᵢ − μ₂ᵢ) + (c₁ᵢ − c₂ᵢ)` (the leading difference of
+//! nearby means is exact by Sterbenz's lemma, so the Neumaier carries `c`
+//! survive into the result):
 //!
-//! * [`classic_distance`] over [`ClassicView`] — the paper's closed forms
-//!   on `(N, LS, SS)`:
+//! ```text
+//! D0² = ‖Δμ‖²                 D1 = Σ|Δμᵢ|
+//! D2² = SSE₁/N₁ + SSE₂/N₂ + ‖Δμ‖²
+//! D3² = 2·SSEₘ/(N−1),  SSEₘ = SSE₁ + SSE₂ + (N₁N₂/N)·‖Δμ‖²
+//! D4² = (N₁N₂/N)·‖Δμ‖²
+//! ```
 //!
-//!   ```text
-//!   D2² = (N₂·SS₁ + N₁·SS₂ − 2·LS₁·LS₂) / (N₁·N₂)
-//!   D3² = (2N·SSₘ − 2‖LSₘ‖²) / (N(N−1)),  N = N₁+N₂, subscript m = merged
-//!   D4² = ‖LS₁‖²/N₁ + ‖LS₂‖²/N₂ − ‖LSₘ‖²/N
-//!   ```
+//! Every term is translation-invariant, so these stay accurate at any
+//! coordinate offset.
 //!
-//!   (for D4, note `SSₘ = SS₁+SS₂` cancels out of the deviation
-//!   difference). These subtract large near-equal quantities, so they
-//!   inherit the classic backend's catastrophic cancellation far from the
-//!   origin.
+//! Over a [`CfBlock`] the batched scans run the `f64x4` lane kernels of
+//! `crate::simd`. The scalar block kernels here ([`distance_to_row`] and
+//! the `*_scalar` scans) call [`stable_distance`] itself, so they are
+//! bit-identical to [`DistanceMetric::distance`] by construction; they
+//! stay compiled as the oracles the lane kernels are checked against (by
+//! the tests, the auditor's `SimdKernelMismatch` check and the
+//! `insert_kernel` bench).
 //!
-//! * [`stable_distance`] over [`StableView`] — deviation forms on
-//!   `(N, μ, SSE)` with the compensated centroid difference
-//!   `Δμᵢ = (μ₁ᵢ − μ₂ᵢ) + (c₁ᵢ − c₂ᵢ)` (the leading difference of nearby
-//!   means is exact by Sterbenz's lemma, so the Neumaier carries `c`
-//!   survive into the result):
-//!
-//!   ```text
-//!   D0² = ‖Δμ‖²                 D1 = Σ|Δμᵢ|
-//!   D2² = SSE₁/N₁ + SSE₂/N₂ + ‖Δμ‖²
-//!   D3² = 2·SSEₘ/(N−1),  SSEₘ = SSE₁ + SSE₂ + (N₁N₂/N)·‖Δμ‖²
-//!   D4² = (N₁N₂/N)·‖Δμ‖²
-//!   ```
-//!
-//!   Every term is translation-invariant, so these stay accurate at any
-//!   coordinate offset.
-//!
-//! Both kernels share one contract for empty operands (`N ≤ 0`): they
+//! The kernels share one contract for empty operands (`N ≤ 0`): they
 //! `debug_assert!` (catching the misuse in debug/test builds) and return
 //! `+∞` in release builds, so an empty row can never win a closest-entry
 //! scan via `NaN` poisoning. The higher-level [`DistanceMetric::distance`]
@@ -55,7 +48,6 @@
 //! is a caller bug in every build.
 
 use crate::cf::Cf;
-use crate::point::dot;
 use std::fmt;
 use std::str::FromStr;
 
@@ -109,7 +101,7 @@ impl DistanceMetric {
             a.dim(),
             b.dim()
         );
-        active_kernel(self, &cf_view(a), &cf_view(b))
+        stable_distance(self, &StableView::of(a), &StableView::of(b))
     }
 
     /// Whether this metric is a *reducible* linkage: merging mutual
@@ -176,47 +168,19 @@ impl FromStr for DistanceMetric {
 }
 
 // ---------------------------------------------------------------------
-// Backend views and metric kernels.
+// The CF view and metric kernel.
 //
-// Each kernel is a closed form over its view's fields: no centroid/merge
-// materialization, hence no allocation. These run once per child entry per
+// The kernel is a closed form over the view's fields: no centroid/merge
+// materialization, hence no allocation. It runs once per child entry per
 // tree level for *every* insertion (the §6.1 CPU cost model's inner loop),
-// so the allocation-free forms matter. Both the scalar path
-// (`DistanceMetric::distance`) and the batched block path
-// (`distance_to_row` / `pair_in_block`) call the exact same kernel
-// function, so scalar and batched results are bit-identical by
-// construction.
+// so the allocation-free form matters. Both the scalar path
+// (`DistanceMetric::distance`) and the scalar block oracles
+// (`distance_to_row` / `pair_in_block_scalar`) call this same function,
+// so their results are bit-identical by construction.
 // ---------------------------------------------------------------------
 
-/// A borrowed `(N, SS, ‖LS‖², LS)` view of a classic-backend CF (or a
-/// `CfBlock` row mirroring one).
-#[derive(Debug, Clone, Copy)]
-pub struct ClassicView<'a> {
-    /// Weighted point count `N`.
-    pub n: f64,
-    /// Scalar square sum `SS`.
-    pub ss: f64,
-    /// Memoized `‖LS‖²`.
-    pub ls_sq: f64,
-    /// Linear sum `LS`.
-    pub ls: &'a [f64],
-}
-
-impl<'a> ClassicView<'a> {
-    /// The view of a classic-backend CF.
-    #[must_use]
-    pub fn of(cf: &'a crate::cf::classic::Cf) -> Self {
-        ClassicView {
-            n: cf.n(),
-            ss: cf.scalar_stat(),
-            ls_sq: cf.vec_stat_sq(),
-            ls: cf.vec_stat(),
-        }
-    }
-}
-
-/// A borrowed `(N, SSE, μ, carry)` view of a stable-backend CF (or a
-/// `CfBlock` row mirroring one). `mean_c` holds the Neumaier compensation
+/// A borrowed `(N, SSE, μ, carry)` view of a CF (or a `CfBlock` row
+/// mirroring one). `mean_c` holds the Neumaier compensation
 /// terms of the mean — the deviation kernels fold them into `Δμ` so
 /// distances keep ~1 ulp accuracy even at coordinate offsets where the
 /// raw mean difference rounds coarsely.
@@ -233,75 +197,19 @@ pub struct StableView<'a> {
 }
 
 impl<'a> StableView<'a> {
-    /// The view of a stable-backend CF.
+    /// The view of a CF.
     #[must_use]
-    pub fn of(cf: &'a crate::cf::stable::Cf) -> Self {
+    pub fn of(cf: &'a Cf) -> Self {
         StableView {
             n: cf.n(),
-            sse: cf.scalar_stat(),
+            sse: cf.sse(),
             mean: cf.mean(),
             mean_c: cf.mean_carry(),
         }
     }
 }
 
-/// Distance between two classic-backend views: the paper's closed forms
-/// over `(N, LS, SS)`. Empty operands (`N ≤ 0`) debug-assert and return
-/// `+∞` in release builds (see the module docs).
-#[must_use]
-pub fn classic_distance(metric: DistanceMetric, a: &ClassicView<'_>, b: &ClassicView<'_>) -> f64 {
-    if a.n <= 0.0 || b.n <= 0.0 {
-        debug_assert!(false, "distance with an empty CF operand");
-        return f64::INFINITY;
-    }
-    let (na, nb) = (a.n, b.n);
-    match metric {
-        DistanceMetric::D0 => {
-            a.ls.iter()
-                .zip(b.ls)
-                .map(|(&x, &y)| {
-                    let d = x / na - y / nb;
-                    d * d
-                })
-                .sum::<f64>()
-                .sqrt()
-        }
-        DistanceMetric::D1 => {
-            a.ls.iter()
-                .zip(b.ls)
-                .map(|(&x, &y)| (x / na - y / nb).abs())
-                .sum()
-        }
-        DistanceMetric::D2 => {
-            let num = nb * a.ss + na * b.ss - 2.0 * dot(a.ls, b.ls);
-            (num.max(0.0) / (na * nb)).sqrt()
-        }
-        DistanceMetric::D3 => {
-            let n = na + nb;
-            if n <= 1.0 {
-                return 0.0; // fractional weights: merged "cluster" of ≤ one point
-            }
-            let ss = a.ss + b.ss;
-            // ‖LS_a + LS_b‖² without materializing the merged vector: the
-            // memoized self-norms are bit-identical to recomputing
-            // dot(ls, ls), so this is one dot product instead of three.
-            // Summed self-norms first so the result is bit-symmetric in
-            // (a, b) — the agglomerators evaluate pairs in either order.
-            let merged = (a.ls_sq + b.ls_sq) + 2.0 * dot(a.ls, b.ls);
-            let num = 2.0 * n * ss - 2.0 * merged;
-            (num.max(0.0) / (n * (n - 1.0))).sqrt()
-        }
-        DistanceMetric::D4 => {
-            let n = na + nb;
-            // Self-norms summed first: bit-symmetric in (a, b), as above.
-            let merged = (a.ls_sq + b.ls_sq) + 2.0 * dot(a.ls, b.ls);
-            let inc = a.ls_sq / na + b.ls_sq / nb - merged / n;
-            inc.max(0.0).sqrt()
-        }
-    }
-}
-
-/// Distance between two stable-backend views: translation-invariant
+/// Distance between two CF views: translation-invariant
 /// deviation forms over `(N, μ, SSE)` with the compensated centroid
 /// difference `Δμᵢ = (μ_aᵢ − μ_bᵢ) + (c_aᵢ − c_bᵢ)`. Empty operands
 /// (`N ≤ 0`) debug-assert and return `+∞` in release builds (see the
@@ -340,25 +248,6 @@ pub fn stable_distance(metric: DistanceMetric, a: &StableView<'_>, b: &StableVie
     }
 }
 
-// The feature-selected routing: which view/kernel pair the pipeline's
-// `Cf` alias maps onto. Both kernels stay compiled either way (the
-// stability bench compares them side by side in one binary).
-
-#[cfg(feature = "classic-cf")]
-use classic_distance as active_kernel;
-#[cfg(not(feature = "classic-cf"))]
-use stable_distance as active_kernel;
-
-#[cfg(feature = "classic-cf")]
-fn cf_view(cf: &Cf) -> ClassicView<'_> {
-    ClassicView::of(cf)
-}
-
-#[cfg(not(feature = "classic-cf"))]
-fn cf_view(cf: &Cf) -> StableView<'_> {
-    StableView::of(cf)
-}
-
 // ---------------------------------------------------------------------
 // Batched distance kernels over a flat SoA block of CFs.
 //
@@ -370,26 +259,24 @@ fn cf_view(cf: &Cf) -> StableView<'_> {
 // scalar block path calls the same kernel function on the same field
 // values as `DistanceMetric::distance`, so it returns bit-identical
 // distances (and therefore identical argmins, including tie order) by
-// construction; the lane path (stable+`simd` builds, `crate::simd`) is
-// bit-identical at dim ≤ 4 and within `SIMD_TOLERANCE_REL` above that.
+// construction; the lane path (`crate::simd`) is bit-identical at
+// dim ≤ 4 and within `SIMD_TOLERANCE_REL` above that.
 // ---------------------------------------------------------------------
 
 /// Lane width of the explicit-SIMD kernels (`f64x4`), and therefore the
-/// row-stride granule of [`CfBlock`]'s vector slabs on the stable backend.
+/// row-stride granule of [`CfBlock`]'s vector slabs.
 pub const LANE_WIDTH: usize = 4;
 
-/// A flat, cache-resident mirror of a sequence of CFs: one stride-padded
-/// vector slab (μ by default plus its carry slab, or `LS` under
-/// `classic-cf`) and parallel `(N, scalar stat, ‖vec‖²)` arrays.
+/// A flat, cache-resident mirror of a sequence of CFs: stride-padded
+/// slabs of the means and their carries, and parallel `(N, SSE, ‖μ‖²)`
+/// arrays.
 ///
-/// On the stable backend each vector row occupies [`CfBlock::stride`]
-/// slots — `dim` live coordinates followed by zero padding up to the next
-/// multiple of [`LANE_WIDTH`] — so the lane kernels can sweep row pairs in
-/// full lanes with no scalar tail (zero padding contributes exactly `0`
-/// to every deviation sum). Classic builds keep `stride == dim`: the
-/// classic kernels are scalar-only and their memory layout predates the
-/// padding. The row accessors always return exactly `dim` coordinates, so
-/// the padding is invisible outside the lane kernels.
+/// Each mean row occupies [`CfBlock::stride`] slots — `dim` live
+/// coordinates followed by zero padding up to the next multiple of
+/// [`LANE_WIDTH`] — so the lane kernels can sweep row pairs in full lanes
+/// with no scalar tail (zero padding contributes exactly `0` to every
+/// deviation sum). The row accessors always return exactly `dim`
+/// coordinates, so the padding is invisible outside the lane kernels.
 ///
 /// The dimensionality is fixed lazily by the first row pushed, so an empty
 /// block is dimension-agnostic (a fresh tree node can own one before any
@@ -400,17 +287,15 @@ pub struct CfBlock {
     dim: usize,
     /// Per-row weighted point count `N`.
     n: Vec<f64>,
-    /// Per-row scalar statistic: `SS` (classic) or folded `SSE` (stable).
+    /// Per-row folded `SSE`.
     scalar: Vec<f64>,
-    /// Per-row memoized squared norm of the vector statistic (copied from
-    /// [`Cf::vec_stat_sq`]).
+    /// Per-row memoized `‖μ‖²` (copied from [`Cf::mean_sq`]).
     vec_sq: Vec<f64>,
-    /// Row-major vector-statistic slab: row `i` occupies
-    /// `vec[i*dim .. (i+1)*dim]`. `LS` (classic) or μ (stable).
+    /// Row-major mean slab: row `i` occupies
+    /// `vec[i*stride .. i*stride + dim]`, zero-padded to the stride.
     vec: Vec<f64>,
     /// Row-major Neumaier carry slab for the mean (same striding as
     /// `vec`) — the deviation kernels need it for the compensated Δμ.
-    #[cfg(not(feature = "classic-cf"))]
     vec_c: Vec<f64>,
 }
 
@@ -434,7 +319,6 @@ impl CfBlock {
         b.scalar.reserve_exact(rows);
         b.vec_sq.reserve_exact(rows);
         b.vec.reserve_exact(slots);
-        #[cfg(not(feature = "classic-cf"))]
         b.vec_c.reserve_exact(slots);
         b
     }
@@ -468,18 +352,10 @@ impl CfBlock {
     }
 
     /// Slots per row in the `vec`/`vec_c` slabs: `dim` rounded up to a
-    /// multiple of [`LANE_WIDTH`] on the stable backend (the padding is
-    /// zero-filled), exactly `dim` under `classic-cf`.
+    /// multiple of [`LANE_WIDTH`] (the padding is zero-filled).
     #[must_use]
     pub fn stride(&self) -> usize {
-        #[cfg(feature = "classic-cf")]
-        {
-            self.dim
-        }
-        #[cfg(not(feature = "classic-cf"))]
-        {
-            self.dim.next_multiple_of(LANE_WIDTH)
-        }
+        self.dim.next_multiple_of(LANE_WIDTH)
     }
 
     /// Heap bytes held by the block's slabs — *capacity*, not length,
@@ -487,15 +363,11 @@ impl CfBlock {
     /// gauge's `cf_blocks` component ([`crate::obs::mem`]).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        #[cfg_attr(feature = "classic-cf", allow(unused_mut))]
-        let mut slots = self.n.capacity()
+        let slots = self.n.capacity()
             + self.scalar.capacity()
             + self.vec_sq.capacity()
-            + self.vec.capacity();
-        #[cfg(not(feature = "classic-cf"))]
-        {
-            slots += self.vec_c.capacity();
-        }
+            + self.vec.capacity()
+            + self.vec_c.capacity();
         slots * std::mem::size_of::<f64>()
     }
 
@@ -518,16 +390,13 @@ impl CfBlock {
     pub fn push(&mut self, cf: &Cf) {
         self.fix_dim(cf.dim());
         self.n.push(cf.n());
-        self.scalar.push(cf.scalar_stat());
-        self.vec_sq.push(cf.vec_stat_sq());
+        self.scalar.push(cf.sse());
+        self.vec_sq.push(cf.mean_sq());
         let padded = self.n.len() * self.stride();
-        self.vec.extend_from_slice(cf.vec_stat());
+        self.vec.extend_from_slice(cf.mean());
         self.vec.resize(padded, 0.0);
-        #[cfg(not(feature = "classic-cf"))]
-        {
-            self.vec_c.extend_from_slice(cf.mean_carry());
-            self.vec_c.resize(padded, 0.0);
-        }
+        self.vec_c.extend_from_slice(cf.mean_carry());
+        self.vec_c.resize(padded, 0.0);
     }
 
     /// Overwrites row `i` with `cf`.
@@ -538,11 +407,10 @@ impl CfBlock {
     pub fn set(&mut self, i: usize, cf: &Cf) {
         self.fix_dim(cf.dim());
         self.n[i] = cf.n();
-        self.scalar[i] = cf.scalar_stat();
-        self.vec_sq[i] = cf.vec_stat_sq();
+        self.scalar[i] = cf.sse();
+        self.vec_sq[i] = cf.mean_sq();
         let s = self.stride();
-        self.vec[i * s..i * s + self.dim].copy_from_slice(cf.vec_stat());
-        #[cfg(not(feature = "classic-cf"))]
+        self.vec[i * s..i * s + self.dim].copy_from_slice(cf.mean());
         self.vec_c[i * s..i * s + self.dim].copy_from_slice(cf.mean_carry());
     }
 
@@ -554,15 +422,12 @@ impl CfBlock {
     pub fn insert(&mut self, i: usize, cf: &Cf) {
         self.fix_dim(cf.dim());
         self.n.insert(i, cf.n());
-        self.scalar.insert(i, cf.scalar_stat());
-        self.vec_sq.insert(i, cf.vec_stat_sq());
+        self.scalar.insert(i, cf.sse());
+        self.vec_sq.insert(i, cf.mean_sq());
         let s = self.stride();
         let pad = std::iter::repeat_n(0.0, s - self.dim);
-        self.vec.splice(
-            i * s..i * s,
-            cf.vec_stat().iter().copied().chain(pad.clone()),
-        );
-        #[cfg(not(feature = "classic-cf"))]
+        self.vec
+            .splice(i * s..i * s, cf.mean().iter().copied().chain(pad.clone()));
         self.vec_c
             .splice(i * s..i * s, cf.mean_carry().iter().copied().chain(pad));
     }
@@ -578,7 +443,6 @@ impl CfBlock {
         self.vec_sq.remove(i);
         let s = self.stride();
         self.vec.drain(i * s..(i + 1) * s);
-        #[cfg(not(feature = "classic-cf"))]
         self.vec_c.drain(i * s..(i + 1) * s);
     }
 
@@ -588,7 +452,6 @@ impl CfBlock {
         self.scalar.clear();
         self.vec_sq.clear();
         self.vec.clear();
-        #[cfg(not(feature = "classic-cf"))]
         self.vec_c.clear();
     }
 
@@ -598,21 +461,20 @@ impl CfBlock {
         self.n[i]
     }
 
-    /// Row `i`'s scalar statistic: `SS` (classic) or folded `SSE`
-    /// (stable).
+    /// Row `i`'s folded `SSE`.
     #[must_use]
     pub fn row_scalar(&self, i: usize) -> f64 {
         self.scalar[i]
     }
 
-    /// Row `i`'s memoized squared vector-statistic norm.
+    /// Row `i`'s memoized `‖μ‖²`.
     #[must_use]
     pub fn row_vec_sq(&self, i: usize) -> f64 {
         self.vec_sq[i]
     }
 
-    /// Row `i`'s vector-statistic slice inside the slab: μ (stable) or
-    /// `LS` (classic). Exactly `dim` coordinates — padding excluded.
+    /// Row `i`'s mean slice inside the slab. Exactly `dim` coordinates —
+    /// padding excluded.
     #[must_use]
     pub fn row_vec(&self, i: usize) -> &[f64] {
         let s = self.stride();
@@ -621,7 +483,6 @@ impl CfBlock {
 
     /// Row `i`'s mean-carry slice inside the carry slab. Exactly `dim`
     /// coordinates — padding excluded.
-    #[cfg(not(feature = "classic-cf"))]
     #[must_use]
     pub fn row_vec_c(&self, i: usize) -> &[f64] {
         let s = self.stride();
@@ -629,41 +490,26 @@ impl CfBlock {
     }
 
     /// The full vector slab including padding, for the lane kernels.
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
     pub(crate) fn vec_slab(&self) -> &[f64] {
         &self.vec
     }
 
     /// The full mean-carry slab including padding, for the lane kernels.
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
     pub(crate) fn vec_c_slab(&self) -> &[f64] {
         &self.vec_c
     }
 
     /// The per-row `N` slab, for the lane kernels.
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
     pub(crate) fn n_slab(&self) -> &[f64] {
         &self.n
     }
 
-    /// The per-row scalar-statistic (`SSE`) slab, for the lane kernels.
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
+    /// The per-row `SSE` slab, for the lane kernels.
     pub(crate) fn scalar_slab(&self) -> &[f64] {
         &self.scalar
     }
 }
 
-#[cfg(feature = "classic-cf")]
-fn row_view(block: &CfBlock, i: usize) -> ClassicView<'_> {
-    ClassicView {
-        n: block.row_n(i),
-        ss: block.row_scalar(i),
-        ls_sq: block.row_vec_sq(i),
-        ls: block.row_vec(i),
-    }
-}
-
-#[cfg(not(feature = "classic-cf"))]
 fn row_view(block: &CfBlock, i: usize) -> StableView<'_> {
     StableView {
         n: block.row_n(i),
@@ -690,30 +536,18 @@ pub fn distance_to_row(metric: DistanceMetric, a: &Cf, block: &CfBlock, i: usize
         a.dim(),
         block.dim()
     );
-    active_kernel(metric, &cf_view(a), &row_view(block, i))
+    stable_distance(metric, &StableView::of(a), &row_view(block, i))
 }
 
 // ---------------------------------------------------------------------
-// Kernel routing: every batch scan exists in a scalar form (the oracle —
-// bit-identical to `DistanceMetric::distance` by construction) and, on
-// the default stable+`simd` build, a lane form in `crate::simd`. The
-// production names (`pair_in_block`, `closest_among`, …) route to the
-// lane kernels when they are compiled in and to the scalar forms
-// otherwise. Lane and scalar results agree bit-for-bit at dim ≤ 4 (the
-// small-dim specializations keep scalar accumulation order) and within
-// [`SIMD_TOLERANCE_REL`] above that (lane reduction reorders the sums).
+// Kernel paths: every batch scan exists in a scalar form (the oracle —
+// bit-identical to `DistanceMetric::distance` by construction) and a lane
+// form in `crate::simd`. The production names (`pair_in_block`,
+// `closest_among`, …) call the lane kernels. Lane and scalar results agree
+// bit-for-bit at dim ≤ 4 (the small-dim specializations keep scalar
+// accumulation order) and within [`SIMD_TOLERANCE_REL`] above that (lane
+// reduction reorders the sums).
 // ---------------------------------------------------------------------
-
-/// Which batched kernel family the production scans route through:
-/// `"lane"` on stable+`simd` builds, `"scalar"` otherwise. Recorded in
-/// the bench JSON so `bench_gate` baselines name the path they measured.
-#[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-pub const KERNEL_KIND: &str = "lane";
-/// Which batched kernel family the production scans route through:
-/// `"lane"` on stable+`simd` builds, `"scalar"` otherwise. Recorded in
-/// the bench JSON so `bench_gate` baselines name the path they measured.
-#[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-pub const KERNEL_KIND: &str = "scalar";
 
 /// Per-call tolerance contract of the lane kernels: for dims above the
 /// serial-order specializations a lane-computed distance `d_l` and its
@@ -734,13 +568,12 @@ pub const SIMD_TOLERANCE_REL: f64 = 1e-12;
 #[must_use]
 #[inline]
 pub fn pair_in_block_scalar(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
-    active_kernel(metric, &row_view(block, i), &row_view(block, j))
+    stable_distance(metric, &row_view(block, i), &row_view(block, j))
 }
 
-/// Distance between block rows `i` and `j` — the production form:
-/// lane-computed on stable+`simd` builds (within [`SIMD_TOLERANCE_REL`]
-/// of [`pair_in_block_scalar`], bit-identical at dim ≤ 4), scalar
-/// otherwise.
+/// Distance between block rows `i` and `j` — the production form,
+/// lane-computed (within [`SIMD_TOLERANCE_REL`] of
+/// [`pair_in_block_scalar`], bit-identical at dim ≤ 4).
 ///
 /// # Panics
 ///
@@ -748,14 +581,7 @@ pub fn pair_in_block_scalar(metric: DistanceMetric, block: &CfBlock, i: usize, j
 #[must_use]
 #[inline]
 pub fn pair_in_block(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::pair_in_block(metric, block, i, j)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        pair_in_block_scalar(metric, block, i, j)
-    }
+    crate::simd::pair_in_block(metric, block, i, j)
 }
 
 /// Scalar form of [`closest_among`]: first-minimum via
@@ -784,39 +610,16 @@ pub fn closest_among_scalar(
 /// scan (`best` starts at `+∞`, strictly-smaller wins, so the earliest of
 /// tied rows is kept — the same tie-break as `CfTree::descend` and
 /// `CfTree::closest_leaf_entry`). Returns `None` on an empty block.
-/// Routes through the lane kernels on stable+`simd` builds.
 #[must_use]
 #[inline]
 pub fn closest_among(metric: DistanceMetric, ent: &Cf, block: &CfBlock) -> Option<(usize, f64)> {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::closest_among(metric, ent, block)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        closest_among_scalar(metric, ent, block)
-    }
+    crate::simd::closest_among(metric, ent, block)
 }
 
-/// Per-row distance by whichever kernel family the production scans use
-/// — the evaluation the pruned scan must share with [`closest_among`] so
-/// prune-on and prune-off descents see identical distances.
-#[inline]
-fn row_distance_production(metric: DistanceMetric, ent: &Cf, block: &CfBlock, i: usize) -> f64 {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::distance_to_row(metric, ent, block, i)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        distance_to_row(metric, ent, block, i)
-    }
-}
-
-/// Conservative slack of the stable-backend D0 prune bound, relative to
-/// the *sum* of the two centroid norms being compared.
+/// Conservative slack of the D0 prune bound, relative to the *sum* of the
+/// two centroid norms being compared.
 ///
-/// The stable backend's cached `‖μ‖²` ignores the Neumaier carries that
+/// The cached `‖μ‖²` ignores the Neumaier carries that
 /// the distances fold in, and the lane kernels reorder sums, so the
 /// computed bound `|‖μ_a‖ − ‖μ_b‖|` can sit above the true D0 by a few
 /// ulps *of the norms* (not of their difference). Every contributing
@@ -838,10 +641,8 @@ pub const D0_PRUNE_SLACK_REL: f64 = 1e-12;
 /// so skipping it provably never changes the selected index (tie order
 /// included). Non-D0 metrics fall back to the plain scan.
 ///
-/// On the classic backend the cached-norm bound is exact (the memo is
-/// refreshed by exact recomputation), so no slack is needed. On the
-/// stable backend the bound is widened by [`D0_PRUNE_SLACK_REL`] to
-/// absorb the carry/rounding mismatch between the uncompensated cached
+/// The bound is widened by [`D0_PRUNE_SLACK_REL`] to absorb the
+/// carry/rounding mismatch between the uncompensated cached
 /// norms and the compensated (and possibly lane-reordered) distances —
 /// conservative, so selection safety is preserved at the cost of a few
 /// un-pruned borderline rows.
@@ -859,30 +660,20 @@ pub fn closest_among_pruned(
         let best = closest_among(metric, ent, block);
         return (best, block.len() as u64, 0);
     }
-    // Centroid norms from the cached squared vector-statistic norms: the
-    // vector statistic is LS on the classic backend (divide by N for the
-    // centroid) and μ itself on the stable one.
-    #[cfg(feature = "classic-cf")]
-    let centroid_norm = |sq: f64, n: f64| sq.sqrt() / n;
-    #[cfg(not(feature = "classic-cf"))]
-    let centroid_norm = |sq: f64, _n: f64| sq.sqrt();
-    let ent_norm = centroid_norm(ent.vec_stat_sq(), ent.n());
+    let ent_norm = ent.mean_sq().sqrt();
     let mut best: Option<(usize, f64)> = None;
     let mut best_d = f64::INFINITY;
     let mut evaluated = 0u64;
     let mut pruned = 0u64;
     for i in 0..block.len() {
-        let row_norm = centroid_norm(block.row_vec_sq(i), block.row_n(i));
-        #[cfg(feature = "classic-cf")]
-        let bound = (ent_norm - row_norm).abs();
-        #[cfg(not(feature = "classic-cf"))]
+        let row_norm = row_centroid_norm(block, i);
         let bound = (ent_norm - row_norm).abs() - D0_PRUNE_SLACK_REL * (ent_norm + row_norm);
         if bound > best_d {
             pruned += 1;
             continue;
         }
         evaluated += 1;
-        let d = row_distance_production(metric, ent, block, i);
+        let d = crate::simd::distance_to_row(metric, ent, block, i);
         if d < best_d {
             best_d = d;
             best = Some((i, d));
@@ -899,13 +690,12 @@ pub fn closest_among_pruned(
 /// the best distance found so far provably cannot win a strict-`<`
 /// nearest-neighbor scan, so the O(dim) kernel call is skipped.
 ///
-/// Derivation (stable backend, where the cached triple per row is
-/// `(N, SSE, ‖μ‖²)`): the reverse triangle inequality gives
-/// `‖Δμ‖ ≥ |‖μ_a‖ − ‖μ_b‖|`; widening by [`D0_PRUNE_SLACK_REL`] ·
-/// `(‖μ_a‖+‖μ_b‖)` (the PR-4 slack argument: cached norms ignore the
-/// Neumaier carries the kernels fold in, and lane kernels reorder sums,
-/// every error term relative to the norms) yields a true lower bound
-/// `d0b ≤ ‖Δμ‖`. The deviation forms are monotone in `‖Δμ‖²` with all
+/// Derivation (the cached triple per row is `(N, SSE, ‖μ‖²)`): the
+/// reverse triangle inequality gives `‖Δμ‖ ≥ |‖μ_a‖ − ‖μ_b‖|`; widening
+/// by [`D0_PRUNE_SLACK_REL`] · `(‖μ_a‖+‖μ_b‖)` (that constant's slack
+/// argument: cached norms ignore the Neumaier carries the kernels fold
+/// in, and lane kernels reorder sums, every error term relative to the
+/// norms) yields a true lower bound `d0b ≤ ‖Δμ‖`. The deviation forms are monotone in `‖Δμ‖²` with all
 /// other inputs read bit-identically from the same cached statistics:
 ///
 /// - D0: `d0b`; D1 ≥ D0 coordinate-wise (L1 dominates L2), so `d0b` too.
@@ -918,78 +708,45 @@ pub fn closest_among_pruned(
 /// assembly round-off, keeping `bound ≤ distance` a hard invariant (the
 /// auditor re-checks it on every node; see `crate::audit`).
 ///
-/// Classic backend: only the D0/D1 centroid-norm bound is available —
-/// `SSE = SS − ‖LS‖²/N` suffers exactly the catastrophic cancellation
-/// that motivated the stable backend, so a cached-stat reconstruction
-/// of the D2/D3/D4 deviation terms cannot be trusted as a *lower*
-/// bound; those metrics return 0.0 (never prunes) there. The D0/D1
-/// bound gets the same relative slack as the stable path: the cached
-/// `‖LS‖²` is one rounding sequence and the kernel's coordinate-wise
-/// `Σ(Δc)²` another, so the two can disagree by a few ulps even in
-/// exact arithmetic's favor — observed live as a 1-ulp overshoot that
-/// tripped the audit's `bound ≤ distance` invariant.
-///
 /// # Panics
 ///
 /// Panics if either index is out of range.
 #[must_use]
 pub fn pair_lower_bound(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
-    #[cfg(feature = "classic-cf")]
-    {
-        match metric {
-            DistanceMetric::D0 | DistanceMetric::D1 => {
-                let ca = row_centroid_norm(block, i);
-                let cb = row_centroid_norm(block, j);
-                ((ca - cb).abs() - D0_PRUNE_SLACK_REL * (ca + cb)).max(0.0)
-            }
-            _ => 0.0,
+    let (na, nb) = (block.row_n(i), block.row_n(j));
+    let ma = row_centroid_norm(block, i);
+    let mb = row_centroid_norm(block, j);
+    let d0b = ((ma - mb).abs() - D0_PRUNE_SLACK_REL * (ma + mb)).max(0.0);
+    let shave = 1.0 - D0_PRUNE_SLACK_REL;
+    match metric {
+        DistanceMetric::D0 | DistanceMetric::D1 => d0b,
+        DistanceMetric::D2 => {
+            let (sa, sb) = (block.row_scalar(i), block.row_scalar(j));
+            (sa / na + sb / nb + d0b * d0b).max(0.0).sqrt() * shave
         }
-    }
-    #[cfg(not(feature = "classic-cf"))]
-    {
-        let (na, nb) = (block.row_n(i), block.row_n(j));
-        let ma = row_centroid_norm(block, i);
-        let mb = row_centroid_norm(block, j);
-        let d0b = ((ma - mb).abs() - D0_PRUNE_SLACK_REL * (ma + mb)).max(0.0);
-        let shave = 1.0 - D0_PRUNE_SLACK_REL;
-        match metric {
-            DistanceMetric::D0 | DistanceMetric::D1 => d0b,
-            DistanceMetric::D2 => {
-                let (sa, sb) = (block.row_scalar(i), block.row_scalar(j));
-                (sa / na + sb / nb + d0b * d0b).max(0.0).sqrt() * shave
+        DistanceMetric::D3 => {
+            let n = na + nb;
+            if n <= 1.0 {
+                return 0.0;
             }
-            DistanceMetric::D3 => {
-                let n = na + nb;
-                if n <= 1.0 {
-                    return 0.0;
-                }
-                let (sa, sb) = (block.row_scalar(i), block.row_scalar(j));
-                let sse_m = sa + sb + (na * nb / n) * (d0b * d0b);
-                (2.0 * sse_m / (n - 1.0)).max(0.0).sqrt() * shave
-            }
-            DistanceMetric::D4 => {
-                let n = na + nb;
-                ((na * nb / n) * (d0b * d0b)).max(0.0).sqrt() * shave
-            }
+            let (sa, sb) = (block.row_scalar(i), block.row_scalar(j));
+            let sse_m = sa + sb + (na * nb / n) * (d0b * d0b);
+            (2.0 * sse_m / (n - 1.0)).max(0.0).sqrt() * shave
+        }
+        DistanceMetric::D4 => {
+            let n = na + nb;
+            ((na * nb / n) * (d0b * d0b)).max(0.0).sqrt() * shave
         }
     }
 }
 
-/// Row `i`'s centroid norm from its cached squared vector-statistic norm:
-/// `‖μ‖` on the stable backend, `‖LS‖/N` on the classic one. The norm
+/// Row `i`'s centroid norm `‖μ‖` from its cached `‖μ‖²`. The norm
 /// [`pair_lower_bound`] bounds with, and the key Phase 3's norm-ordered
 /// neighbour walk sorts rows by.
 #[must_use]
 #[inline]
 pub fn row_centroid_norm(block: &CfBlock, i: usize) -> f64 {
-    #[cfg(feature = "classic-cf")]
-    {
-        block.row_vec_sq(i).sqrt() / block.row_n(i)
-    }
-    #[cfg(not(feature = "classic-cf"))]
-    {
-        block.row_vec_sq(i).sqrt()
-    }
+    block.row_vec_sq(i).sqrt()
 }
 
 /// Stop rule of the norm-ordered neighbour walk ([`crate::annulus`]) from
@@ -1004,34 +761,23 @@ pub fn row_centroid_norm(block: &CfBlock, i: usize) -> f64 {
 /// stays below the exact bound of every row farther out): D2 drops the
 /// candidate's `SSE/N` term; D4 takes the weight factor at `N = n_min`,
 /// its smallest (`NₐN/(Nₐ+N)` grows with `N`); D3's bound needs the
-/// candidate's SSE and gives 0. On the classic backend it is 0 for every
-/// metric — never stop — matching that backend's D2–D4 [`pair_lower_bound`].
+/// candidate's SSE and gives 0.
 pub(crate) fn annulus_stop_bound(
     metric: DistanceMetric,
     block: &CfBlock,
     i: usize,
     n_min: f64,
 ) -> impl Fn(f64) -> f64 {
-    #[cfg(feature = "classic-cf")]
-    {
-        let _ = (metric, block, i, n_min);
-        |_| 0.0
-    }
-    #[cfg(not(feature = "classic-cf"))]
-    {
-        let q = row_centroid_norm(block, i);
-        let (na, sa) = (block.row_n(i), block.row_scalar(i));
-        let shave = 1.0 - D0_PRUNE_SLACK_REL;
-        move |norm| {
-            let t = crate::annulus::gap_bound(q, norm);
-            match metric {
-                DistanceMetric::D0 | DistanceMetric::D1 => t,
-                DistanceMetric::D2 => (sa / na + t * t).max(0.0).sqrt() * shave,
-                DistanceMetric::D3 => 0.0,
-                DistanceMetric::D4 => {
-                    ((na * n_min / (na + n_min)) * (t * t)).max(0.0).sqrt() * shave
-                }
-            }
+    let q = row_centroid_norm(block, i);
+    let (na, sa) = (block.row_n(i), block.row_scalar(i));
+    let shave = 1.0 - D0_PRUNE_SLACK_REL;
+    move |norm| {
+        let t = crate::annulus::gap_bound(q, norm);
+        match metric {
+            DistanceMetric::D0 | DistanceMetric::D1 => t,
+            DistanceMetric::D2 => (sa / na + t * t).max(0.0).sqrt() * shave,
+            DistanceMetric::D3 => 0.0,
+            DistanceMetric::D4 => ((na * n_min / (na + n_min)) * (t * t)).max(0.0).sqrt() * shave,
         }
     }
 }
@@ -1055,19 +801,11 @@ pub fn closest_pair_scalar(metric: DistanceMetric, block: &CfBlock) -> Option<(u
 
 /// First-minimum closest pair among the block's rows (`i < j`, earliest
 /// pair wins ties) — the batched form of the §4.3 merging-refinement scan.
-/// Returns `None` when the block has fewer than two rows. Routes through
-/// the lane kernels on stable+`simd` builds.
+/// Returns `None` when the block has fewer than two rows.
 #[must_use]
 #[inline]
 pub fn closest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::closest_pair(metric, block)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        closest_pair_scalar(metric, block)
-    }
+    crate::simd::closest_pair(metric, block)
 }
 
 /// Scalar form of [`farthest_pair`] — every pair distance bit-identical
@@ -1097,19 +835,11 @@ pub fn farthest_pair_scalar(
 /// First-maximum farthest pair among the block's rows (`i < j`, earliest
 /// pair wins ties) — the batched form of the split seeding scan (§4.2:
 /// "the farthest pair of entries"). Returns `None` when the block has
-/// fewer than two rows. Routes through the lane kernels on stable+`simd`
-/// builds.
+/// fewer than two rows.
 #[must_use]
 #[inline]
 pub fn farthest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::farthest_pair(metric, block)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        farthest_pair_scalar(metric, block)
-    }
+    crate::simd::farthest_pair(metric, block)
 }
 
 /// What cluster statistic the CF-tree threshold `T` constrains (§4.2: the
@@ -1302,10 +1032,9 @@ mod tests {
         assert_eq!(b.dim(), 2);
         for (i, cf) in cfs.iter().enumerate() {
             assert_eq!(b.row_n(i), cf.n());
-            assert_eq!(b.row_scalar(i), cf.scalar_stat());
-            assert_eq!(b.row_vec_sq(i).to_bits(), cf.vec_stat_sq().to_bits());
-            assert_eq!(b.row_vec(i), cf.vec_stat());
-            #[cfg(not(feature = "classic-cf"))]
+            assert_eq!(b.row_scalar(i), cf.sse());
+            assert_eq!(b.row_vec_sq(i).to_bits(), cf.mean_sq().to_bits());
+            assert_eq!(b.row_vec(i), cf.mean());
             assert_eq!(b.row_vec_c(i), cf.mean_carry());
         }
     }
@@ -1315,14 +1044,14 @@ mod tests {
         let cfs = kernel_fixture();
         let mut b = CfBlock::from_cfs(&cfs[..3]);
         b.set(1, &cfs[3]);
-        assert_eq!(b.row_vec(1), cfs[3].vec_stat());
+        assert_eq!(b.row_vec(1), cfs[3].mean());
         b.insert(0, &cfs[4]);
         assert_eq!(b.len(), 4);
-        assert_eq!(b.row_vec(0), cfs[4].vec_stat());
-        assert_eq!(b.row_vec(1), cfs[0].vec_stat());
+        assert_eq!(b.row_vec(0), cfs[4].mean());
+        assert_eq!(b.row_vec(1), cfs[0].mean());
         b.remove(2);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.row_vec(2), cfs[2].vec_stat());
+        assert_eq!(b.row_vec(2), cfs[2].mean());
         b.clear();
         assert!(b.is_empty());
         assert_eq!(b.dim(), 2, "dim survives clear");
@@ -1407,7 +1136,6 @@ mod tests {
         assert_eq!((ev2, pr2), (rows.len() as u64, 0));
     }
 
-    #[cfg(not(feature = "classic-cf"))]
     #[test]
     fn stable_prune_bound_is_conservative_near_the_boundary() {
         // Rows whose centroid norms equal the probe's exactly sit *on*
@@ -1444,9 +1172,7 @@ mod tests {
     fn pair_in_block_is_bit_symmetric() {
         // The agglomerators evaluate the same pair from either side (the
         // chain from its tip, the heap in index order); bit-identical
-        // dendrograms across paths require d(i,j) == d(j,i) exactly. The
-        // classic D3/D4 merged-norm assembly once violated this by one
-        // ulp through association order.
+        // dendrograms across paths require d(i,j) == d(j,i) exactly.
         let cfs = kernel_fixture();
         let b = CfBlock::from_cfs(&cfs);
         for m in DistanceMetric::ALL {
@@ -1468,7 +1194,7 @@ mod tests {
     #[test]
     fn pair_lower_bound_is_sound_for_all_metrics() {
         // The NN-chain prune contract: bound ≤ true distance, on every
-        // pair, every metric, both backends — including weighted CFs,
+        // pair, every metric — including weighted CFs,
         // tight co-located clusters, and mirrored-norm pairs where the
         // norm-difference term collapses to zero.
         let rows: Vec<Cf> = vec![
@@ -1499,16 +1225,12 @@ mod tests {
     #[test]
     fn pair_lower_bound_bites_on_separated_rows() {
         // A bound that is always 0 would be sound but useless: for rows
-        // with well-separated centroid norms it must go positive — D0/D1
-        // on both backends, the derived D2/D3/D4 forms on the stable one.
+        // with well-separated centroid norms it must go positive under
+        // every metric.
         let a = cf_of(&[[1.0, 0.0], [1.2, 0.1]]);
         let z = cf_of(&[[800.0, 600.0], [800.4, 600.2]]);
         let b = CfBlock::from_cfs([&a, &z]);
-        for m in [DistanceMetric::D0, DistanceMetric::D1] {
-            assert!(pair_lower_bound(m, &b, 0, 1) > 0.0, "{m}");
-        }
-        #[cfg(not(feature = "classic-cf"))]
-        for m in [DistanceMetric::D2, DistanceMetric::D3, DistanceMetric::D4] {
+        for m in DistanceMetric::ALL {
             assert!(pair_lower_bound(m, &b, 0, 1) > 0.0, "{m}");
         }
     }
@@ -1545,31 +1267,19 @@ mod tests {
         assert!(closest_pair(DistanceMetric::D0, &CfBlock::new()).is_none());
     }
 
-    /// Exercises the shared empty-operand contract of both kernels for
-    /// one metric: debug builds panic on the debug assert, release builds
-    /// return `+∞` (never `NaN`, which would poison `closest_among`).
+    /// Exercises the empty-operand contract of the kernel for one metric:
+    /// debug builds panic on the debug assert, release builds return `+∞`
+    /// (never `NaN`, which would poison `closest_among`).
     fn empty_operand_check(metric: DistanceMetric) {
-        let ls = [1.0, 2.0];
+        let mean = [1.0, 2.0];
         let zeros = [0.0, 0.0];
-        let full_c = ClassicView {
-            n: 1.0,
-            ss: 5.0,
-            ls_sq: 5.0,
-            ls: &ls,
-        };
-        let empty_c = ClassicView {
-            n: 0.0,
-            ss: 0.0,
-            ls_sq: 0.0,
-            ls: &zeros,
-        };
-        let full_s = StableView {
+        let full = StableView {
             n: 1.0,
             sse: 0.0,
-            mean: &ls,
+            mean: &mean,
             mean_c: &zeros,
         };
-        let empty_s = StableView {
+        let empty = StableView {
             n: 0.0,
             sse: 0.0,
             mean: &zeros,
@@ -1579,10 +1289,8 @@ mod tests {
         {
             use std::panic::{catch_unwind, AssertUnwindSafe};
             for f in [
-                Box::new(|| classic_distance(metric, &full_c, &empty_c)) as Box<dyn Fn() -> f64>,
-                Box::new(|| classic_distance(metric, &empty_c, &full_c)),
-                Box::new(|| stable_distance(metric, &full_s, &empty_s)),
-                Box::new(|| stable_distance(metric, &empty_s, &full_s)),
+                Box::new(|| stable_distance(metric, &full, &empty)) as Box<dyn Fn() -> f64>,
+                Box::new(|| stable_distance(metric, &empty, &full)),
             ] {
                 assert!(
                     catch_unwind(AssertUnwindSafe(f)).is_err(),
@@ -1592,10 +1300,8 @@ mod tests {
         }
         #[cfg(not(debug_assertions))]
         {
-            assert_eq!(classic_distance(metric, &full_c, &empty_c), f64::INFINITY);
-            assert_eq!(classic_distance(metric, &empty_c, &full_c), f64::INFINITY);
-            assert_eq!(stable_distance(metric, &full_s, &empty_s), f64::INFINITY);
-            assert_eq!(stable_distance(metric, &empty_s, &full_s), f64::INFINITY);
+            assert_eq!(stable_distance(metric, &full, &empty), f64::INFINITY);
+            assert_eq!(stable_distance(metric, &empty, &full), f64::INFINITY);
         }
     }
 
@@ -1624,85 +1330,14 @@ mod tests {
         empty_operand_check(DistanceMetric::D4);
     }
 
-    /// Raw point clouds for cross-backend comparisons (well-conditioned:
-    /// near the origin, O(1) spreads).
-    fn parity_clouds() -> Vec<Vec<Point>> {
-        vec![
-            vec![Point::xy(0.0, 0.0), Point::xy(1.0, 1.0)],
-            vec![Point::xy(5.0, -3.0)],
-            vec![
-                Point::xy(2.5, 2.5),
-                Point::xy(2.5, 2.5),
-                Point::xy(3.0, 2.0),
-            ],
-            vec![Point::xy(-7.0, 4.0), Point::xy(-6.5, 4.5)],
-            vec![Point::xy(100.0, 100.0)],
-            vec![
-                Point::xy(0.1, 0.2),
-                Point::xy(0.3, 0.4),
-                Point::xy(0.5, 0.6),
-                Point::xy(0.7, 0.8),
-            ],
-        ]
-    }
-
-    #[test]
-    fn stable_kernel_parity_with_classic_on_well_conditioned_data() {
-        // Both kernel families are always compiled, so the parity claim —
-        // same distances (within round-off) and the same winner index on
-        // well-conditioned data — is checked regardless of which backend
-        // the pipeline alias selects.
-        let clouds = parity_clouds();
-        let classics: Vec<crate::cf::classic::Cf> = clouds
-            .iter()
-            .map(crate::cf::classic::Cf::from_points)
-            .collect();
-        let stables: Vec<crate::cf::stable::Cf> = clouds
-            .iter()
-            .map(crate::cf::stable::Cf::from_points)
-            .collect();
-        let probe_pts = vec![Point::xy(1.0, -1.0), Point::xy(2.0, 0.5)];
-        let probe_c = crate::cf::classic::Cf::from_points(&probe_pts);
-        let probe_s = crate::cf::stable::Cf::from_points(&probe_pts);
-        for m in DistanceMetric::ALL {
-            let mut win_c: Option<(usize, f64)> = None;
-            let mut win_s: Option<(usize, f64)> = None;
-            for i in 0..clouds.len() {
-                let dc = classic_distance(
-                    m,
-                    &ClassicView::of(&probe_c),
-                    &ClassicView::of(&classics[i]),
-                );
-                let ds =
-                    stable_distance(m, &StableView::of(&probe_s), &StableView::of(&stables[i]));
-                let scale = dc.abs().max(1.0);
-                assert!(
-                    (dc - ds).abs() < 1e-9 * scale,
-                    "{m} cloud {i}: classic {dc} vs stable {ds}"
-                );
-                if win_c.is_none_or(|(_, d)| dc < d) {
-                    win_c = Some((i, dc));
-                }
-                if win_s.is_none_or(|(_, d)| ds < d) {
-                    win_s = Some((i, ds));
-                }
-            }
-            assert_eq!(
-                win_c.map(|(i, _)| i),
-                win_s.map(|(i, _)| i),
-                "{m} winner index diverged between backends"
-            );
-        }
-    }
-
     #[test]
     fn stable_kernel_distances_survive_large_offset() {
         // Two tight dyadic-spread clusters 2⁻³ apart, at the origin and
         // translated by 1e8 (an exact translate: every coordinate is a
         // multiple of ulp(1e8) = 2⁻²⁶). The stable kernel must report the
-        // same D0–D4 at both offsets to ~1e-9 relative; the classic closed
-        // forms collapse entirely here (that failure is pinned by the
-        // translation-invariance suite and the stability bench).
+        // same D0–D4 at both offsets to ~1e-9 relative; the paper's closed
+        // forms over (N, LS, SS) collapse entirely here (that failure is
+        // pinned by the stability bench's foil).
         const S: f64 = 9.765_625e-4; // 2⁻¹⁰
         const GAP: f64 = 0.125; // 2⁻³
         let cloud = |base: f64| {
@@ -1714,8 +1349,8 @@ mod tests {
         };
         let pair = |off: f64| {
             (
-                crate::cf::stable::Cf::from_points(&cloud(off)),
-                crate::cf::stable::Cf::from_points(&cloud(off + GAP)),
+                Cf::from_points(&cloud(off)),
+                Cf::from_points(&cloud(off + GAP)),
             )
         };
         let (a0, b0) = pair(0.0);

@@ -742,12 +742,7 @@ mod tests {
         let entries = singletons(&raw);
         let r = agglomerate(&entries, DistanceMetric::D2, StopRule::ClusterCount(4));
         assert_eq!(r.stats.algorithm, HacAlgorithm::NnChain);
-        // The classic backend has no trustworthy cached-stat D2 bound
-        // (cancellation), so it deliberately never prunes there.
-        #[cfg(not(feature = "classic-cf"))]
         assert!(r.stats.pairs_pruned > 0, "well-separated blobs must prune");
-        #[cfg(feature = "classic-cf")]
-        assert_eq!(r.stats.pairs_pruned, 0);
         // O(m) candidate state: nowhere near the m²/2 pair matrix.
         let m = entries.len();
         let pair_matrix = m * (m - 1) / 2 * std::mem::size_of::<Candidate>();

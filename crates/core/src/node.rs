@@ -9,10 +9,9 @@
 //! `Rc<RefCell<…>>`, and page accounting is just arena occupancy.
 //!
 //! Each node additionally owns a [`CfBlock`]: a flat SoA mirror of its
-//! entries' vector statistics (`LS` classic, μ + carry stable) plus
-//! parallel `(N, scalar stat, ‖vec‖²)` arrays. The descent scan and the
-//! split pairwise matrix sweep the block instead of chasing one
-//! `Box<[f64]>` per entry; on the stable backend each row is zero-padded
+//! entries' means and mean carries plus parallel `(N, SSE, ‖μ‖²)`
+//! arrays. The descent scan and the split pairwise matrix sweep the block
+//! instead of chasing one `Box<[f64]>` per entry; each row is zero-padded
 //! to a lane-width stride ([`CfBlock::stride`]) so the SIMD kernels
 //! stream it tail-free. Every mutation goes through the mutator methods
 //! below, which keep the mirror in sync; the auditor cross-checks
@@ -602,16 +601,16 @@ mod tests {
                 assert_eq!(b.len(), entries.len());
                 for (i, e) in entries.iter().enumerate() {
                     assert_eq!(b.row_n(i), e.n());
-                    assert_eq!(b.row_scalar(i), e.scalar_stat());
-                    assert_eq!(b.row_vec_sq(i).to_bits(), e.vec_stat_sq().to_bits());
-                    assert_eq!(b.row_vec(i), e.vec_stat());
+                    assert_eq!(b.row_scalar(i), e.sse());
+                    assert_eq!(b.row_vec_sq(i).to_bits(), e.mean_sq().to_bits());
+                    assert_eq!(b.row_vec(i), e.mean());
                 }
             }
             NodeKind::Interior { children } => {
                 assert_eq!(b.len(), children.len());
                 for (i, c) in children.iter().enumerate() {
                     assert_eq!(b.row_n(i), c.cf.n());
-                    assert_eq!(b.row_vec(i), c.cf.vec_stat());
+                    assert_eq!(b.row_vec(i), c.cf.mean());
                 }
             }
         }
@@ -741,7 +740,7 @@ mod tests {
         assert_eq!(back.entry_count(), 2);
         for (a, b) in back.leaf_entries().iter().zip(n.leaf_entries()) {
             assert!(a == b, "leaf CF changed across the page round-trip");
-            assert_eq!(a.vec_stat_sq().to_bits(), b.vec_stat_sq().to_bits());
+            assert_eq!(a.mean_sq().to_bits(), b.mean_sq().to_bits());
         }
         match (&back.kind, &n.kind) {
             (

@@ -35,7 +35,7 @@
 //!
 //! Exactness invariant: with outlier handling off (nothing discarded),
 //! the final tree's total CF equals the dataset's total CF *exactly* in
-//! `N` and to float round-off in `LS`/`SS`, for every shard count — the
+//! `N` and to float round-off in `μ`/`SSE`, for every shard count — the
 //! property tests pin this down. What *can* differ from the serial scan
 //! is the partition of that total into leaf entries: shards see less
 //! data, so their thresholds may settle differently than one scan's, and
@@ -471,12 +471,11 @@ mod tests {
             let expect = total_cf_of(&pts);
             let got = out.tree.total_cf();
             assert_eq!(got.n(), expect.n(), "threads={threads}");
-            for (a, b) in got.vec_stat().iter().zip(expect.vec_stat()) {
+            for (a, b) in got.mean().iter().zip(expect.mean()) {
                 assert!((a - b).abs() < 1e-6 * (1.0 + b.abs()), "threads={threads}");
             }
             assert!(
-                (got.scalar_stat() - expect.scalar_stat()).abs()
-                    < 1e-6 * (1.0 + expect.scalar_stat()),
+                (got.sse() - expect.sse()).abs() < 1e-6 * (1.0 + expect.sse()),
                 "threads={threads}"
             );
             out.tree.check_invariants().unwrap();
@@ -606,7 +605,7 @@ mod tests {
         let expect = total_cf_of(&pts);
         let got = out.tree.total_cf();
         assert_eq!(got.n(), expect.n());
-        for (a, b) in got.vec_stat().iter().zip(expect.vec_stat()) {
+        for (a, b) in got.mean().iter().zip(expect.mean()) {
             assert!((a - b).abs() < 1e-6 * (1.0 + b.abs()));
         }
         out.tree.check_invariants().unwrap();

@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn condense_conserves_total_cf_exactly_in_n() {
         // Without an outlier store nothing may be dropped: N is conserved
-        // to within float tolerance, and LS/SS within relative tolerance.
+        // to within float tolerance, and mean/SSE within relative tolerance.
         let tree = scatter_tree(1500);
         let before = tree.total_cf().clone();
         let mut est = ThresholdEstimator::new(Some(1500));
@@ -228,13 +228,10 @@ mod tests {
         let out = condense(tree, 50, &mut est, None, &mut io);
         let after = out.total_cf();
         assert!((before.n() - after.n()).abs() < 1e-9);
-        for (x, y) in before.vec_stat().iter().zip(after.vec_stat()) {
+        for (x, y) in before.mean().iter().zip(after.mean()) {
             assert!((x - y).abs() <= 1e-6 * (1.0 + x.abs()), "{x} vs {y}");
         }
-        assert!(
-            (before.scalar_stat() - after.scalar_stat()).abs()
-                <= 1e-6 * (1.0 + before.scalar_stat().abs())
-        );
+        assert!((before.sse() - after.sse()).abs() <= 1e-6 * (1.0 + before.sse().abs()));
     }
 
     #[test]

@@ -396,8 +396,8 @@ mod tests {
         assert_eq!(report.entries_spilled, 0);
         let (a, b) = (old.total_cf(), new.total_cf());
         assert!((a.n() - b.n()).abs() < 1e-9);
-        assert!((a.scalar_stat() - b.scalar_stat()).abs() < 1e-6 * a.scalar_stat().abs().max(1.0));
-        for (x, y) in a.vec_stat().iter().zip(b.vec_stat()) {
+        assert!((a.sse() - b.sse()).abs() < 1e-6 * a.sse().abs().max(1.0));
+        for (x, y) in a.mean().iter().zip(b.mean()) {
             assert!((x - y).abs() < 1e-6 * (1.0 + x.abs()));
         }
     }

@@ -1,6 +1,5 @@
 //! Explicit-width lane kernels for the batched [`CfBlock`] distance
-//! scans — the stable backend's deviation-form metrics streamed through
-//! `f64x4` lanes.
+//! scans — the deviation-form metrics streamed through `f64x4` lanes.
 //!
 //! The scalar kernels in [`crate::distance`] evaluate the §3 metrics one
 //! coordinate at a time in serial order. That order is a feature (it is
@@ -45,10 +44,10 @@
 //!   [`crate::distance::SIMD_TOLERANCE_REL`]; the differential tests
 //!   below and the tree auditor ([`crate::audit`]) both enforce it.
 //!
-//! The module is compiled only on stable+`simd` builds (`classic-cf`
-//! keeps scalar kernels: its closed forms need `LS·LS` cross terms and
-//! its guarantee is bit-exact seed-era arithmetic, which lane math would
-//! void). The production entry points in `distance.rs` route here.
+//! These are the only production kernels: the batched scans in
+//! `distance.rs` (`pair_in_block`, `closest_among`, `closest_pair`,
+//! `farthest_pair` and the D0-pruned scan) call them directly. The scalar
+//! block kernels there are kept as the oracles they are checked against.
 
 use crate::cf::Cf;
 use crate::distance::{CfBlock, DistanceMetric};
@@ -203,8 +202,8 @@ fn deviation<const ABS: bool>(dim: usize, av: &[f64], ac: &[f64], bv: &[f64], bc
     }
 }
 
-/// A borrowed stable-backend operand for the lane kernels: the scalar
-/// stats plus the (possibly stride-padded) mean and carry slices.
+/// A borrowed CF operand for the lane kernels: the scalar stats plus the
+/// (possibly stride-padded) mean and carry slices.
 #[derive(Clone, Copy)]
 struct Operand<'a> {
     n: f64,
@@ -218,7 +217,7 @@ impl<'a> Operand<'a> {
     fn probe(cf: &'a Cf) -> Self {
         Operand {
             n: cf.n(),
-            sse: cf.scalar_stat(),
+            sse: cf.sse(),
             vec: cf.mean(),
             vec_c: cf.mean_carry(),
         }

@@ -40,6 +40,11 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
 
+/// The first META word of a snapshot: the CF word layout it was written
+/// with. Only the `(N, μ, carry, SSE, SSE carry)` layout exists, tagged 0;
+/// [`CfTree::reopen`] rejects any other value as malformed.
+const SNAPSHOT_BACKEND_TAG: u32 = 0;
+
 /// Static parameters of a CF-tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
@@ -1318,13 +1323,6 @@ impl CfTree {
         }
     }
 
-    /// 0 = stable CF backend, 1 = classic. A snapshot records which
-    /// backend wrote it because their word layouts differ and cross-uses
-    /// would reinterpret statistics.
-    fn backend_tag() -> u32 {
-        u32::from(cfg!(feature = "classic-cf"))
-    }
-
     /// Writes a versioned, per-section-checksummed snapshot of the whole
     /// tree to `path` (atomically: temp sibling + fsync + rename). Spilled
     /// nodes are faulted in first, so the snapshot is always complete.
@@ -1361,7 +1359,7 @@ impl CfTree {
     fn encode_meta(&self) -> Vec<u8> {
         let mut m = Vec::with_capacity(128 + 8 * Cf::words_per_entry(self.params.dim));
         let p = &self.params;
-        m.extend_from_slice(&Self::backend_tag().to_le_bytes());
+        m.extend_from_slice(&SNAPSHOT_BACKEND_TAG.to_le_bytes());
         m.extend_from_slice(&u32::try_from(p.dim).expect("dim range").to_le_bytes());
         m.extend_from_slice(&u32::try_from(p.branching).expect("B range").to_le_bytes());
         m.extend_from_slice(
@@ -1430,10 +1428,9 @@ impl CfTree {
         let mut c = MetaCursor { buf: meta, at: 0 };
 
         let backend = c.u32()?;
-        if backend != Self::backend_tag() {
+        if backend != SNAPSHOT_BACKEND_TAG {
             return Err(malformed(format!(
-                "snapshot written by CF backend {backend}, this build is {}",
-                Self::backend_tag()
+                "snapshot names CF backend {backend}, expected {SNAPSHOT_BACKEND_TAG}"
             )));
         }
         let dim = c.u32()? as usize;
@@ -2028,9 +2025,8 @@ mod tests {
         t
     }
 
-    // Runs on both backends: the classic bound is exact, the stable one
-    // is widened by `D0_PRUNE_SLACK_REL` — either way selection is
-    // provably unchanged, so the trees must be identical and the
+    // The bound is widened by `D0_PRUNE_SLACK_REL`, so selection is
+    // provably unchanged: the trees must be identical and the
     // evaluated/pruned counters must reconcile exactly.
     #[test]
     fn d0_prune_builds_identical_tree_and_counts_pruned() {
@@ -2092,7 +2088,6 @@ mod tests {
     /// See `distance_call_counter_is_pinned_on_fixed_workload`.
     const DISTANCE_CALLS_PIN: u64 = 7419;
 
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
     #[test]
     fn simd_kernel_span_nests_under_descend_and_split() {
         // The lane scans open a "simd_kernel" span, so a profiled run

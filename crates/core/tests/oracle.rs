@@ -103,8 +103,8 @@ fn params(threshold: f64, branching: usize, leaf_capacity: usize) -> TreeParams 
 /// may differ from the oracle's insertion order.
 fn sorted_entries(mut entries: Vec<Cf>) -> Vec<Cf> {
     entries.sort_by(|a, b| {
-        (a.vec_stat()[0], a.vec_stat()[1], a.n())
-            .partial_cmp(&(b.vec_stat()[0], b.vec_stat()[1], b.n()))
+        (a.mean()[0], a.mean()[1], a.n())
+            .partial_cmp(&(b.mean()[0], b.mean()[1], b.n()))
             .expect("finite CFs")
     });
     entries

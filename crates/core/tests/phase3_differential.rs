@@ -10,10 +10,6 @@
 //! Non-reducible metrics (D0, D1, D3) admit inversions; the dispatcher
 //! must route them to the heap, and this file also pins the concrete D3
 //! inversion that makes the fallback necessary.
-//!
-//! CI runs this suite on all three kernel configurations (lane default,
-//! `classic-cf`, `--no-default-features` scalar) so the prune bound's
-//! soundness is exercised against every backend's cached statistics.
 
 use birch_core::cf::Cf;
 use birch_core::distance::{row_centroid_norm, CfBlock, DistanceMetric};
@@ -293,16 +289,11 @@ fn well_separated_blobs_prune_most_pairs() {
     let entries = workload(29, 120, 6);
     let r = agglomerate(&entries, DistanceMetric::D2, StopRule::ClusterCount(6));
     assert_eq!(r.stats.algorithm, HacAlgorithm::NnChain);
-    // The classic backend deliberately reports no D2 bound (cached-stat
-    // reconstruction cancels), so the chain runs unpruned there.
-    #[cfg(not(feature = "classic-cf"))]
     assert!(
         r.stats.pairs_pruned > 0,
         "separated blobs pruned nothing ({} evaluated)",
         r.stats.pairs_evaluated
     );
-    #[cfg(feature = "classic-cf")]
-    assert_eq!(r.stats.pairs_pruned, 0);
 }
 
 #[test]

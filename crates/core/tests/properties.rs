@@ -76,8 +76,8 @@ proptest! {
         let all: Vec<Point> = a.iter().chain(&b).cloned().collect();
         let direct = Cf::from_points(&all);
         prop_assert!((merged.n() - direct.n()).abs() < 1e-9);
-        prop_assert!((merged.scalar_stat() - direct.scalar_stat()).abs() <= 1e-9 * (1.0 + direct.scalar_stat().abs()));
-        for (x, y) in merged.vec_stat().iter().zip(direct.vec_stat()) {
+        prop_assert!((merged.sse() - direct.sse()).abs() <= 1e-9 * (1.0 + direct.sse().abs()));
+        for (x, y) in merged.mean().iter().zip(direct.mean()) {
             prop_assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()));
         }
     }
@@ -128,7 +128,7 @@ proptest! {
         let mut m = cf_a.merged(&cf_b);
         m.subtract(&cf_b);
         prop_assert!((m.n() - cf_a.n()).abs() < 1e-9);
-        for (x, y) in m.vec_stat().iter().zip(cf_a.vec_stat()) {
+        for (x, y) in m.mean().iter().zip(cf_a.mean()) {
             prop_assert!((x - y).abs() <= 1e-6 * (1.0 + y.abs()));
         }
     }
@@ -245,10 +245,10 @@ proptest! {
         prop_assert!((r.merge_distances[0] - closest).abs() <= 1e-9 * (1.0 + closest));
     }
 
-    /// The memoized `‖LS‖²` stays *bit-exact* against a from-scratch
-    /// `LS·LS` dot product across arbitrarily long add/merge/subtract
+    /// The memoized `‖μ‖²` stays *bit-exact* against a from-scratch
+    /// `μ·μ` dot product across arbitrarily long add/merge/subtract
     /// chains. The documented tolerance is zero: the cache is refreshed by
-    /// full recomputation after every `LS` mutation (see DESIGN.md), so
+    /// full recomputation after every `μ` mutation (see DESIGN.md), so
     /// any drift at all is a regression of that policy.
     #[test]
     fn ls_sq_memo_bit_exact_over_op_chains(
@@ -272,10 +272,10 @@ proptest! {
                 let other = merged_history.remove(0);
                 cf.subtract(&other);
             }
-            let scratch: f64 = cf.vec_stat().iter().zip(cf.vec_stat()).map(|(x, y)| x * y).sum();
+            let scratch: f64 = cf.mean().iter().zip(cf.mean()).map(|(x, y)| x * y).sum();
             prop_assert_eq!(
-                cf.vec_stat_sq().to_bits(), scratch.to_bits(),
-                "memo {} != from-scratch {}", cf.vec_stat_sq(), scratch
+                cf.mean_sq().to_bits(), scratch.to_bits(),
+                "memo {} != from-scratch {}", cf.mean_sq(), scratch
             );
         }
     }
@@ -290,12 +290,12 @@ proptest! {
             repeated.add_point(&p);
         }
         prop_assert!((weighted.n() - repeated.n()).abs() < 1e-9);
-        prop_assert!((weighted.scalar_stat() - repeated.scalar_stat()).abs() < 1e-6 * (1.0 + repeated.scalar_stat().abs()));
+        prop_assert!((weighted.sse() - repeated.sse()).abs() < 1e-6 * (1.0 + repeated.sse().abs()));
     }
 
     /// Sharded Phase 1 conserves the data summary exactly: for any shard
     /// count, the merged tree's total CF has the *same* N as the serial
-    /// scan (unit weights sum exactly in f64) and LS/SS equal to float
+    /// scan (unit weights sum exactly in f64) and mean/SSE equal to float
     /// round-off — the CF Additivity Theorem made operational. Outlier
     /// handling is off so nothing is ever discarded on either path.
     #[test]
@@ -313,12 +313,12 @@ proptest! {
         let (s, p) = (ser.tree.total_cf(), par.tree.total_cf());
         // Unit-weight counts are integers < 2^53: exactly equal.
         prop_assert_eq!(p.n(), s.n());
-        for (x, y) in p.vec_stat().iter().zip(s.vec_stat()) {
+        for (x, y) in p.mean().iter().zip(s.mean()) {
             prop_assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()),
-                "LS drift beyond round-off: {} vs {}", x, y);
+                "mean drift beyond round-off: {} vs {}", x, y);
         }
-        prop_assert!((p.scalar_stat() - s.scalar_stat()).abs() <= 1e-9 * (1.0 + s.scalar_stat().abs()),
-            "SS drift beyond round-off: {} vs {}", p.scalar_stat(), s.scalar_stat());
+        prop_assert!((p.sse() - s.sse()).abs() <= 1e-9 * (1.0 + s.sse().abs()),
+            "SSE drift beyond round-off: {} vs {}", p.sse(), s.sse());
         // Full audit of the merged tree, conservation included (outliers
         // are off, so the merged tree must hold every point).
         let opts = AuditOptions {

@@ -3,13 +3,10 @@
 //! dataset must not change radii, diameters, inter-cluster distances, or
 //! the clustering itself.
 //!
-//! The classic (N, LS, SS) backend violates this in floating point:
+//! The paper's (N, LS, SS) triple violates this in floating point:
 //! `SS − ‖LS‖²/N` cancels catastrophically once coordinates are large
-//! relative to the spread. The stable (N, μ, SSE) backend — the default
-//! since the flip — keeps every statistic in deviation form and stays
-//! flat, so the default build must pass every offset outright. Tests on
-//! the 1e8 offset are `should_panic` only under the `classic-cf` compat
-//! feature, where the collapse is the documented expected failure.
+//! relative to the spread. The (N, μ, SSE) CF keeps every statistic in
+//! deviation form and stays flat, so every offset must pass outright.
 //!
 //! Every fixture coordinate is a dyadic rational (multiples of 2⁻¹¹)
 //! and every offset is an exact small-integer float, so the shifted
@@ -103,25 +100,15 @@ fn assert_statistics_invariant(offset: f64, tol: f64) {
 
 #[test]
 fn statistics_translation_invariant_at_1e4() {
-    // The classic backend already cancels measurably here (the spread is
-    // ~1e-3 against coordinates of 1e4, i.e. ~14 of the 53 mantissa bits
-    // survive squaring); it just hasn't collapsed yet. The stable
-    // backend is held to the full 1e-9 bar.
-    let tol = if cfg!(feature = "classic-cf") {
-        1e-2
-    } else {
-        1e-9
-    };
-    assert_statistics_invariant(1e4, tol);
+    assert_statistics_invariant(1e4, 1e-9);
 }
 
 #[test]
-#[cfg_attr(feature = "classic-cf", should_panic(expected = "translation drift"))]
 fn statistics_translation_invariant_at_1e8() {
-    // Documented expected failure for (N, LS, SS): at offset 1e8 the
-    // squared terms are ~1e16, so the ~1e-6 squared deviations sit 22
-    // decimal digits down — entirely below f64's 16 — and `SS − ‖LS‖²/N`
-    // returns pure rounding noise (usually clamped to exactly 0).
+    // At offset 1e8 the squared terms of (N, LS, SS) would be ~1e16, so
+    // the ~1e-6 squared deviations sit 22 decimal digits down — entirely
+    // below f64's 16 — and `SS − ‖LS‖²/N` would return pure rounding
+    // noise. The deviation form must not notice the offset.
     assert_statistics_invariant(1e8, 1e-9);
 }
 
@@ -132,11 +119,11 @@ fn statistics_translation_invariant_at_1e8() {
 
 fn memberships(offset: f64) -> Vec<Option<usize>> {
     // A tighter gap (2⁻³) than the statistics fixture: cluster
-    // separation must sit *below* the classic backend's distance noise
-    // at offset 1e8 (several units — `nb·SSa + na·SSb − 2·LS_a·LS_b`
-    // cancels at the ulp(1e16·N) ≈ unit scale) for the bug to actually
-    // fuse clusters, while staying ~128× the point spread so the
-    // clustering itself is unambiguous.
+    // separation sits *below* the (N, LS, SS) distance noise at offset
+    // 1e8 (several units — `nb·SSa + na·SSb − 2·LS_a·LS_b` cancels at the
+    // ulp(1e16·N) ≈ unit scale), so cancellation would fuse clusters,
+    // while staying ~128× the point spread so the clustering itself is
+    // unambiguous.
     let config = BirchConfig::with_clusters(CLUSTERS).threads(1);
     let model = Birch::new(config)
         .fit(&cloud_with_gap(offset, 0.125))
@@ -185,11 +172,9 @@ fn pipeline_memberships_translation_invariant_at_1e4() {
 }
 
 #[test]
-#[cfg_attr(feature = "classic-cf", should_panic(expected = "memberships diverge"))]
 fn pipeline_memberships_translation_invariant_at_1e8() {
-    // Expected failure for the classic backend: with every radius and
-    // diameter collapsed to 0 the threshold test always passes, entries
-    // fuse across true cluster boundaries, and Phase 3 cannot recover
-    // the origin partition.
+    // With (N, LS, SS) every radius and diameter would collapse to 0
+    // here, the threshold test would always pass and entries would fuse
+    // across true cluster boundaries.
     assert_pipeline_invariant(1e8);
 }
