@@ -2,7 +2,6 @@
 //! CPU cost analysis: inserting a point costs O(d·B·(1+log_B(M/P))) CF
 //! distance evaluations plus one CF update).
 
-use birch_bench::scalar_distance_replica;
 use birch_core::distance::{farthest_pair, CfBlock};
 use birch_core::{Cf, DistanceMetric, Point};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -75,7 +74,7 @@ fn bench_split_matrix(c: &mut Criterion) {
                     let mut far: Option<(usize, usize, f64)> = None;
                     for i in 0..entries.len() {
                         for j in (i + 1)..entries.len() {
-                            let d = scalar_distance_replica(m, &entries[i], &entries[j]);
+                            let d = m.distance(&entries[i], &entries[j]);
                             if far.is_none_or(|(_, _, fd)| d > fd) {
                                 far = Some((i, j, d));
                             }

@@ -3,12 +3,12 @@
 //! O(B), but *not* with N once the tree reaches its memory-bounded size.
 //!
 //! The `descent_scan` group compares the batched closest-child kernel
-//! (one [`CfBlock`] sweep, memoized norms) against a scalar baseline that
-//! walks a `Vec<Cf>` re-deriving every `‖LS‖²` — the seed-era inner loop.
+//! (one [`CfBlock`] sweep) against a scalar baseline that walks a
+//! `Vec<Cf>` calling [`DistanceMetric::distance`] per entry — the
+//! seed-era inner loop.
 //! The `prune` group measures whole-tree insertion with the optional D0
 //! triangle-inequality descent prune off vs on.
 
-use birch_bench::scalar_distance_replica;
 use birch_core::distance::{closest_among, CfBlock};
 use birch_core::{Cf, CfTree, DistanceMetric, Point, ThresholdKind, TreeParams};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -116,7 +116,7 @@ fn bench_descent_scan(c: &mut Criterion) {
             b.iter(|| {
                 let mut best: Option<(usize, f64)> = None;
                 for (i, cand) in cands.iter().enumerate() {
-                    let d = scalar_distance_replica(metric, black_box(&probe), cand);
+                    let d = metric.distance(black_box(&probe), cand);
                     if best.is_none_or(|(_, bd)| d < bd) {
                         best = Some((i, d));
                     }

@@ -196,6 +196,33 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// The sweep as the committed `BENCH_cf_stability.json` text.
+fn render_json(seed: u64, rows: &[Row]) -> String {
+    let mut json = format!(
+        "{{\"bench\":\"cf_stability\",\"seed\":{seed},\
+         \"default_backend\":\"stable\",\
+         \"points_per_cluster\":{PER_CLUSTER},\"gap\":{GAP},\
+         \"spread_quantum\":{QUANTUM},\"rows\":["
+    );
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        json.push_str(&format!(
+            "{{\"dim\":{},\"offset\":{},\"stat\":\"{}\",\"truth\":{},\
+             \"classic_rel_err\":{},\"stable_rel_err\":{}}}",
+            r.dim,
+            json_f64(r.offset),
+            r.stat,
+            json_f64(r.truth),
+            json_f64(r.classic_err),
+            json_f64(r.stable_err),
+        ));
+    }
+    json.push_str("]}\n");
+    json
+}
+
 fn main() {
     let mut seed = 42u64;
     let mut out_path = String::from("BENCH_cf_stability.json");
@@ -237,28 +264,7 @@ fn main() {
         );
     }
 
-    let mut json = format!(
-        "{{\"bench\":\"cf_stability\",\"seed\":{seed},\
-         \"default_backend\":\"stable\",\
-         \"points_per_cluster\":{PER_CLUSTER},\"gap\":{GAP},\
-         \"spread_quantum\":{QUANTUM},\"rows\":["
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"dim\":{},\"offset\":{},\"stat\":\"{}\",\"truth\":{},\
-             \"classic_rel_err\":{},\"stable_rel_err\":{}}}",
-            r.dim,
-            json_f64(r.offset),
-            r.stat,
-            json_f64(r.truth),
-            json_f64(r.classic_err),
-            json_f64(r.stable_err),
-        ));
-    }
-    json.push_str("]}\n");
+    let json = render_json(seed, &rows);
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("\nresults written to {out_path}");
 
@@ -293,35 +299,17 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// The foil's arithmetic is pinned: the dim-2 rows recomputed here
-    /// must equal the committed `BENCH_cf_stability.json` bit for bit.
+    /// The foil's arithmetic is pinned: the whole sweep, recomputed at
+    /// the committed seed, must render to the committed
+    /// `BENCH_cf_stability.json` byte for byte.
     #[test]
-    fn dim2_rows_match_committed_json() {
-        // (offset, stat, classic_rel_err, stable_rel_err)
-        let committed: [(f64, &str, f64, f64); 6] = [
-            (0.0, "radius", 0.0, 0.0),
-            (0.0, "d4", 0.0, 0.0),
-            (1e4, "radius", 0.000_131_972_887_819_189_6, 0.0),
-            (1e4, "d4", 2.814_528_272_137_533e-9, 0.0),
-            (1e8, "radius", 161.363_622_165_244_92, 0.0),
-            (1e8, "d4", 1.0, 0.0),
-        ];
-        let rows = sweep(42, 2);
-        assert_eq!(rows.len(), committed.len());
-        for (r, &(offset, stat, classic, stable)) in rows.iter().zip(&committed) {
-            assert_eq!((r.offset, r.stat), (offset, stat));
-            assert_eq!(
-                r.classic_err.to_bits(),
-                classic.to_bits(),
-                "classic {stat} at offset {offset:e}: {} vs {classic}",
-                r.classic_err
-            );
-            assert_eq!(
-                r.stable_err.to_bits(),
-                stable.to_bits(),
-                "stable {stat} at offset {offset:e}: {} vs {stable}",
-                r.stable_err
-            );
+    fn sweep_reproduces_committed_json() {
+        let committed = include_str!("../../../../BENCH_cf_stability.json");
+        let rows: Vec<Row> = DIMS.iter().flat_map(|&dim| sweep(42, dim)).collect();
+        let rendered = render_json(42, &rows);
+        for (r, c) in rendered.split("},{").zip(committed.split("},{")) {
+            assert_eq!(r, c, "sweep row differs from the committed JSON");
         }
+        assert_eq!(rendered, committed);
     }
 }

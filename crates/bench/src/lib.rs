@@ -14,49 +14,9 @@
 
 #![forbid(unsafe_code)]
 
-use birch_core::{Birch, BirchConfig, BirchModel, Cf, DistanceMetric};
+use birch_core::{Birch, BirchConfig, BirchModel, Cf};
 use birch_datagen::{presets, Dataset, DatasetSpec};
 use std::time::{Duration, Instant};
-
-/// Memo-free, block-free replica of [`DistanceMetric::distance`]: the
-/// deviation-form kernel (compensated `Δμᵢ = (μ_aᵢ − μ_bᵢ) + (c_aᵢ −
-/// c_bᵢ)`) re-derived from the `Cf`'s own statistics, with no SoA block —
-/// the scalar arithmetic the batched kernels replaced.
-///
-/// The kernel benches use this as their scalar baseline. Results are
-/// bit-identical to the production path (the operand order below matches
-/// `distance.rs` term for term); only the cost differs.
-#[must_use]
-pub fn scalar_distance_replica(metric: DistanceMetric, a: &Cf, b: &Cf) -> f64 {
-    let dmu = |i: usize| (a.mean()[i] - b.mean()[i]) + (a.mean_carry()[i] - b.mean_carry()[i]);
-    let dmu_sq = || {
-        let mut s = 0.0;
-        for i in 0..a.mean().len() {
-            let d = dmu(i);
-            s += d * d;
-        }
-        s
-    };
-    match metric {
-        DistanceMetric::D0 => dmu_sq().sqrt(),
-        DistanceMetric::D1 => (0..a.mean().len()).map(|i| dmu(i).abs()).sum(),
-        DistanceMetric::D2 => (a.sse() / a.n() + b.sse() / b.n() + dmu_sq())
-            .max(0.0)
-            .sqrt(),
-        DistanceMetric::D3 => {
-            let n = a.n() + b.n();
-            if n <= 1.0 {
-                return 0.0;
-            }
-            let sse_m = a.sse() + b.sse() + (a.n() * b.n() / n) * dmu_sq();
-            (2.0 * sse_m / (n - 1.0)).max(0.0).sqrt()
-        }
-        DistanceMetric::D4 => {
-            let n = a.n() + b.n();
-            ((a.n() * b.n() / n) * dmu_sq()).max(0.0).sqrt()
-        }
-    }
-}
 
 /// Command-line options shared by all experiment binaries.
 #[derive(Debug, Clone, Copy)]
@@ -261,40 +221,6 @@ mod tests {
             seed: 0,
         };
         assert_eq!(args.n_per_cluster(1000), 2);
-    }
-
-    #[test]
-    fn scalar_replica_bit_matches_production_distance() {
-        use birch_core::Point;
-        let mk = |seed: u64, n: usize, dim: usize| {
-            let mut cf = Cf::empty(dim);
-            let mut s = seed;
-            for _ in 0..n {
-                let coords: Vec<f64> = (0..dim)
-                    .map(|_| {
-                        s ^= s << 13;
-                        s ^= s >> 7;
-                        s ^= s << 17;
-                        (s >> 11) as f64 / (1u64 << 53) as f64 * 20.0
-                    })
-                    .collect();
-                cf.add_point(&Point::new(coords));
-            }
-            cf
-        };
-        for dim in [2usize, 8, 32] {
-            let a = mk(0xA11CE, 5, dim);
-            let b = mk(0xB0B, 3, dim);
-            for metric in DistanceMetric::ALL {
-                let replica = scalar_distance_replica(metric, &a, &b);
-                let production = metric.distance(&a, &b);
-                assert_eq!(
-                    replica.to_bits(),
-                    production.to_bits(),
-                    "replica diverged under {metric:?} at dim {dim}: {replica} vs {production}"
-                );
-            }
-        }
     }
 
     #[test]

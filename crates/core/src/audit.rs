@@ -904,6 +904,22 @@ mod tests {
     }
 
     #[test]
+    fn cancellation_drift_reports_a_total_that_disagrees_with_its_leaves() {
+        // Push the tracked total's SSE 1% off the leaf entries it sums.
+        // A loose rel_tol lets the root Additivity check pass, so the
+        // disagreement reaches the report-only measurable.
+        let mut t = grown_tree();
+        let sse = t.total.sse();
+        t.total.corrupt_sse_for_test(0.01 * sse);
+        let loose = AuditOptions {
+            rel_tol: 1.0,
+            ..AuditOptions::default()
+        };
+        let r = audit_with(&t, &loose).unwrap();
+        assert!(r.cancellation_drift > 1e-3, "{}", r.cancellation_drift);
+    }
+
+    #[test]
     fn empty_tree_audits_clean() {
         let t = CfTree::new(params(1.0));
         let r = audit(&t).unwrap();

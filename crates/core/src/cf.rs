@@ -214,6 +214,14 @@ impl Cf {
         self.mean_sq += delta;
     }
 
+    /// Test-only corruption of the stored `SSE`, giving the auditor's
+    /// cancellation-drift measurable a deterministic disagreement between
+    /// a CF and the leaf entries it summarizes.
+    #[cfg(test)]
+    pub(crate) fn corrupt_sse_for_test(&mut self, delta: f64) {
+        self.sse += delta;
+    }
+
     /// Reassigns this CF to a single unweighted point, reusing the
     /// buffers. Bitwise-equal to `*self = Cf::from_point(p)` without the
     /// per-point heap allocations — the insert hot path's scratch entry.

@@ -16,7 +16,7 @@
 //! The paper states D2–D4 as closed forms over `(N, LS, SS)`. Those
 //! subtract large near-equal quantities and collapse far from the origin
 //! (the `cf_stability` bench keeps them as its cancellation foil), so the
-//! kernel here, [`stable_distance`] over [`StableView`], evaluates the
+//! kernel here, `view_distance` over a `CfView`, evaluates the
 //! deviation forms on the CF's `(N, μ, SSE)` with the compensated centroid
 //! difference `Δμᵢ = (μ₁ᵢ − μ₂ᵢ) + (c₁ᵢ − c₂ᵢ)` (the leading difference of
 //! nearby means is exact by Sterbenz's lemma, so the Neumaier carries `c`
@@ -34,7 +34,7 @@
 //!
 //! Over a [`CfBlock`] the batched scans run the `f64x4` lane kernels of
 //! `crate::simd`. The scalar block kernels here ([`distance_to_row`] and
-//! the `*_scalar` scans) call [`stable_distance`] itself, so they are
+//! the `*_scalar` scans) call `view_distance` itself, so they are
 //! bit-identical to [`DistanceMetric::distance`] by construction; they
 //! stay compiled as the oracles the lane kernels are checked against (by
 //! the tests, the auditor's `SimdKernelMismatch` check and the
@@ -101,7 +101,7 @@ impl DistanceMetric {
             a.dim(),
             b.dim()
         );
-        stable_distance(self, &StableView::of(a), &StableView::of(b))
+        view_distance(self, &CfView::of(a), &CfView::of(b))
     }
 
     /// Whether this metric is a *reducible* linkage: merging mutual
@@ -185,22 +185,21 @@ impl FromStr for DistanceMetric {
 /// distances keep ~1 ulp accuracy even at coordinate offsets where the
 /// raw mean difference rounds coarsely.
 #[derive(Debug, Clone, Copy)]
-pub struct StableView<'a> {
+struct CfView<'a> {
     /// Weighted point count `N`.
-    pub n: f64,
+    n: f64,
     /// Sum of squared deviations from the mean (compensation folded in).
-    pub sse: f64,
+    sse: f64,
     /// The mean vector μ.
-    pub mean: &'a [f64],
+    mean: &'a [f64],
     /// Neumaier carry of each mean coordinate.
-    pub mean_c: &'a [f64],
+    mean_c: &'a [f64],
 }
 
-impl<'a> StableView<'a> {
+impl<'a> CfView<'a> {
     /// The view of a CF.
-    #[must_use]
-    pub fn of(cf: &'a Cf) -> Self {
-        StableView {
+    fn of(cf: &'a Cf) -> Self {
+        CfView {
             n: cf.n(),
             sse: cf.sse(),
             mean: cf.mean(),
@@ -214,8 +213,7 @@ impl<'a> StableView<'a> {
 /// difference `Δμᵢ = (μ_aᵢ − μ_bᵢ) + (c_aᵢ − c_bᵢ)`. Empty operands
 /// (`N ≤ 0`) debug-assert and return `+∞` in release builds (see the
 /// module docs).
-#[must_use]
-pub fn stable_distance(metric: DistanceMetric, a: &StableView<'_>, b: &StableView<'_>) -> f64 {
+fn view_distance(metric: DistanceMetric, a: &CfView<'_>, b: &CfView<'_>) -> f64 {
     if a.n <= 0.0 || b.n <= 0.0 {
         debug_assert!(false, "distance with an empty CF operand");
         return f64::INFINITY;
@@ -510,8 +508,8 @@ impl CfBlock {
     }
 }
 
-fn row_view(block: &CfBlock, i: usize) -> StableView<'_> {
-    StableView {
+fn row_view(block: &CfBlock, i: usize) -> CfView<'_> {
+    CfView {
         n: block.row_n(i),
         sse: block.row_scalar(i),
         mean: block.row_vec(i),
@@ -536,7 +534,7 @@ pub fn distance_to_row(metric: DistanceMetric, a: &Cf, block: &CfBlock, i: usize
         a.dim(),
         block.dim()
     );
-    stable_distance(metric, &StableView::of(a), &row_view(block, i))
+    view_distance(metric, &CfView::of(a), &row_view(block, i))
 }
 
 // ---------------------------------------------------------------------
@@ -568,7 +566,7 @@ pub const SIMD_TOLERANCE_REL: f64 = 1e-12;
 #[must_use]
 #[inline]
 pub fn pair_in_block_scalar(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
-    stable_distance(metric, &row_view(block, i), &row_view(block, j))
+    view_distance(metric, &row_view(block, i), &row_view(block, j))
 }
 
 /// Distance between block rows `i` and `j` — the production form,
@@ -1273,13 +1271,13 @@ mod tests {
     fn empty_operand_check(metric: DistanceMetric) {
         let mean = [1.0, 2.0];
         let zeros = [0.0, 0.0];
-        let full = StableView {
+        let full = CfView {
             n: 1.0,
             sse: 0.0,
             mean: &mean,
             mean_c: &zeros,
         };
-        let empty = StableView {
+        let empty = CfView {
             n: 0.0,
             sse: 0.0,
             mean: &zeros,
@@ -1289,8 +1287,8 @@ mod tests {
         {
             use std::panic::{catch_unwind, AssertUnwindSafe};
             for f in [
-                Box::new(|| stable_distance(metric, &full, &empty)) as Box<dyn Fn() -> f64>,
-                Box::new(|| stable_distance(metric, &empty, &full)),
+                Box::new(|| view_distance(metric, &full, &empty)) as Box<dyn Fn() -> f64>,
+                Box::new(|| view_distance(metric, &empty, &full)),
             ] {
                 assert!(
                     catch_unwind(AssertUnwindSafe(f)).is_err(),
@@ -1300,8 +1298,8 @@ mod tests {
         }
         #[cfg(not(debug_assertions))]
         {
-            assert_eq!(stable_distance(metric, &full, &empty), f64::INFINITY);
-            assert_eq!(stable_distance(metric, &empty, &full), f64::INFINITY);
+            assert_eq!(view_distance(metric, &full, &empty), f64::INFINITY);
+            assert_eq!(view_distance(metric, &empty, &full), f64::INFINITY);
         }
     }
 
@@ -1356,8 +1354,8 @@ mod tests {
         let (a0, b0) = pair(0.0);
         let (a8, b8) = pair(1e8);
         for m in DistanceMetric::ALL {
-            let d_origin = stable_distance(m, &StableView::of(&a0), &StableView::of(&b0));
-            let d_far = stable_distance(m, &StableView::of(&a8), &StableView::of(&b8));
+            let d_origin = view_distance(m, &CfView::of(&a0), &CfView::of(&b0));
+            let d_far = view_distance(m, &CfView::of(&a8), &CfView::of(&b8));
             assert!(d_origin > 0.0, "{m} degenerate fixture");
             assert!(
                 ((d_far - d_origin) / d_origin).abs() < 1e-9,

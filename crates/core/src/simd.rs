@@ -262,7 +262,7 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// The lane twin of `stable_distance`: identical metric epilogues over
+/// The lane twin of `view_distance`: identical metric epilogues over
 /// lane-accumulated deviation sums. Shares the empty-operand contract
 /// (debug-assert, `+∞` in release).
 #[inline]
