@@ -25,12 +25,12 @@
 //!    cached `leaf_entry_count` correct, arena ids consistent, free-list
 //!    slots unreachable, and (optionally) end-to-end N conservation
 //!    against the points actually fed.
-//! 6. **Cached statistics**: every CF's memoized `‖μ‖²` matches a
+//! 6. **Cached statistics**: every node row's memoized `‖μ‖²` matches a
 //!    from-scratch `μ·μ` within tolerance (drift is additionally
 //!    reported as the measurable [`AuditReport::norm_cache_drift`] —
-//!    exactly `0` under the current refresh-by-recomputation policy), and
-//!    every node's flat SoA mirror ([`crate::distance::CfBlock`]) matches
-//!    its entries bit for bit.
+//!    exactly `0` under the current refresh-by-recomputation policy). A
+//!    node's rows ([`crate::distance::CfBlock`]) are its only copy of its
+//!    CFs, so there is no second copy to compare them with.
 //! 7. **Kernel agreement**: every node's row distances
 //!    replayed through the production SIMD kernel ([`crate::simd`]) agree
 //!    with the bit-exact scalar oracle within the tolerance contract
@@ -59,6 +59,7 @@
 //! tree operation (debug soak runs; see `CfTree::strict_audit`).
 
 use crate::cf::Cf;
+use crate::distance::CfBlock;
 use crate::node::{Node, NodeId, NodeKind};
 use crate::quad::Dd;
 use crate::tree::CfTree;
@@ -143,8 +144,6 @@ pub enum ViolationKind {
     /// A CF's memoized `‖μ‖²` disagrees with a from-scratch `μ·μ`
     /// beyond tolerance.
     NormCacheMismatch,
-    /// A node's flat SoA mirror disagrees with its entries.
-    BlockDesync,
     /// The lane (SIMD) distance kernel disagrees with the scalar oracle
     /// beyond [`crate::distance::SIMD_TOLERANCE_REL`] on a node's rows.
     SimdKernelMismatch,
@@ -173,7 +172,6 @@ impl fmt::Display for ViolationKind {
             ViolationKind::CountMismatch => "leaf entry count mismatch",
             ViolationKind::IdMismatch => "arena id mismatch",
             ViolationKind::NormCacheMismatch => "norm cache mismatch",
-            ViolationKind::BlockDesync => "block mirror desync",
             ViolationKind::SimdKernelMismatch => "simd kernel mismatch",
             ViolationKind::PruneBoundUnsound => "prune bound unsound",
         };
@@ -226,11 +224,24 @@ impl Drift {
 
     /// Folds the drift between `stored` and `recomputed` into `self`.
     fn observe(&mut self, stored: &Cf, recomputed: &Cf) {
-        self.n = self.n.max(Self::component(stored.n(), recomputed.n()));
-        self.scalar = self
-            .scalar
-            .max(Self::component(stored.sse(), recomputed.sse()));
-        for (&x, &y) in stored.mean().iter().zip(recomputed.mean()) {
+        self.observe_stats(stored.n(), stored.sse(), stored.mean(), recomputed);
+    }
+
+    /// [`Drift::observe`] with the stored CF given as `(N, SSE, μ)`: row
+    /// `i` of a block compares without a copy.
+    fn observe_row(&mut self, block: &CfBlock, i: usize, recomputed: &Cf) {
+        self.observe_stats(
+            block.row_n(i),
+            block.row_scalar(i),
+            block.row_vec(i),
+            recomputed,
+        );
+    }
+
+    fn observe_stats(&mut self, n: f64, sse: f64, mean: &[f64], recomputed: &Cf) {
+        self.n = self.n.max(Self::component(n, recomputed.n()));
+        self.scalar = self.scalar.max(Self::component(sse, recomputed.sse()));
+        for (&x, &y) in mean.iter().zip(recomputed.mean()) {
             self.vec = self.vec.max(Self::component(x, y));
         }
     }
@@ -406,18 +417,17 @@ pub fn audit_with(tree: &CfTree, opts: &AuditOptions) -> Result<AuditReport, Aud
     Ok(report)
 }
 
-/// Per-leaf-entry `(N, centroid, internal squared deviation)` with the
+/// Leaf row `i`'s `(N, centroid, internal squared deviation)` with the
 /// last two promoted to double-double: the mean (carry folded in,
 /// exactly) and the deviation sum read directly.
-fn dd_entry_stats(cf: &Cf) -> (f64, Vec<Dd>, Dd) {
-    let n = cf.n();
-    let c: Vec<Dd> = cf
-        .mean()
+fn dd_entry_stats(block: &CfBlock, i: usize) -> (f64, Vec<Dd>, Dd) {
+    let c: Vec<Dd> = block
+        .row_vec(i)
         .iter()
-        .zip(cf.mean_carry())
+        .zip(block.row_vec_c(i))
         .map(|(&m, &e)| Dd::from_f64(m).add_f64(e))
         .collect();
-    (n, c, Dd::from_f64(cf.sse()))
+    (block.row_n(i), c, Dd::from_f64(block.row_scalar(i)))
 }
 
 /// Recomputes the tree's total squared deviation from its leaf-entry
@@ -440,14 +450,17 @@ fn measure_cancellation_drift(tree: &CfTree) -> f64 {
     let mut weighted = vec![Dd::ZERO; dim];
     let mut inner = Dd::ZERO;
     let mut parts: Vec<(f64, Vec<Dd>)> = Vec::new();
-    for cf in tree.leaf_entries() {
-        let (n, c, s) = dd_entry_stats(cf);
-        n_sum = n_sum.add_f64(n);
-        for (w, ci) in weighted.iter_mut().zip(&c) {
-            *w = *w + ci.mul_f64(n);
+    for id in tree.leaf_ids() {
+        let block = tree.node(id).block();
+        for i in 0..block.len() {
+            let (n, c, s) = dd_entry_stats(block, i);
+            n_sum = n_sum.add_f64(n);
+            for (w, ci) in weighted.iter_mut().zip(&c) {
+                *w = *w + ci.mul_f64(n);
+            }
+            inner = inner + s;
+            parts.push((n, c));
         }
-        inner = inner + s;
-        parts.push((n, c));
     }
     let nf = n_sum.to_f64();
     if nf <= 0.0 {
@@ -465,59 +478,13 @@ fn measure_cancellation_drift(tree: &CfTree) -> f64 {
     Drift::component(total.sq_deviation(), reference)
 }
 
-/// Verifies a node's SoA mirror matches its entries bit for bit. The
-/// mutators copy each statistic into the mirror verbatim, so anything
-/// short of bit equality means a mutation bypassed them.
-fn check_block_sync(node: &Node, id: NodeId) -> Result<(), AuditViolation> {
-    let block = node.block();
-    let count = node.entry_count();
-    if block.len() != count {
-        return Err(AuditViolation {
-            kind: ViolationKind::BlockDesync,
-            node: Some(id),
-            detail: format!(
-                "mirror holds {} rows, node holds {count} entries",
-                block.len()
-            ),
-        });
-    }
-    for i in 0..count {
-        let cf = match &node.kind {
-            NodeKind::Leaf { entries, .. } => &entries[i],
-            NodeKind::Interior { children } => &children[i].cf,
-        };
-        let exact = block.row_n(i).to_bits() == cf.n().to_bits()
-            && block.row_scalar(i).to_bits() == cf.sse().to_bits()
-            && block.row_vec_sq(i).to_bits() == cf.mean_sq().to_bits()
-            && block.row_vec(i).len() == cf.mean().len()
-            && block
-                .row_vec(i)
-                .iter()
-                .zip(cf.mean())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !exact {
-            return Err(AuditViolation {
-                kind: ViolationKind::BlockDesync,
-                node: Some(id),
-                detail: format!(
-                    "mirror row {i} (n {}, scalar {}, ‖vec‖² {}) disagrees with entry {cf:?}",
-                    block.row_n(i),
-                    block.row_scalar(i),
-                    block.row_vec_sq(i)
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Replays every row distance of a node's SoA mirror through both the
+/// Replays every row distance of a node's rows through both the
 /// production lane kernel and the bit-exact scalar oracle, folding the
 /// worst relative disagreement into
 /// [`AuditReport::simd_kernel_drift`] and failing beyond
-/// [`crate::distance::SIMD_TOLERANCE_REL`]. The probe is the node's own
-/// first entry — the same shape (`Cf` vs block row) the descend and
-/// split paths evaluate.
+/// [`crate::distance::SIMD_TOLERANCE_REL`]. The probe is a copy of the
+/// node's own first entry — the same shape (`Cf` vs block row) the
+/// descend path evaluates.
 fn check_simd_kernel(
     node: &Node,
     id: NodeId,
@@ -528,13 +495,10 @@ fn check_simd_kernel(
     if block.is_empty() {
         return Ok(());
     }
-    let probe = match &node.kind {
-        NodeKind::Leaf { entries, .. } => &entries[0],
-        NodeKind::Interior { children } => &children[0].cf,
-    };
+    let probe = block.row_cf(0);
     for i in 0..block.len() {
-        let lane = crate::simd::distance_to_row(metric, probe, block, i);
-        let scalar = crate::distance::distance_to_row(metric, probe, block, i);
+        let lane = crate::simd::distance_to_row(metric, &probe, block, i);
+        let scalar = crate::distance::distance_to_row(metric, &probe, block, i);
         let drift = (lane - scalar).abs() / scalar.abs().max(1.0);
         report.simd_kernel_drift = report.simd_kernel_drift.max(drift);
         if drift > crate::distance::SIMD_TOLERANCE_REL {
@@ -553,8 +517,8 @@ fn check_simd_kernel(
 }
 
 /// Replays [`crate::distance::pair_lower_bound`] against the true
-/// [`crate::distance::pair_in_block`] distance for every CF pair in a
-/// node's SoA mirror, under every D0–D4 metric (the Phase 3 agglomerator
+/// [`crate::distance::pair_in_block`] distance for every row pair of a
+/// node, under every D0–D4 metric (the Phase 3 agglomerator
 /// may be configured with any of them). The bound must never exceed the
 /// distance — that is the whole soundness contract of the NN-chain
 /// candidate prune — and the tightest margin is folded into
@@ -591,29 +555,31 @@ fn check_prune_bounds(
     Ok(())
 }
 
-/// Measures the drift between a CF's memoized `‖μ‖²` and a from-scratch
-/// `μ·μ`, folding it into the report and failing beyond tolerance.
+/// Measures the drift between every row's memoized `‖μ‖²` and a
+/// from-scratch `μ·μ`, folding it into the report and failing beyond
+/// tolerance.
 fn check_norm_cache(
-    cf: &Cf,
+    node: &Node,
     id: NodeId,
-    what: &str,
-    i: usize,
     opts: &AuditOptions,
     report: &mut AuditReport,
 ) -> Result<(), AuditViolation> {
-    let recomputed: f64 = cf.mean().iter().map(|x| x * x).sum();
-    let drift = Drift::component(cf.mean_sq(), recomputed);
-    report.norm_cache_drift = report.norm_cache_drift.max(drift);
-    if drift > opts.rel_tol {
-        return Err(AuditViolation {
-            kind: ViolationKind::NormCacheMismatch,
-            node: Some(id),
-            detail: format!(
-                "{what} {i} caches ‖μ‖² = {} but a from-scratch dot product \
-                 recomputes to {recomputed} (drift {drift:.3e})",
-                cf.mean_sq()
-            ),
-        });
+    let block = node.block();
+    for i in 0..block.len() {
+        let recomputed: f64 = block.row_vec(i).iter().map(|x| x * x).sum();
+        let drift = Drift::component(block.row_vec_sq(i), recomputed);
+        report.norm_cache_drift = report.norm_cache_drift.max(drift);
+        if drift > opts.rel_tol {
+            return Err(AuditViolation {
+                kind: ViolationKind::NormCacheMismatch,
+                node: Some(id),
+                detail: format!(
+                    "row {i} caches ‖μ‖² = {} but a from-scratch dot product \
+                     recomputes to {recomputed} (drift {drift:.3e})",
+                    block.row_vec_sq(i)
+                ),
+            });
+        }
     }
     Ok(())
 }
@@ -636,7 +602,7 @@ fn check_subtree(
             detail: format!("{id:?} reachable along two paths"),
         });
     }
-    let node = tree.node_view(id);
+    let node = tree.node(id);
     if node.id() != id {
         return Err(AuditViolation {
             kind: ViolationKind::IdMismatch,
@@ -644,11 +610,15 @@ fn check_subtree(
             detail: format!("arena slot {id:?} holds a node stamped {:?}", node.id()),
         });
     }
-    check_block_sync(node, id)?;
+    // Before the threshold test: the statistic reads the same rows, so a
+    // poisoned cache must be reported as a cache failure, not a threshold
+    // one.
+    check_norm_cache(node, id, opts, report)?;
     check_simd_kernel(node, id, tree.params.metric, report)?;
     check_prune_bounds(node, id, report)?;
+    let block = node.block();
     match &node.kind {
-        NodeKind::Leaf { entries, .. } => {
+        NodeKind::Leaf { .. } => {
             if depth != tree.height {
                 return Err(AuditViolation {
                     kind: ViolationKind::DepthMismatch,
@@ -656,13 +626,13 @@ fn check_subtree(
                     detail: format!("leaf at depth {depth}, recorded height {}", tree.height),
                 });
             }
-            if entries.len() > tree.params.leaf_capacity {
+            if block.len() > tree.params.leaf_capacity {
                 return Err(AuditViolation {
                     kind: ViolationKind::NodeOverflow,
                     node: Some(id),
                     detail: format!(
                         "leaf holds {} entries > L = {}",
-                        entries.len(),
+                        block.len(),
                         tree.params.leaf_capacity
                     ),
                 });
@@ -675,20 +645,16 @@ fn check_subtree(
             // input statistic and the check widens to it.
             let bound = t.max(tree.max_input_stat);
             let limit = bound * (1.0 + opts.threshold_rel_tol) + opts.threshold_abs_tol;
-            for (i, e) in entries.iter().enumerate() {
-                if e.is_empty() {
+            for i in 0..block.len() {
+                if block.row_n(i) == 0.0 {
                     return Err(AuditViolation {
                         kind: ViolationKind::EmptyEntry,
                         node: Some(id),
                         detail: format!("entry {i} is empty"),
                     });
                 }
-                // Before the threshold test: the statistic itself reads
-                // the memoized norm, so a poisoned cache must be reported
-                // as a cache failure, not a threshold one.
-                check_norm_cache(e, id, "entry", i, opts, report)?;
-                let stat = tree.params.threshold_kind.statistic(e);
-                if e.n() > 1.0 && stat > limit {
+                let stat = tree.params.threshold_kind.row_statistic(block, i);
+                if block.row_n(i) > 1.0 && stat > limit {
                     return Err(AuditViolation {
                         kind: ViolationKind::ThresholdViolation,
                         node: Some(id),
@@ -699,9 +665,9 @@ fn check_subtree(
                         ),
                     });
                 }
-                cf.merge(e);
+                block.merge_row_into(i, &mut cf);
             }
-            report.leaf_entries += entries.len();
+            report.leaf_entries += block.len();
             dfs_leaves.push(id);
             Ok(cf)
         }
@@ -725,22 +691,20 @@ fn check_subtree(
                 });
             }
             let mut cf = Cf::empty(tree.params.dim);
-            for (i, c) in children.iter().enumerate() {
-                check_norm_cache(&c.cf, id, "child", i, opts, report)?;
+            for (i, &child) in children.iter().enumerate() {
                 let child_cf =
-                    check_subtree(tree, c.child, depth + 1, opts, seen, dfs_leaves, report)?;
+                    check_subtree(tree, child, depth + 1, opts, seen, dfs_leaves, report)?;
                 let mut drift = Drift::default();
-                drift.observe(&c.cf, &child_cf);
-                report.interior_drift.observe(&c.cf, &child_cf);
+                drift.observe_row(block, i, &child_cf);
+                report.interior_drift.observe_row(block, i, &child_cf);
                 if drift.max() > opts.rel_tol {
                     return Err(AuditViolation {
                         kind: ViolationKind::ParentCfMismatch,
                         node: Some(id),
                         detail: format!(
-                            "entry {i} stores {:?} but child {:?} recomputes to {child_cf:?} \
-                             (drift {:.3e})",
-                            c.cf,
-                            c.child,
+                            "entry {i} stores {:?} but child {child:?} recomputes to \
+                             {child_cf:?} (drift {:.3e})",
+                            block.row_cf(i),
                             drift.max()
                         ),
                     });
@@ -768,8 +732,8 @@ fn check_chain(tree: &CfTree, dfs_leaves: &[NodeId]) -> Result<(), AuditViolatio
                 detail: format!("chain revisits {id:?} after {} hops", chain.len()),
             });
         }
-        let (p, n) = match &tree.node_view(id).kind {
-            NodeKind::Leaf { prev, next, .. } => (*prev, *next),
+        let (p, n) = match tree.node(id).kind {
+            NodeKind::Leaf { prev, next } => (prev, next),
             NodeKind::Interior { .. } => {
                 return Err(AuditViolation {
                     kind: ViolationKind::ChainBroken,
@@ -935,14 +899,11 @@ mod tests {
     fn detects_bad_parent_cf() {
         let mut t = grown_tree();
         let nid = first_interior_with_child(&t);
-        if let NodeKind::Interior { children } = &mut t.nodes[nid.index()].kind {
-            let bump = Cf::from_point(&Point::xy(1e6, -1e6));
-            children[0].cf.merge(&bump);
-        }
-        // Resync the SoA mirror so only Additivity breaks; the tracked
-        // total also stays consistent because the recomputed root is built
-        // from leaves, which are untouched.
-        t.nodes[nid.index()].rebuild_block();
+        // Only Additivity breaks: the tracked total stays consistent
+        // because the recomputed root is built from leaves, which are
+        // untouched.
+        let bump = Cf::from_point(&Point::xy(1e6, -1e6));
+        t.nodes[nid.index()].block_mut().merge_into_row(0, &bump);
         let v = audit(&t).unwrap_err();
         assert_eq!(v.kind, ViolationKind::ParentCfMismatch, "{v}");
         assert_eq!(v.node, Some(nid));
@@ -1008,9 +969,9 @@ mod tests {
         // bounds violation, no CF touched.
         let fullest = t
             .leaf_ids()
-            .max_by_key(|&id| t.node_view(id).entry_count())
+            .max_by_key(|&id| t.node(id).entry_count())
             .unwrap();
-        let n = t.node_view(fullest).entry_count();
+        let n = t.node(fullest).entry_count();
         assert!(n >= 2);
         t.params.leaf_capacity = n - 1;
         let v = audit(&t).unwrap_err();
@@ -1030,7 +991,7 @@ mod tests {
         let worst = t
             .leaf_entries()
             .filter(|e| e.n() > 1.0)
-            .map(|e| t.params.threshold_kind.statistic(e))
+            .map(|e| t.params.threshold_kind.statistic(&e))
             .fold(0.0f64, f64::max);
         assert!(worst > 0.0, "need a multi-point entry");
         t.params.threshold = worst / 2.0;
@@ -1090,28 +1051,11 @@ mod tests {
     fn detects_norm_cache_mismatch() {
         let mut t = grown_tree();
         let leaf = t.first_leaf;
-        if let NodeKind::Leaf { entries, .. } = &mut t.nodes[leaf.index()].kind {
-            entries[0].corrupt_norm_memo_for_test(0.5);
-        }
-        // Resync the mirror so the poisoned cache is the only defect.
-        t.nodes[leaf.index()].rebuild_block();
+        t.nodes[leaf.index()]
+            .block_mut()
+            .corrupt_norm_memo_for_test(0, 0.5);
         let v = audit(&t).unwrap_err();
         assert_eq!(v.kind, ViolationKind::NormCacheMismatch, "{v}");
-        assert_eq!(v.node, Some(leaf));
-    }
-
-    #[test]
-    fn detects_block_desync() {
-        let mut t = grown_tree();
-        let leaf = t.first_leaf;
-        // Mutate an entry's CF behind the mutators' back: the SoA mirror
-        // goes stale, which must be caught before anything downstream
-        // (threshold, Additivity) trips over the same mutation.
-        if let NodeKind::Leaf { entries, .. } = &mut t.nodes[leaf.index()].kind {
-            entries[0].merge(&Cf::from_point(&Point::xy(3.0, 3.0)));
-        }
-        let v = audit(&t).unwrap_err();
-        assert_eq!(v.kind, ViolationKind::BlockDesync, "{v}");
         assert_eq!(v.node, Some(leaf));
     }
 
@@ -1208,10 +1152,8 @@ mod tests {
     fn violation_renders_node_and_kind() {
         let mut t = grown_tree();
         let nid = first_interior_with_child(&t);
-        if let NodeKind::Interior { children } = &mut t.nodes[nid.index()].kind {
-            children[0].cf.merge(&Cf::from_point(&Point::xy(1e6, 0.0)));
-        }
-        t.nodes[nid.index()].rebuild_block();
+        let bump = Cf::from_point(&Point::xy(1e6, 0.0));
+        t.nodes[nid.index()].block_mut().merge_into_row(0, &bump);
         let msg = audit(&t).unwrap_err().to_string();
         assert!(msg.contains("parent CF mismatch"), "{msg}");
         assert!(msg.contains("NodeId"), "{msg}");

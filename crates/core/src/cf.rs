@@ -58,6 +58,7 @@
 //! image application (§6.8) weights pixels. A point `x` with weight `w` is
 //! the singleton CF `(w, x, 0)`; with all weights 1 this is the paper's CF.
 
+use crate::distance::CfBlock;
 use crate::point::{dot, Point};
 use crate::quad::{quick_two_sum, two_sum};
 use std::fmt;
@@ -207,13 +208,6 @@ impl Cf {
         self.mean_sq
     }
 
-    /// Test-only corruption of the memoized norm, giving the auditor's
-    /// norm-cache check a deterministic failure to detect.
-    #[cfg(test)]
-    pub(crate) fn corrupt_norm_memo_for_test(&mut self, delta: f64) {
-        self.mean_sq += delta;
-    }
-
     /// Test-only corruption of the stored `SSE`, giving the auditor's
     /// cancellation-drift measurable a deterministic disagreement between
     /// a CF and the leaf entries it summarizes.
@@ -277,7 +271,7 @@ impl Cf {
             p.dim(),
             self.dim()
         );
-        self.merge_parts(w, p.coords(), None, 0.0, 0.0);
+        self.parts().merge(w, p.coords(), None, 0.0, 0.0);
     }
 
     /// Merges another CF into this one (BETULA's merge rule — the
@@ -287,20 +281,7 @@ impl Cf {
     ///
     /// Panics on dimension mismatch.
     pub fn merge(&mut self, other: &Cf) {
-        assert_eq!(
-            other.dim(),
-            self.dim(),
-            "dimension mismatch: {} vs {}",
-            other.dim(),
-            self.dim()
-        );
-        self.merge_parts(
-            other.n,
-            &other.mean,
-            Some(&other.mean_c),
-            other.sse,
-            other.sse_c,
-        );
+        self.parts().merge_cf(other);
     }
 
     /// Returns the merge of two CFs without mutating either.
@@ -311,59 +292,40 @@ impl Cf {
         out
     }
 
-    /// The shared merge core: folds the cluster `(nb, mb + cb, sse_b +
-    /// sse_c_b)` into `self`. `cb = None` means a zero carry (the
-    /// weighted-point case), keeping one code path for both entrances.
-    fn merge_parts(&mut self, nb: f64, mb: &[f64], cb: Option<&[f64]>, sse_b: f64, sse_c_b: f64) {
-        if nb == 0.0 {
-            return;
+    /// Mutable borrows of every field, for the merge arithmetic
+    /// ([`CfParts::merge`]).
+    pub(crate) fn parts(&mut self) -> CfParts<'_> {
+        CfParts {
+            n: &mut self.n,
+            mean: &mut self.mean,
+            mean_c: &mut self.mean_c,
+            sse: &mut self.sse,
+            sse_c: &mut self.sse_c,
+            mean_sq: &mut self.mean_sq,
         }
-        if self.n == 0.0 {
-            self.n = nb;
-            self.mean.copy_from_slice(mb);
-            match cb {
-                Some(c) => self.mean_c.copy_from_slice(c),
-                None => self.mean_c.fill(0.0),
-            }
-            self.sse = sse_b;
-            self.sse_c = sse_c_b;
-            self.mean_sq = dot(&self.mean, &self.mean);
-            return;
-        }
-        let n_new = self.n + nb;
-        let f = nb / n_new;
-        let mut d_sq = 0.0;
-        for i in 0..self.mean.len() {
-            let cbi = cb.map_or(0.0, |c| c[i]);
-            // Compensated Δᵢ = μb − μa: the leading difference is exact by
-            // Sterbenz when the means are close (the case that matters at
-            // large offsets); the carry difference restores the rest.
-            let d = (mb[i] - self.mean[i]) + (cbi - self.mean_c[i]);
-            d_sq += d * d;
-            // μ' = μa + f·Δ, error-free into the carry, renormalized so
-            // `mean` stays the correctly rounded leading component.
-            let (s, e) = two_sum(self.mean[i], f * d);
-            let (hi, lo) = quick_two_sum(s, self.mean_c[i] + e);
-            self.mean[i] = hi;
-            self.mean_c[i] = lo;
-        }
-        // Scatter term (na·nb/n')·‖Δ‖², with na read *before* the count
-        // update. All three SSE contributions are non-negative; compensation
-        // keeps long accumulation chains from drifting.
-        let term = (self.n * f) * d_sq;
-        self.acc_sse(sse_b);
-        self.acc_sse(sse_c_b);
-        self.acc_sse(term);
-        self.n = n_new;
-        self.mean_sq = dot(&self.mean, &self.mean);
     }
 
-    /// Compensated accumulation into the SSE pair.
-    fn acc_sse(&mut self, x: f64) {
-        let (s, e) = two_sum(self.sse, x);
-        let (hi, lo) = quick_two_sum(s, self.sse_c + e);
-        self.sse = hi;
-        self.sse_c = lo;
+    /// A CF from its stored fields, taken verbatim (memo included).
+    pub(crate) fn from_parts(
+        n: f64,
+        mean: Box<[f64]>,
+        mean_c: Box<[f64]>,
+        (sse, sse_c): (f64, f64),
+        mean_sq: f64,
+    ) -> Self {
+        Self {
+            n,
+            mean,
+            mean_c,
+            sse,
+            sse_c,
+            mean_sq,
+        }
+    }
+
+    /// The leading SSE and its carry, unfolded ([`Cf::sse`] folds them).
+    pub(crate) fn sse_pair(&self) -> (f64, f64) {
+        (self.sse, self.sse_c)
     }
 
     /// Removes a previously merged CF (inverse of [`Cf::merge`]) —
@@ -448,11 +410,7 @@ impl Cf {
     /// patterns), appending to `out`. Layout: `n, mean[0..d], mean_c[0..d],
     /// sse, sse_c`.
     pub fn to_words(&self, out: &mut Vec<u64>) {
-        out.push(self.n.to_bits());
-        out.extend(self.mean.iter().map(|m| m.to_bits()));
-        out.extend(self.mean_c.iter().map(|c| c.to_bits()));
-        out.push(self.sse.to_bits());
-        out.push(self.sse_c.to_bits());
+        put_words(self.n, &self.mean, &self.mean_c, self.sse_pair(), out);
     }
 
     /// Rebuilds a CF from [`Cf::to_words`] output. Bit-identical to the
@@ -466,31 +424,9 @@ impl Cf {
     #[must_use]
     pub fn from_words(words: &[u64], dim: usize) -> Self {
         assert!(dim > 0, "dimensionality must be positive");
-        assert_eq!(
-            words.len(),
-            Self::words_per_entry(dim),
-            "CF word count mismatch for dim {dim}"
-        );
-        let n = f64::from_bits(words[0]);
-        let mean: Box<[f64]> = words[1..1 + dim]
-            .iter()
-            .map(|&w| f64::from_bits(w))
-            .collect();
-        let mean_c: Box<[f64]> = words[1 + dim..1 + 2 * dim]
-            .iter()
-            .map(|&w| f64::from_bits(w))
-            .collect();
-        let sse = f64::from_bits(words[1 + 2 * dim]);
-        let sse_c = f64::from_bits(words[2 + 2 * dim]);
-        let mean_sq = dot(&mean, &mean);
-        Self {
-            n,
-            mean,
-            mean_c,
-            sse,
-            sse_c,
-            mean_sq,
-        }
+        let mut row = CfBlock::with_capacity(dim, 1);
+        row.push_words(words, dim);
+        row.row_cf(0)
     }
 
     /// Centroid `X0 = μ` (paper eq. 1), compensation folded in.
@@ -525,10 +461,7 @@ impl Cf {
     /// CFs.
     #[must_use]
     pub fn radius(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (self.sq_deviation() / self.n).sqrt()
+        radius_of(self.n, self.sse())
     }
 
     /// Diameter `D = sqrt(2·SSE / (N−1))` (paper eq. 3 in deviation form:
@@ -536,10 +469,136 @@ impl Cf {
     /// Zero when `N ≤ 1`.
     #[must_use]
     pub fn diameter(&self) -> f64 {
-        if self.n <= 1.0 {
-            return 0.0;
+        diameter_of(self.n, self.sse())
+    }
+}
+
+/// [`Cf::radius`] of a CF with weight `n` and folded `sse`.
+pub(crate) fn radius_of(n: f64, sse: f64) -> f64 {
+    if n == 0.0 {
+        return 0.0;
+    }
+    (sse.max(0.0) / n).sqrt()
+}
+
+/// [`Cf::diameter`] of a CF with weight `n` and folded `sse`.
+pub(crate) fn diameter_of(n: f64, sse: f64) -> f64 {
+    if n <= 1.0 {
+        return 0.0;
+    }
+    (2.0 * sse.max(0.0) / (n - 1.0)).sqrt()
+}
+
+/// Appends one CF's word layout ([`Cf::to_words`]) from its fields.
+pub(crate) fn put_words(
+    n: f64,
+    mean: &[f64],
+    mean_c: &[f64],
+    (sse, sse_c): (f64, f64),
+    out: &mut Vec<u64>,
+) {
+    out.push(n.to_bits());
+    out.extend(mean.iter().map(|m| m.to_bits()));
+    out.extend(mean_c.iter().map(|c| c.to_bits()));
+    out.push(sse.to_bits());
+    out.push(sse_c.to_bits());
+}
+
+/// Mutable borrows of one CF's fields: a [`Cf`]'s own, or one row of a
+/// node's [`crate::distance::CfBlock`]. The merge arithmetic runs on this
+/// view, so a free-standing CF and a node row share its one copy.
+pub(crate) struct CfParts<'a> {
+    pub(crate) n: &'a mut f64,
+    pub(crate) mean: &'a mut [f64],
+    pub(crate) mean_c: &'a mut [f64],
+    pub(crate) sse: &'a mut f64,
+    pub(crate) sse_c: &'a mut f64,
+    pub(crate) mean_sq: &'a mut f64,
+}
+
+impl CfParts<'_> {
+    /// Merges `other` into these fields ([`Cf::merge`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub(crate) fn merge_cf(&mut self, other: &Cf) {
+        assert_eq!(
+            other.dim(),
+            self.mean.len(),
+            "dimension mismatch: {} vs {}",
+            other.dim(),
+            self.mean.len()
+        );
+        self.merge(
+            other.n,
+            &other.mean,
+            Some(&other.mean_c),
+            other.sse,
+            other.sse_c,
+        );
+    }
+
+    /// The merge core: folds the cluster `(nb, mb + cb, sse_b + sse_c_b)`
+    /// into these fields. `cb = None` means a zero carry (the
+    /// weighted-point case), keeping one code path for both entrances.
+    pub(crate) fn merge(
+        &mut self,
+        nb: f64,
+        mb: &[f64],
+        cb: Option<&[f64]>,
+        sse_b: f64,
+        sse_c_b: f64,
+    ) {
+        if nb == 0.0 {
+            return;
         }
-        (2.0 * self.sq_deviation() / (self.n - 1.0)).sqrt()
+        if *self.n == 0.0 {
+            *self.n = nb;
+            self.mean.copy_from_slice(mb);
+            match cb {
+                Some(c) => self.mean_c.copy_from_slice(c),
+                None => self.mean_c.fill(0.0),
+            }
+            *self.sse = sse_b;
+            *self.sse_c = sse_c_b;
+            *self.mean_sq = dot(self.mean, self.mean);
+            return;
+        }
+        let n_new = *self.n + nb;
+        let f = nb / n_new;
+        let mut d_sq = 0.0;
+        for i in 0..self.mean.len() {
+            let cbi = cb.map_or(0.0, |c| c[i]);
+            // Compensated Δᵢ = μb − μa: the leading difference is exact by
+            // Sterbenz when the means are close (the case that matters at
+            // large offsets); the carry difference restores the rest.
+            let d = (mb[i] - self.mean[i]) + (cbi - self.mean_c[i]);
+            d_sq += d * d;
+            // μ' = μa + f·Δ, error-free into the carry, renormalized so
+            // `mean` stays the correctly rounded leading component.
+            let (s, e) = two_sum(self.mean[i], f * d);
+            let (hi, lo) = quick_two_sum(s, self.mean_c[i] + e);
+            self.mean[i] = hi;
+            self.mean_c[i] = lo;
+        }
+        // Scatter term (na·nb/n')·‖Δ‖², with na read *before* the count
+        // update. All three SSE contributions are non-negative; compensation
+        // keeps long accumulation chains from drifting.
+        let term = (*self.n * f) * d_sq;
+        self.acc_sse(sse_b);
+        self.acc_sse(sse_c_b);
+        self.acc_sse(term);
+        *self.n = n_new;
+        *self.mean_sq = dot(self.mean, self.mean);
+    }
+
+    /// Compensated accumulation into the SSE pair.
+    fn acc_sse(&mut self, x: f64) {
+        let (s, e) = two_sum(*self.sse, x);
+        let (hi, lo) = quick_two_sum(s, *self.sse_c + e);
+        *self.sse = hi;
+        *self.sse_c = lo;
     }
 }
 

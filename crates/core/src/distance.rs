@@ -47,7 +47,8 @@
 //! keeps its hard panic: asking for the distance between empty *clusters*
 //! is a caller bug in every build.
 
-use crate::cf::Cf;
+use crate::cf::{Cf, CfParts};
+use crate::point::dot;
 use std::fmt;
 use std::str::FromStr;
 
@@ -179,8 +180,8 @@ impl FromStr for DistanceMetric {
 // so their results are bit-identical by construction.
 // ---------------------------------------------------------------------
 
-/// A borrowed `(N, SSE, μ, carry)` view of a CF (or a `CfBlock` row
-/// mirroring one). `mean_c` holds the Neumaier compensation
+/// A borrowed `(N, SSE, μ, carry)` view of a CF (or of a `CfBlock`
+/// row). `mean_c` holds the Neumaier compensation
 /// terms of the mean — the deviation kernels fold them into `Δμ` so
 /// distances keep ~1 ulp accuracy even at coordinate offsets where the
 /// raw mean difference rounds coarsely.
@@ -265,9 +266,9 @@ fn view_distance(metric: DistanceMetric, a: &CfView<'_>, b: &CfView<'_>) -> f64 
 /// row-stride granule of [`CfBlock`]'s vector slabs.
 pub const LANE_WIDTH: usize = 4;
 
-/// A flat, cache-resident mirror of a sequence of CFs: stride-padded
-/// slabs of the means and their carries, and parallel `(N, SSE, ‖μ‖²)`
-/// arrays.
+/// A flat, cache-resident sequence of CFs: stride-padded slabs of the
+/// means and their carries, and parallel `(N, SSE, SSE carry, ‖μ‖²)`
+/// arrays. A tree node stores its entries here and nowhere else.
 ///
 /// Each mean row occupies [`CfBlock::stride`] slots — `dim` live
 /// coordinates followed by zero padding up to the next multiple of
@@ -275,6 +276,11 @@ pub const LANE_WIDTH: usize = 4;
 /// with no scalar tail (zero padding contributes exactly `0` to every
 /// deviation sum). The row accessors always return exactly `dim`
 /// coordinates, so the padding is invisible outside the lane kernels.
+///
+/// A row holds every field a [`Cf`] holds, so it round-trips:
+/// `CfBlock::row_cf` returns a `Cf` equal to the one pushed, carries
+/// and memo included. The kernels read the SSE folded with its carry,
+/// the value [`Cf::sse`] returns.
 ///
 /// The dimensionality is fixed lazily by the first row pushed, so an empty
 /// block is dimension-agnostic (a fresh tree node can own one before any
@@ -285,8 +291,10 @@ pub struct CfBlock {
     dim: usize,
     /// Per-row weighted point count `N`.
     n: Vec<f64>,
-    /// Per-row folded `SSE`.
-    scalar: Vec<f64>,
+    /// Per-row leading `SSE`.
+    sse: Vec<f64>,
+    /// Per-row `SSE` compensation carry.
+    sse_c: Vec<f64>,
     /// Per-row memoized `‖μ‖²` (copied from [`Cf::mean_sq`]).
     vec_sq: Vec<f64>,
     /// Row-major mean slab: row `i` occupies
@@ -314,14 +322,15 @@ impl CfBlock {
         };
         let slots = rows * b.stride();
         b.n.reserve_exact(rows);
-        b.scalar.reserve_exact(rows);
+        b.sse.reserve_exact(rows);
+        b.sse_c.reserve_exact(rows);
         b.vec_sq.reserve_exact(rows);
         b.vec.reserve_exact(slots);
         b.vec_c.reserve_exact(slots);
         b
     }
 
-    /// A block mirroring `cfs` in order.
+    /// A block holding `cfs` in order.
     #[must_use]
     pub fn from_cfs<'a, I: IntoIterator<Item = &'a Cf>>(cfs: I) -> Self {
         let mut b = Self::new();
@@ -362,7 +371,8 @@ impl CfBlock {
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let slots = self.n.capacity()
-            + self.scalar.capacity()
+            + self.sse.capacity()
+            + self.sse_c.capacity()
             + self.vec_sq.capacity()
             + self.vec.capacity()
             + self.vec_c.capacity();
@@ -380,21 +390,74 @@ impl CfBlock {
         );
     }
 
-    /// Appends a row mirroring `cf`.
+    /// Appends a row holding `cf`.
     ///
     /// # Panics
     ///
     /// Panics if `cf`'s dimension disagrees with earlier rows.
     pub fn push(&mut self, cf: &Cf) {
         self.fix_dim(cf.dim());
+        let (sse, sse_c) = cf.sse_pair();
         self.n.push(cf.n());
-        self.scalar.push(cf.sse());
+        self.sse.push(sse);
+        self.sse_c.push(sse_c);
         self.vec_sq.push(cf.mean_sq());
         let padded = self.n.len() * self.stride();
         self.vec.extend_from_slice(cf.mean());
         self.vec.resize(padded, 0.0);
         self.vec_c.extend_from_slice(cf.mean_carry());
         self.vec_c.resize(padded, 0.0);
+    }
+
+    /// Appends a copy of row `i` of `src`, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range `i` or dimension mismatch.
+    pub(crate) fn push_row_from(&mut self, src: &CfBlock, i: usize) {
+        self.fix_dim(src.dim);
+        let s = self.stride();
+        self.n.push(src.n[i]);
+        self.sse.push(src.sse[i]);
+        self.sse_c.push(src.sse_c[i]);
+        self.vec_sq.push(src.vec_sq[i]);
+        self.vec.extend_from_slice(&src.vec[i * s..(i + 1) * s]);
+        self.vec_c.extend_from_slice(&src.vec_c[i * s..(i + 1) * s]);
+    }
+
+    /// Appends a row decoded from one CF's words ([`Cf::to_words`]
+    /// layout). The `‖μ‖²` memo is not stored in the words; it is
+    /// recomputed by the same exact `dot` every mutation uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not [`Cf::words_per_entry`] long for `dim`, or
+    /// on dimension mismatch.
+    pub(crate) fn push_words(&mut self, words: &[u64], dim: usize) {
+        assert_eq!(
+            words.len(),
+            Cf::words_per_entry(dim),
+            "CF word count mismatch for dim {dim}"
+        );
+        self.fix_dim(dim);
+        let padded = (self.n.len() + 1) * self.stride();
+        self.n.push(f64::from_bits(words[0]));
+        self.vec
+            .extend(words[1..=dim].iter().map(|&x| f64::from_bits(x)));
+        self.vec.resize(padded, 0.0);
+        self.vec_c
+            .extend(words[1 + dim..=2 * dim].iter().map(|&x| f64::from_bits(x)));
+        self.vec_c.resize(padded, 0.0);
+        self.sse.push(f64::from_bits(words[1 + 2 * dim]));
+        self.sse_c.push(f64::from_bits(words[2 + 2 * dim]));
+        let mean = self.row_vec(self.n.len() - 1);
+        self.vec_sq.push(dot(mean, mean));
+    }
+
+    /// Appends row `i`'s words ([`Cf::to_words`] layout) to `out`.
+    pub(crate) fn row_words(&self, i: usize, out: &mut Vec<u64>) {
+        let sse = (self.sse[i], self.sse_c[i]);
+        crate::cf::put_words(self.n[i], self.row_vec(i), self.row_vec_c(i), sse, out);
     }
 
     /// Overwrites row `i` with `cf`.
@@ -404,23 +467,27 @@ impl CfBlock {
     /// Panics on out-of-range `i` or dimension mismatch.
     pub fn set(&mut self, i: usize, cf: &Cf) {
         self.fix_dim(cf.dim());
+        let (sse, sse_c) = cf.sse_pair();
         self.n[i] = cf.n();
-        self.scalar[i] = cf.sse();
+        self.sse[i] = sse;
+        self.sse_c[i] = sse_c;
         self.vec_sq[i] = cf.mean_sq();
         let s = self.stride();
         self.vec[i * s..i * s + self.dim].copy_from_slice(cf.mean());
         self.vec_c[i * s..i * s + self.dim].copy_from_slice(cf.mean_carry());
     }
 
-    /// Inserts a row mirroring `cf` at position `i`, shifting later rows.
+    /// Inserts a row holding `cf` at position `i`, shifting later rows.
     ///
     /// # Panics
     ///
     /// Panics if `i > len()` or on dimension mismatch.
     pub fn insert(&mut self, i: usize, cf: &Cf) {
         self.fix_dim(cf.dim());
+        let (sse, sse_c) = cf.sse_pair();
         self.n.insert(i, cf.n());
-        self.scalar.insert(i, cf.sse());
+        self.sse.insert(i, sse);
+        self.sse_c.insert(i, sse_c);
         self.vec_sq.insert(i, cf.mean_sq());
         let s = self.stride();
         let pad = std::iter::repeat_n(0.0, s - self.dim);
@@ -437,20 +504,94 @@ impl CfBlock {
     /// Panics if `i` is out of range.
     pub fn remove(&mut self, i: usize) {
         self.n.remove(i);
-        self.scalar.remove(i);
+        self.sse.remove(i);
+        self.sse_c.remove(i);
         self.vec_sq.remove(i);
         let s = self.stride();
         self.vec.drain(i * s..(i + 1) * s);
         self.vec_c.drain(i * s..(i + 1) * s);
     }
 
-    /// Removes every row (the dimensionality stays fixed).
-    pub fn clear(&mut self) {
-        self.n.clear();
-        self.scalar.clear();
-        self.vec_sq.clear();
-        self.vec.clear();
-        self.vec_c.clear();
+    /// Mutable borrows of row `i`'s fields, for the merge arithmetic.
+    fn row_parts(&mut self, i: usize) -> CfParts<'_> {
+        let (s, d) = (self.stride(), self.dim);
+        CfParts {
+            n: &mut self.n[i],
+            mean: &mut self.vec[i * s..i * s + d],
+            mean_c: &mut self.vec_c[i * s..i * s + d],
+            sse: &mut self.sse[i],
+            sse_c: &mut self.sse_c[i],
+            mean_sq: &mut self.vec_sq[i],
+        }
+    }
+
+    /// Merges `cf` into row `i` in place: bit-identical to merging it
+    /// into [`CfBlock::row_cf`] and writing the result back.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range `i` or dimension mismatch.
+    pub(crate) fn merge_into_row(&mut self, i: usize, cf: &Cf) {
+        self.row_parts(i).merge_cf(cf);
+    }
+
+    /// Merges row `i` into `cf`: bit-identical to
+    /// `cf.merge(&self.row_cf(i))`, without building the copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range `i` or dimension mismatch.
+    pub(crate) fn merge_row_into(&self, i: usize, cf: &mut Cf) {
+        assert_eq!(
+            cf.dim(),
+            self.dim,
+            "dimension mismatch: {} vs {}",
+            self.dim,
+            cf.dim()
+        );
+        cf.parts().merge(
+            self.n[i],
+            self.row_vec(i),
+            Some(self.row_vec_c(i)),
+            self.sse[i],
+            self.sse_c[i],
+        );
+    }
+
+    /// Overwrites `cf` with row `i`, reusing its buffers: afterwards
+    /// `*cf == self.row_cf(i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range `i` or dimension mismatch.
+    pub(crate) fn load_row(&self, i: usize, cf: &mut Cf) {
+        let p = cf.parts();
+        *p.n = self.n[i];
+        p.mean.copy_from_slice(self.row_vec(i));
+        p.mean_c.copy_from_slice(self.row_vec_c(i));
+        *p.sse = self.sse[i];
+        *p.sse_c = self.sse_c[i];
+        *p.mean_sq = self.vec_sq[i];
+    }
+
+    /// Row `i` as a [`Cf`]: equal in every field (carries and the `‖μ‖²`
+    /// memo included) to the `Cf` the row was built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub(crate) fn row_cf(&self, i: usize) -> Cf {
+        // Copied out of the slices rather than into a zeroed `Cf::empty`:
+        // this runs once per absorb attempt, and the zeroed allocation
+        // measured 18% slower on a fit with two Phase-1 workers.
+        Cf::from_parts(
+            self.n[i],
+            self.row_vec(i).into(),
+            self.row_vec_c(i).into(),
+            (self.sse[i], self.sse_c[i]),
+            self.vec_sq[i],
+        )
     }
 
     /// Row `i`'s weighted point count `N`.
@@ -459,10 +600,10 @@ impl CfBlock {
         self.n[i]
     }
 
-    /// Row `i`'s folded `SSE`.
+    /// Row `i`'s `SSE`, carry folded in (the value [`Cf::sse`] returns).
     #[must_use]
     pub fn row_scalar(&self, i: usize) -> f64 {
-        self.scalar[i]
+        self.sse[i] + self.sse_c[i]
     }
 
     /// Row `i`'s memoized `‖μ‖²`.
@@ -487,6 +628,13 @@ impl CfBlock {
         &self.vec_c[i * s..i * s + self.dim]
     }
 
+    /// Test-only corruption of row `i`'s memoized `‖μ‖²`, giving the
+    /// auditor's norm-cache check a deterministic failure to detect.
+    #[cfg(test)]
+    pub(crate) fn corrupt_norm_memo_for_test(&mut self, i: usize, delta: f64) {
+        self.vec_sq[i] += delta;
+    }
+
     /// The full vector slab including padding, for the lane kernels.
     pub(crate) fn vec_slab(&self) -> &[f64] {
         &self.vec
@@ -502,9 +650,10 @@ impl CfBlock {
         &self.n
     }
 
-    /// The per-row `SSE` slab, for the lane kernels.
-    pub(crate) fn scalar_slab(&self) -> &[f64] {
-        &self.scalar
+    /// The per-row leading-`SSE` and `SSE`-carry slabs, for the lane
+    /// kernels (which fold them per row, as [`CfBlock::row_scalar`] does).
+    pub(crate) fn sse_slabs(&self) -> (&[f64], &[f64]) {
+        (&self.sse, &self.sse_c)
     }
 }
 
@@ -856,9 +1005,20 @@ impl ThresholdKind {
     /// The constrained statistic of a CF.
     #[must_use]
     pub fn statistic(self, cf: &Cf) -> f64 {
+        self.statistic_of(cf.n(), cf.sse())
+    }
+
+    /// The constrained statistic of row `i` of `block`: bit-identical to
+    /// [`ThresholdKind::statistic`] of [`CfBlock::row_cf`].
+    #[must_use]
+    pub(crate) fn row_statistic(self, block: &CfBlock, i: usize) -> f64 {
+        self.statistic_of(block.row_n(i), block.row_scalar(i))
+    }
+
+    fn statistic_of(self, n: f64, sse: f64) -> f64 {
         match self {
-            ThresholdKind::Diameter => cf.diameter(),
-            ThresholdKind::Radius => cf.radius(),
+            ThresholdKind::Diameter => crate::cf::diameter_of(n, sse),
+            ThresholdKind::Radius => crate::cf::radius_of(n, sse),
         }
     }
 
@@ -1050,9 +1210,88 @@ mod tests {
         b.remove(2);
         assert_eq!(b.len(), 3);
         assert_eq!(b.row_vec(2), cfs[2].mean());
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.dim(), 2, "dim survives clear");
+        let rows: Vec<Cf> = (0..b.len()).map(|i| b.row_cf(i)).collect();
+        assert_eq!(rows, vec![cfs[4].clone(), cfs[0].clone(), cfs[2].clone()]);
+    }
+
+    /// CFs with nonzero mean and SSE carries: tight clusters far from the
+    /// origin, built by incremental merges.
+    fn carried_fixture(dim: usize) -> Vec<Cf> {
+        (0..5)
+            .map(|r| {
+                let base = 1e8 + f64::from(r) * 3.0;
+                let pts: Vec<Point> = (0..4)
+                    .map(|k| {
+                        let k = f64::from(k);
+                        Point::new(
+                            (0..dim)
+                                .map(|d| base + (k * 0.37 + d as f64) * 1e-3)
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                let mut cf = Cf::from_points(&pts);
+                cf.add_weighted_point(&pts[1], 0.75);
+                cf
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rows_round_trip_every_field() {
+        for dim in [2, 5] {
+            let cfs = carried_fixture(dim);
+            assert!(
+                cfs.iter().any(|c| c.sse_pair().1 != 0.0),
+                "fixture needs SSE carries"
+            );
+            let b = CfBlock::from_cfs(&cfs);
+            let mut copy = CfBlock::new();
+            let mut words = Vec::new();
+            for (i, cf) in cfs.iter().enumerate() {
+                // PartialEq covers the carries and the memo.
+                assert!(b.row_cf(i) == *cf, "dim {dim} row {i}");
+                assert_eq!(b.row_cf(i).mean_sq().to_bits(), cf.mean_sq().to_bits());
+                assert_eq!(b.row_scalar(i).to_bits(), cf.sse().to_bits());
+                copy.push_row_from(&b, i);
+                b.row_words(i, &mut words);
+            }
+            assert_eq!(copy, b);
+            let mut want = Vec::new();
+            for cf in &cfs {
+                cf.to_words(&mut want);
+            }
+            assert_eq!(words, want);
+            let mut decoded = CfBlock::new();
+            for w in words.chunks_exact(Cf::words_per_entry(dim)) {
+                decoded.push_words(w, dim);
+            }
+            assert_eq!(decoded, b);
+        }
+    }
+
+    #[test]
+    fn row_merges_match_cf_merges_bitwise() {
+        for dim in [2, 5] {
+            let cfs = carried_fixture(dim);
+            let mut b = CfBlock::from_cfs(&cfs);
+            for i in 0..cfs.len() {
+                let other = &cfs[(i + 2) % cfs.len()];
+                let mut want = cfs[i].clone();
+                want.merge(other);
+                b.merge_into_row(i, other);
+                assert!(b.row_cf(i) == want, "dim {dim} merge into row {i}");
+
+                let mut acc = other.clone();
+                b.merge_row_into(i, &mut acc);
+                let mut want = other.clone();
+                want.merge(&b.row_cf(i));
+                assert!(acc == want, "dim {dim} merge of row {i}");
+
+                b.load_row(i, &mut acc);
+                assert!(acc == b.row_cf(i), "dim {dim} load row {i}");
+            }
+        }
     }
 
     #[test]

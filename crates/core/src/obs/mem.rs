@@ -11,10 +11,12 @@
 //!   model. This is the component compared against `budget_bytes`
 //!   (= `BirchConfig::memory_bytes`); its peak is `mem_highwater_bytes`
 //!   in the JSON.
-//! * `node_arena` — what the tree's nodes *really* occupy on the heap:
-//!   arena `Vec` capacity plus per-node entry storage.
-//! * `cf_blocks` — the SoA mirror slabs, i.e. the cache-residency
-//!   overhead the insert kernels cost in space.
+//! * `node_arena` — the node structure on the heap: the arena `Vec`'s
+//!   capacity of `Node` structs plus every interior node's child-id
+//!   `Vec`.
+//! * `cf_blocks` — every node's [`CfBlock`](crate::distance::CfBlock)
+//!   slabs, the one place the tree stores its CFs. `node_arena +
+//!   cf_blocks` is what the tree really occupies.
 //! * `outlier_disk` — bytes parked on the simulated outlier/delay disks
 //!   (budgeted separately by `disk_bytes`, reported here for the full
 //!   picture).
@@ -67,9 +69,9 @@ pub struct MemoryGauge {
     /// Simulated page bytes (`node_count × page_bytes`) — the component
     /// held against `budget_bytes`.
     pub pager_pages: MemComponent,
-    /// Real heap bytes of the node arena and entry storage.
+    /// Real heap bytes of the node arena and the child-id vectors.
     pub node_arena: MemComponent,
-    /// Real heap bytes of the SoA [`CfBlock`] mirrors.
+    /// Real heap bytes of the nodes' [`CfBlock`] slabs.
     ///
     /// [`CfBlock`]: crate::distance::CfBlock
     pub cf_blocks: MemComponent,

@@ -482,7 +482,7 @@ impl OutlierStore {
             count
         } else {
             for cf in remaining {
-                tree.insert_cf_observed(cf, sink);
+                tree.insert_cf_observed(&cf, sink);
             }
             0
         }

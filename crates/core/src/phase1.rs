@@ -455,27 +455,7 @@ impl<S: EventSink> Phase1Builder<S> {
     ///
     /// Panics if `cf` is empty or of the wrong dimension.
     pub fn feed(&mut self, cf: Cf) {
-        self.points_scanned += 1;
-        self.fed_n += cf.n();
-        if self.delay_mode {
-            // §5.1.4: memory is exhausted — absorb what fits without
-            // growing the tree, park the rest on disk.
-            if self.tree.try_absorb(&cf) {
-                return;
-            }
-            let parked = self
-                .delay
-                .as_mut()
-                .expect("delay_mode implies a delay buffer")
-                .park(cf);
-            if let Err(cf) = parked {
-                // Buffer full: time to actually rebuild, then insert.
-                self.rebuild_cycle();
-                self.insert_checked(cf);
-            }
-        } else {
-            self.insert_checked(cf);
-        }
+        self.feed_ref(&cf);
     }
 
     /// Feeds one unweighted data point through an internal scratch CF, so
@@ -505,13 +485,15 @@ impl<S: EventSink> Phase1Builder<S> {
         self.scratch = Some(scratch);
     }
 
-    /// Borrowed-CF feed: identical routing to [`Phase1Builder::feed`], but
-    /// clones `cf` only when it must outlive the call (parked on the
-    /// delay-split disk, or stored as a new leaf entry).
+    /// The feed path behind [`Phase1Builder::feed`] and the point feeds.
+    /// Clones `cf` only when it must outlive the call, parked on the
+    /// delay-split disk; the tree copies a new leaf entry into its slab.
     fn feed_ref(&mut self, cf: &Cf) {
         self.points_scanned += 1;
         self.fed_n += cf.n();
         if self.delay_mode {
+            // §5.1.4: memory is exhausted — absorb what fits without
+            // growing the tree, park the rest on disk.
             if self.tree.try_absorb(cf) {
                 return;
             }
@@ -523,26 +505,24 @@ impl<S: EventSink> Phase1Builder<S> {
             if let Err(cf) = parked {
                 // Buffer full: time to actually rebuild, then insert.
                 self.rebuild_cycle();
-                self.insert_checked(cf);
+                self.insert_checked(&cf);
             }
         } else {
-            self.tree
-                .insert_cf_ref_observed(cf, &mut Tee(&mut self.recorder, &mut self.sink));
-            self.react_to_pressure();
+            self.insert_checked(cf);
         }
     }
 
     /// Inserts and reacts to memory pressure.
-    fn insert_checked(&mut self, cf: Cf) {
+    fn insert_checked(&mut self, cf: &Cf) {
         self.tree
             .insert_cf_observed(cf, &mut Tee(&mut self.recorder, &mut self.sink));
         self.react_to_pressure();
     }
 
-    /// The post-insert memory check shared by the owned and borrowed feed
-    /// paths. In out-of-core mode the pager already evicted down to the
-    /// budget at the insert boundary, so pressure never triggers a
-    /// rebuild; the high-water mark tracks *resident* pages.
+    /// The post-insert memory check. In out-of-core mode the pager
+    /// already evicted down to the budget at the insert boundary, so
+    /// pressure never triggers a rebuild; the high-water mark tracks
+    /// *resident* pages.
     fn react_to_pressure(&mut self) {
         if self.out_of_core {
             let resident = self
@@ -584,7 +564,7 @@ impl<S: EventSink> Phase1Builder<S> {
         };
         for cf in parked {
             self.tree
-                .insert_cf_observed(cf, &mut Tee(&mut self.recorder, &mut self.sink));
+                .insert_cf_observed(&cf, &mut Tee(&mut self.recorder, &mut self.sink));
             self.note_pages(self.tree.node_count());
             if self.tree.node_count() > self.max_pages {
                 self.rebuild_until_fits();
@@ -731,7 +711,7 @@ impl<S: EventSink> Phase1Builder<S> {
             },
             None => cf,
         };
-        self.insert_checked(cf);
+        self.insert_checked(&cf);
     }
 
     /// Ends the scan: flushes parked delay-split points, runs the final

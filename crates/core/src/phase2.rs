@@ -115,7 +115,6 @@ pub fn condense_with_sink<S: EventSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cf::Cf;
     use crate::point::Point;
     use crate::tree::TreeParams;
 
@@ -190,7 +189,7 @@ mod tests {
         let mut io = IoStats::default();
         let out = condense(tree, 2, &mut est, None, &mut io);
         assert!(out.leaf_entry_count() <= 2);
-        let total: f64 = out.leaf_entries().map(Cf::n).sum();
+        let total: f64 = out.leaf_entries().map(|e| e.n()).sum();
         assert!((total - 500.0).abs() < 1e-6);
     }
 

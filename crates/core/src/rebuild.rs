@@ -23,7 +23,7 @@
 //! and go to the outlier disk instead of the new tree.
 
 use crate::cf::Cf;
-use crate::node::{ChildEntry, Node, NodeId, NodeKind};
+use crate::node::{Node, NodeId, NodeKind};
 use crate::obs::{Event, EventSink, NoopSink};
 use crate::outlier::OutlierStore;
 use crate::tree::{CfTree, TreeParams};
@@ -120,17 +120,14 @@ pub fn rebuild_observed(
         }
         builder.close_from(cp);
 
-        let leaf = *path.last().expect("path includes the leaf");
-        for entry in leaf_entries(old, leaf) {
+        let leaf = old.node(*path.last().expect("path includes the leaf"));
+        for i in 0..leaf.entry_count() {
+            let entry = leaf.block().row_cf(i);
             let is_outlier = outliers
                 .as_ref()
                 .is_some_and(|s| s.config().is_potential_outlier(entry.n(), mean_entry_n));
             if is_outlier {
-                match outliers
-                    .as_mut()
-                    .expect("checked above")
-                    .spill(entry.clone())
-                {
+                match outliers.as_mut().expect("checked above").spill(entry) {
                     Ok(()) => {
                         report.entries_spilled += 1;
                         continue;
@@ -142,7 +139,7 @@ pub fn rebuild_observed(
                     }
                 }
             }
-            builder.insert(entry.clone());
+            builder.insert(entry);
             report.entries_reinserted += 1;
         }
         report.peak_pages = report
@@ -192,11 +189,11 @@ fn collect_leaf_paths(tree: &CfTree) -> Vec<Vec<NodeId>> {
 
 fn collect_rec(tree: &CfTree, id: NodeId, path: &mut Vec<NodeId>, out: &mut Vec<Vec<NodeId>>) {
     path.push(id);
-    match &tree.node_view(id).kind {
+    match &tree.node(id).kind {
         NodeKind::Leaf { .. } => out.push(path.clone()),
         NodeKind::Interior { children } => {
-            for c in children {
-                collect_rec(tree, c.child, path, out);
+            for &c in children {
+                collect_rec(tree, c, path, out);
             }
         }
     }
@@ -205,13 +202,6 @@ fn collect_rec(tree: &CfTree, id: NodeId, path: &mut Vec<NodeId>, out: &mut Vec<
 
 fn common_prefix(a: &[NodeId], b: &[NodeId]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
-fn leaf_entries(tree: &CfTree, leaf: NodeId) -> &[Cf] {
-    match &tree.node_view(leaf).kind {
-        NodeKind::Leaf { entries, .. } => entries,
-        NodeKind::Interior { .. } => unreachable!("path ends at a leaf"),
-    }
 }
 
 /// Builds the new tree by mirroring old paths ("NewCurrentPath"): nodes
@@ -257,7 +247,7 @@ impl SpineBuilder {
         self.ensure_spine();
         self.tree.note_atomic_input(&ent);
         let leaf = self.spine[self.height - 1].expect("spine materialized");
-        self.tree.nodes[leaf.index()].push_leaf_entry(ent.clone());
+        self.tree.nodes[leaf.index()].push_entry(&ent);
         self.tree.leaf_entry_count += 1;
         self.tree.total.merge(&ent);
         // Every spine interior's entry for its spine child is its *last*
@@ -267,12 +257,8 @@ impl SpineBuilder {
             let child = self.spine[lvl + 1].expect("spine materialized");
             let node = &mut self.tree.nodes[nid.index()];
             let last = node.entry_count() - 1;
-            debug_assert_eq!(
-                node.children()[last].child,
-                child,
-                "spine child not rightmost"
-            );
-            node.merge_into_child_cf(last, &ent);
+            debug_assert_eq!(node.children()[last], child, "spine child not rightmost");
+            node.merge_into(last, &ent);
         }
     }
 
@@ -289,7 +275,7 @@ impl SpineBuilder {
             for lvl in (0..h.saturating_sub(1)).rev() {
                 let cf = self.tree.nodes[child.index()].summary(self.tree.dim());
                 let mut node = Node::new_interior();
-                node.push_child(ChildEntry { cf, child });
+                node.push_child(&cf, child);
                 let id = self.tree.alloc(node);
                 self.spine[lvl] = Some(id);
                 child = id;
@@ -326,7 +312,7 @@ impl SpineBuilder {
                 self.tree.alloc(Node::new_interior())
             };
             let cf = Cf::empty(self.tree.dim());
-            self.tree.nodes[parent.index()].push_child(ChildEntry { cf, child: id });
+            self.tree.nodes[parent.index()].push_child(&cf, id);
             self.spine[lvl] = Some(id);
         }
     }
@@ -345,7 +331,7 @@ impl SpineBuilder {
         loop {
             let root = self.tree.root;
             let next = match &self.tree.nodes[root.index()].kind {
-                NodeKind::Interior { children } if children.len() == 1 => children[0].child,
+                NodeKind::Interior { children } if children.len() == 1 => children[0],
                 _ => break,
             };
             self.tree.free.push(root);

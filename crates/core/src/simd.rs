@@ -224,7 +224,7 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// A block's four slabs borrowed *once* per scan, so the row loops slice
+/// A block's slabs borrowed *once* per scan, so the row loops slice
 /// off resident base pointers instead of re-deriving every accessor per
 /// row (which the measured kernels showed costs more than the arithmetic
 /// at low dims).
@@ -233,6 +233,7 @@ struct Rows<'a> {
     stride: usize,
     n: &'a [f64],
     sse: &'a [f64],
+    sse_c: &'a [f64],
     vec: &'a [f64],
     vec_c: &'a [f64],
 }
@@ -240,22 +241,25 @@ struct Rows<'a> {
 impl<'a> Rows<'a> {
     #[inline(always)]
     fn of(block: &'a CfBlock) -> Self {
+        let (sse, sse_c) = block.sse_slabs();
         Rows {
             stride: block.stride(),
             n: block.n_slab(),
-            sse: block.scalar_slab(),
+            sse,
+            sse_c,
             vec: block.vec_slab(),
             vec_c: block.vec_c_slab(),
         }
     }
 
-    /// Row `i` as full padded stride slices (tail-free lane sweep).
+    /// Row `i` as full padded stride slices (tail-free lane sweep), its
+    /// SSE folded with the carry as [`Cf::sse`] folds it.
     #[inline(always)]
     fn row(&self, i: usize) -> Operand<'a> {
         let s = self.stride;
         Operand {
             n: self.n[i],
-            sse: self.sse[i],
+            sse: self.sse[i] + self.sse_c[i],
             vec: &self.vec[i * s..(i + 1) * s],
             vec_c: &self.vec_c[i * s..(i + 1) * s],
         }

@@ -156,7 +156,7 @@ impl<S: EventSink> StreamingBirch<S> {
     /// `&mut self` because scanning the parked points counts disk reads.
     #[must_use]
     pub fn snapshot(&mut self) -> Vec<ClusterSummary> {
-        let mut entries: Vec<Cf> = self.builder.tree().leaf_entries().cloned().collect();
+        let mut entries: Vec<Cf> = self.builder.tree().leaf_entries().collect();
         entries.extend(self.builder.parked_cfs());
         if entries.is_empty() {
             return Vec::new();
@@ -179,7 +179,7 @@ impl<S: EventSink> StreamingBirch<S> {
     #[must_use]
     pub fn finish(self) -> (Vec<ClusterSummary>, Phase1Output) {
         let out = self.builder.finish();
-        let entries: Vec<Cf> = out.tree.leaf_entries().cloned().collect();
+        let entries: Vec<Cf> = out.tree.leaf_entries().collect();
         let clusters = if entries.is_empty() {
             Vec::new()
         } else {

@@ -27,10 +27,10 @@
 
 use crate::cf::Cf;
 use crate::distance::{
-    closest_among, closest_among_pruned, closest_pair, farthest_pair, pair_in_block, CfBlock,
-    DistanceMetric, ThresholdKind,
+    closest_among, closest_among_pruned, closest_pair, distance_to_row, farthest_pair,
+    pair_in_block, CfBlock, DistanceMetric, ThresholdKind,
 };
-use crate::node::{ChildEntry, Node, NodeId, NodeKind};
+use crate::node::{Node, NodeId, NodeKind};
 use crate::obs::{Event, EventSink, NoopSink};
 use birch_pager::{
     decode_page, encode_page, peek_kind, ClockCache, PageStore, SnapshotError, SnapshotReader,
@@ -130,14 +130,13 @@ pub struct TreeStats {
 }
 
 /// Heap occupancy of one tree, split the way the memory gauge reports it
-/// (see [`crate::obs::mem`]): arena/entry storage vs. the SoA mirrors.
+/// (see [`crate::obs::mem`]): node structure vs. the CF slabs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeFootprint {
-    /// The node arena (`Vec<Node>` capacity) plus every node's entry
-    /// storage: `Vec` capacities and the CFs' boxed statistic slabs.
+    /// The node arena (`Vec<Node>` capacity) plus every interior node's
+    /// child-id `Vec` capacity.
     pub arena_bytes: u64,
-    /// Every node's SoA [`CfBlock`] mirror slabs — the cache-residency
-    /// overhead the insert kernels buy their speed with.
+    /// Every node's [`CfBlock`] slabs: the only store of the tree's CFs.
     pub block_bytes: u64,
 }
 
@@ -438,9 +437,9 @@ impl CfTree {
         self.stats
     }
 
-    /// Heap occupancy of the tree right now, split into arena/entry
-    /// storage and SoA mirror slabs. O(nodes); the Phase-1 gauge samples
-    /// it only when the page count changes, not per point.
+    /// Heap occupancy of the tree right now, split into node structure
+    /// and CF slabs. O(nodes); the Phase-1 gauge samples it only when the
+    /// page count changes, not per point.
     #[must_use]
     pub fn memory_footprint(&self) -> TreeFootprint {
         let mut arena = self.nodes.capacity() * std::mem::size_of::<Node>();
@@ -448,8 +447,10 @@ impl CfTree {
         // Free-listed nodes keep their allocations until reused, so they
         // are counted too: the bytes are genuinely held.
         for n in &self.nodes {
-            arena += n.entry_heap_bytes();
-            blocks += n.block_heap_bytes();
+            if let NodeKind::Interior { children } = &n.kind {
+                arena += children.capacity() * std::mem::size_of::<NodeId>();
+            }
+            blocks += n.block().heap_bytes();
         }
         TreeFootprint {
             arena_bytes: arena as u64,
@@ -490,7 +491,7 @@ impl CfTree {
                     occ.capacity_per_node = self.params.branching;
                     interior_nodes += 1;
                     interior_entries += count;
-                    next.extend(node.children().iter().map(|c| c.child));
+                    next.extend_from_slice(node.children());
                 }
             }
             if occ.min_entries == usize::MAX {
@@ -518,7 +519,8 @@ impl CfTree {
         }
     }
 
-    fn node(&self, id: NodeId) -> &Node {
+    /// Read access to a resident node.
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
         debug_assert!(
             self.pager
                 .as_ref()
@@ -527,11 +529,6 @@ impl CfTree {
             id.0
         );
         &self.nodes[id.index()]
-    }
-
-    /// Crate-internal read access to a node (used by the rebuild scan).
-    pub(crate) fn node_view(&self, id: NodeId) -> &Node {
-        self.node(id)
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
@@ -592,7 +589,7 @@ impl CfTree {
     ///
     /// Panics if `ent` is empty or of the wrong dimension.
     pub fn insert_cf(&mut self, ent: Cf) -> InsertOutcome {
-        self.insert_cf_observed(ent, &mut NoopSink)
+        self.insert_cf_observed(&ent, &mut NoopSink)
     }
 
     /// Like [`CfTree::insert_cf`], but reporting what happened to `sink`:
@@ -600,65 +597,41 @@ impl CfTree {
     /// [`Event::SplitPerformed`] / [`Event::MergeRefinement`] deltas when
     /// the insert caused any. This is the single insertion code path —
     /// [`CfTree::insert_cf`] delegates here with [`NoopSink`], which
-    /// monomorphizes every telemetry branch away.
+    /// monomorphizes every telemetry branch away. A new leaf entry is
+    /// copied into the leaf's slab, so no `Cf` is built for it.
     ///
     /// # Panics
     ///
     /// Panics if `ent` is empty or of the wrong dimension.
-    pub fn insert_cf_observed(&mut self, ent: Cf, sink: &mut impl EventSink) -> InsertOutcome {
-        self.insert_entry(EntInput::Owned(ent), sink)
-    }
-
-    /// Borrowed-entry insertion for the scratch-CF feed path: identical to
-    /// [`CfTree::insert_cf_observed`] but clones `ent` only when it
-    /// actually becomes a new leaf entry. An absorbed input (the common
-    /// case once the tree is warm) allocates nothing.
-    pub(crate) fn insert_cf_ref_observed(
-        &mut self,
-        ent: &Cf,
-        sink: &mut impl EventSink,
-    ) -> InsertOutcome {
-        self.insert_entry(EntInput::Ref(ent), sink)
-    }
-
-    fn insert_entry(&mut self, ent: EntInput<'_>, sink: &mut impl EventSink) -> InsertOutcome {
+    pub fn insert_cf_observed(&mut self, ent: &Cf, sink: &mut impl EventSink) -> InsertOutcome {
         let _sp = crate::obs::span::enter("insert");
-        assert!(!ent.get().is_empty(), "cannot insert an empty CF");
-        assert_eq!(ent.get().dim(), self.params.dim, "dimension mismatch");
+        assert!(!ent.is_empty(), "cannot insert an empty CF");
+        assert_eq!(ent.dim(), self.params.dim, "dimension mismatch");
         let before = self.stats;
         // Height-balanced tree: every descent visits height-1 interior
         // levels at the moment of insertion.
         let depth = self.height - 1;
-        self.total.merge(ent.get());
+        self.total.merge(ent);
 
-        let (leaf_id, path) = self.descend(ent.get());
+        let (leaf_id, path) = self.descend(ent);
         let outcome = 'insert: {
             // Step 2: try to absorb into the closest leaf entry.
-            if let Some(idx) = self.closest_leaf_entry(leaf_id, ent.get()) {
-                let tentative = self.node(leaf_id).leaf_entries()[idx].merged(ent.get());
-                if self
-                    .params
-                    .threshold_kind
-                    .satisfies(&tentative, self.params.threshold)
-                {
-                    self.node_mut(leaf_id).set_leaf_entry(idx, tentative);
-                    self.add_to_path(&path, ent.get());
-                    break 'insert InsertOutcome::Absorbed;
-                }
+            if self.absorb_into_closest(leaf_id, &path, ent) {
+                break 'insert InsertOutcome::Absorbed;
             }
 
-            // New entry (split-free): update the path, then move `ent` in.
-            self.note_atomic_input(ent.get());
+            // New entry (split-free): update the path, then copy `ent` in.
+            self.note_atomic_input(ent);
             if self.node(leaf_id).entry_count() < self.params.leaf_capacity {
-                self.add_to_path(&path, ent.get());
-                self.node_mut(leaf_id).push_leaf_entry(ent.into_cf());
+                self.add_to_path(&path, ent);
+                self.node_mut(leaf_id).push_entry(ent);
                 self.leaf_entry_count += 1;
                 break 'insert InsertOutcome::Added;
             }
 
             // Step 3: the leaf overflows — split and propagate upward.
             let _sp = crate::obs::span::enter("split");
-            self.node_mut(leaf_id).push_leaf_entry(ent.into_cf());
+            self.node_mut(leaf_id).push_entry(ent);
             self.leaf_entry_count += 1;
             let new_leaf = self.split_leaf(leaf_id);
             self.propagate_split(&path, new_leaf);
@@ -695,10 +668,23 @@ impl CfTree {
         assert!(!ent.is_empty(), "cannot absorb an empty CF");
         assert_eq!(ent.dim(), self.params.dim, "dimension mismatch");
         let (leaf_id, path) = self.descend(ent);
+        if !self.absorb_into_closest(leaf_id, &path, ent) {
+            return false;
+        }
+        self.total.merge(ent);
+        self.strict_audit("try_absorb");
+        true
+    }
+
+    /// The absorb test of §4.3 step 2: merges `ent` into the leaf entry
+    /// closest to it and updates the path if the merged entry satisfies
+    /// the threshold. Builds one tentative `Cf` per attempt.
+    fn absorb_into_closest(&mut self, leaf_id: NodeId, path: &[(NodeId, usize)], ent: &Cf) -> bool {
         let Some(idx) = self.closest_leaf_entry(leaf_id, ent) else {
             return false;
         };
-        let tentative = self.node(leaf_id).leaf_entries()[idx].merged(ent);
+        let mut tentative = self.node(leaf_id).block().row_cf(idx);
+        tentative.merge(ent);
         if !self
             .params
             .threshold_kind
@@ -706,10 +692,8 @@ impl CfTree {
         {
             return false;
         }
-        self.node_mut(leaf_id).set_leaf_entry(idx, tentative);
-        self.add_to_path(&path, ent);
-        self.total.merge(ent);
-        self.strict_audit("try_absorb");
+        self.node_mut(leaf_id).set_cf(idx, &tentative);
+        self.add_to_path(path, ent);
         true
     }
 
@@ -728,7 +712,7 @@ impl CfTree {
             return false;
         }
         self.note_atomic_input(ent);
-        self.node_mut(leaf_id).push_leaf_entry(ent.clone());
+        self.node_mut(leaf_id).push_entry(ent);
         self.leaf_entry_count += 1;
         self.add_to_path(&path, ent);
         self.total.merge(ent);
@@ -766,7 +750,7 @@ impl CfTree {
             };
             let best = best.map_or(0, |(i, _)| i);
             path.push((cur, best));
-            cur = node.children()[best].child;
+            cur = node.children()[best];
             self.fault_in(cur);
         }
         self.stats.distance_calls += calls;
@@ -795,7 +779,7 @@ impl CfTree {
     /// the cheap CF update used when no split occurred.
     fn add_to_path(&mut self, path: &[(NodeId, usize)], ent: &Cf) {
         for &(nid, idx) in path {
-            self.node_mut(nid).merge_into_child_cf(idx, ent);
+            self.node_mut(nid).merge_into(idx, ent);
         }
     }
 
@@ -803,27 +787,21 @@ impl CfTree {
     /// groups; the original node keeps the first group, a freshly allocated
     /// leaf (linked right after it in the chain) takes the second.
     fn split_leaf(&mut self, leaf_id: NodeId) -> NodeId {
-        self.stats.splits += 1;
-        let entries = self.node_mut(leaf_id).take_leaf_entries();
-        let (g1, g2) = partition_by_farthest_pair(entries, |e| e, self.params.metric);
-        self.node_mut(leaf_id).set_leaf_entries(g1);
-
-        let new_id = self.alloc(Node::new_leaf());
-        self.node_mut(new_id).set_leaf_entries(g2);
+        let new_id = self.split_node(leaf_id);
         self.link_after(leaf_id, new_id);
         new_id
     }
 
-    /// Splits an over-full interior node; returns the new sibling.
-    fn split_interior(&mut self, node_id: NodeId) -> NodeId {
+    /// Splits an over-full node by the farthest-pair rule: the node keeps
+    /// the first group of rows, a freshly allocated sibling of the same
+    /// kind takes the second. Returns the sibling (unlinked if a leaf).
+    fn split_node(&mut self, node_id: NodeId) -> NodeId {
         self.stats.splits += 1;
-        let children = self.node_mut(node_id).take_children();
-        let (g1, g2) = partition_by_farthest_pair(children, |c| &c.cf, self.params.metric);
-        self.node_mut(node_id).set_children(g1);
-
-        let new_id = self.alloc(Node::new_interior());
-        self.node_mut(new_id).set_children(g2);
-        new_id
+        let node = self.node(node_id);
+        let (g1, g2) = partition_by_farthest_pair(node.block(), self.params.metric);
+        let (keep, moved) = (node.gather(&g1), node.gather(&g2));
+        self.node_mut(node_id).replace_rows(keep);
+        self.alloc(moved)
     }
 
     /// Walks the descent path bottom-up after a leaf split: recomputes the
@@ -834,16 +812,15 @@ impl CfTree {
         let mut pending = Some(new_child);
         for &(nid, idx) in path.iter().rev() {
             // The child at `idx` may have changed shape: recompute its CF.
-            let child_id = self.node(nid).children()[idx].child;
+            let child_id = self.node(nid).children()[idx];
             let child_cf = self.summary(child_id);
-            self.node_mut(nid).set_child_cf(idx, child_cf);
+            self.node_mut(nid).set_cf(idx, &child_cf);
 
             if let Some(new_id) = pending.take() {
                 let cf = self.summary(new_id);
-                self.node_mut(nid)
-                    .insert_child(idx + 1, ChildEntry { cf, child: new_id });
+                self.node_mut(nid).insert_child(idx + 1, &cf, new_id);
                 if self.node(nid).entry_count() > self.params.branching {
-                    pending = Some(self.split_interior(nid));
+                    pending = Some(self.split_node(nid));
                 } else if self.params.merge_refinement {
                     self.merge_refine(nid, idx, idx + 1);
                 }
@@ -854,14 +831,8 @@ impl CfTree {
             // Root split: the tree grows one level.
             let old_root = self.root;
             let mut root = Node::new_interior();
-            root.push_child(ChildEntry {
-                cf: self.summary(old_root),
-                child: old_root,
-            });
-            root.push_child(ChildEntry {
-                cf: self.summary(new_id),
-                child: new_id,
-            });
+            root.push_child(&self.summary(old_root), old_root);
+            root.push_child(&self.summary(new_id), new_id);
             let new_root = self.alloc(root);
             self.root = new_root;
             self.height += 1;
@@ -889,8 +860,10 @@ impl CfTree {
             return; // Closest pair is the freshly split pair: nothing to heal.
         }
 
-        let a_id = self.node(nid).children()[i].child;
-        let b_id = self.node(nid).children()[j].child;
+        let (a_id, b_id) = {
+            let children = self.node(nid).children();
+            (children[i], children[j])
+        };
         // The closest pair need not lie on the descent path: fault both
         // children in before merging their contents.
         self.fault_in(a_id);
@@ -911,64 +884,38 @@ impl CfTree {
         self.stats.merge_refinements += 1;
         if combined <= capacity {
             // Merge b into a; drop b's entry and node.
+            let moved = self.node_mut(b_id).take_rows();
+            self.node_mut(a_id).append_rows(&moved);
             if a_is_leaf {
-                let moved = self.node_mut(b_id).take_leaf_entries();
-                self.node_mut(a_id).append_leaf_entries(moved);
                 self.unlink_leaf(b_id);
-            } else {
-                let moved = self.node_mut(b_id).take_children();
-                self.node_mut(a_id).append_children(moved);
             }
             self.free_node(b_id);
             let a_cf = self.summary(a_id);
             let parent = self.node_mut(nid);
-            parent.set_child_cf(i, a_cf);
-            parent.remove_child(j);
+            parent.set_cf(i, &a_cf);
+            parent.remove(j);
         } else {
-            // Merge + resplit: pool both nodes' items and redistribute by
+            // Merge + resplit: pool both nodes' rows and redistribute by
             // the farthest-pair rule to even out occupancy.
-            if a_is_leaf {
-                let mut pool = self.node_mut(a_id).take_leaf_entries();
-                pool.append(&mut self.node_mut(b_id).take_leaf_entries());
-                let (mut g1, mut g2) = partition_by_farthest_pair(pool, |e| e, self.params.metric);
-                rebalance_to_capacity(
-                    &mut g1,
-                    &mut g2,
-                    |e| e,
-                    self.params.metric,
-                    capacity,
-                    self.params.dim,
-                );
-                self.node_mut(a_id).set_leaf_entries(g1);
-                self.node_mut(b_id).set_leaf_entries(g2);
-            } else {
-                let mut pool = self.node_mut(a_id).take_children();
-                pool.append(&mut self.node_mut(b_id).take_children());
-                let (mut g1, mut g2) =
-                    partition_by_farthest_pair(pool, |c| &c.cf, self.params.metric);
-                rebalance_to_capacity(
-                    &mut g1,
-                    &mut g2,
-                    |c| &c.cf,
-                    self.params.metric,
-                    capacity,
-                    self.params.dim,
-                );
-                self.node_mut(a_id).set_children(g1);
-                self.node_mut(b_id).set_children(g2);
-            }
+            let mut pool = self.node_mut(a_id).take_rows();
+            pool.append_rows(self.node(b_id));
+            let metric = self.params.metric;
+            let (mut g1, mut g2) = partition_by_farthest_pair(pool.block(), metric);
+            rebalance_to_capacity(&mut g1, &mut g2, pool.block(), metric, capacity);
+            self.node_mut(a_id).replace_rows(pool.gather(&g1));
+            self.node_mut(b_id).replace_rows(pool.gather(&g2));
             let a_cf = self.summary(a_id);
             let b_cf = self.summary(b_id);
             let parent = self.node_mut(nid);
-            parent.set_child_cf(i, a_cf);
-            parent.set_child_cf(j, b_cf);
+            parent.set_cf(i, &a_cf);
+            parent.set_cf(j, &b_cf);
         }
     }
 
     /// Links `new_id` into the leaf chain immediately after `after`.
     fn link_after(&mut self, after: NodeId, new_id: NodeId) {
-        let old_next = match &self.node(after).kind {
-            NodeKind::Leaf { next, .. } => *next,
+        let old_next = match self.node(after).kind {
+            NodeKind::Leaf { next, .. } => next,
             NodeKind::Interior { .. } => unreachable!("link_after on interior"),
         };
         // The chain successor is off the descent path and may be spilled.
@@ -978,7 +925,7 @@ impl CfTree {
         if let NodeKind::Leaf { next, .. } = &mut self.node_mut(after).kind {
             *next = Some(new_id);
         }
-        if let NodeKind::Leaf { prev, next, .. } = &mut self.node_mut(new_id).kind {
+        if let NodeKind::Leaf { prev, next } = &mut self.node_mut(new_id).kind {
             *prev = Some(after);
             *next = old_next;
         }
@@ -992,8 +939,8 @@ impl CfTree {
     /// Removes a leaf from the chain (used when merging refinement fuses two
     /// leaves into one).
     fn unlink_leaf(&mut self, id: NodeId) {
-        let (p, n) = match &self.node(id).kind {
-            NodeKind::Leaf { prev, next, .. } => (*prev, *next),
+        let (p, n) = match self.node(id).kind {
+            NodeKind::Leaf { prev, next } => (prev, next),
             NodeKind::Interior { .. } => unreachable!("unlink_leaf on interior"),
         };
         // Chain neighbours are off the descent path and may be spilled.
@@ -1020,55 +967,31 @@ impl CfTree {
         }
     }
 
-    /// Leaf node ids in chain order (leftmost first).
+    /// Leaf node ids in chain order (leftmost first). A completely empty
+    /// tree still yields its root leaf, so callers see a consistent
+    /// (empty) chain.
     pub fn leaf_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         LeafIter {
             tree: self,
-            cur: if self.leaf_entry_count == 0 && self.node(self.first_leaf).entry_count() == 0 {
-                // Completely empty tree: still yield the root leaf so
-                // callers see a consistent (empty) chain.
-                Some(self.first_leaf)
-            } else {
-                Some(self.first_leaf)
-            },
+            cur: Some(self.first_leaf),
         }
     }
 
-    /// All leaf entries in chain (path) order — the input order for tree
-    /// rebuilds and for Phase 3.
-    pub fn leaf_entries(&self) -> impl Iterator<Item = &Cf> + '_ {
-        self.leaf_ids()
-            .flat_map(move |id| self.node(id).leaf_entries().iter())
+    /// Copies of all leaf entries in chain (path) order — the input order
+    /// for tree rebuilds and for Phase 3.
+    pub fn leaf_entries(&self) -> impl Iterator<Item = Cf> + '_ {
+        self.leaf_ids().flat_map(move |id| {
+            let block = self.node(id).block();
+            (0..block.len()).map(move |i| block.row_cf(i))
+        })
     }
 
     /// Consumes the tree, returning all leaf entries in chain order.
     #[must_use]
     pub fn into_leaf_entries(self) -> Vec<Cf> {
         let mut out = Vec::with_capacity(self.leaf_entry_count);
-        for e in self.leaf_entries() {
-            out.push(e.clone());
-        }
+        out.extend(self.leaf_entries());
         out
-    }
-
-    /// Average statistic (diameter or radius, per the threshold kind) over
-    /// leaf entries with at least 2 points — the paper's measure of how
-    /// "full" entries are, used by the threshold heuristics.
-    #[must_use]
-    pub fn mean_entry_statistic(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut cnt = 0usize;
-        for e in self.leaf_entries() {
-            if e.n() > 1.0 {
-                sum += self.params.threshold_kind.statistic(e);
-                cnt += 1;
-            }
-        }
-        if cnt == 0 {
-            0.0
-        } else {
-            sum / cnt as f64
-        }
     }
 
     /// Distance between the two closest entries in the most crowded leaf —
@@ -1079,16 +1002,18 @@ impl CfTree {
         let crowded = self
             .leaf_ids()
             .max_by_key(|&id| self.node(id).entry_count())?;
-        let entries = self.node(crowded).leaf_entries();
-        if entries.len() < 2 {
+        let block = self.node(crowded).block();
+        if block.len() < 2 {
             return None;
         }
+        let mut merged = Cf::empty(self.params.dim);
         let mut best = f64::INFINITY;
-        for i in 0..entries.len() {
-            for j in (i + 1)..entries.len() {
+        for i in 0..block.len() {
+            for j in (i + 1)..block.len() {
                 // The threshold constrains the *merged entry's* statistic,
                 // so measure the candidate merge directly.
-                let merged = entries[i].merged(&entries[j]);
+                block.load_row(i, &mut merged);
+                block.merge_row_into(j, &mut merged);
                 let stat = self.params.threshold_kind.statistic(&merged);
                 best = best.min(stat);
             }
@@ -1276,7 +1201,7 @@ impl CfTree {
         pager.store.free(slot);
         let kind = peek_kind(&buf).expect("spill page header corrupt");
         let page = decode_page(&buf, Node::words_per_entry(kind, dim)).expect("spill page corrupt");
-        let mut node = Node::from_decoded_page(&page, dim);
+        let mut node = Node::from_decoded_page(&page, dim).expect("spill page malformed");
         node.id = id;
         self.nodes[id.index()] = node;
     }
@@ -1511,7 +1436,8 @@ impl CfTree {
             let kind = peek_kind(page_buf).map_err(|e| malformed(format!("node {id}: {e}")))?;
             let page = decode_page(page_buf, Node::words_per_entry(kind, dim))
                 .map_err(|e| malformed(format!("node {id}: {e}")))?;
-            let mut node = Node::from_decoded_page(&page, dim);
+            let mut node = Node::from_decoded_page(&page, dim)
+                .map_err(|e| malformed(format!("node {id}: {e}")))?;
             node.id = NodeId(id);
             if slots[id as usize].replace(node).is_some() {
                 return Err(malformed(format!("duplicate NODE section for id {id}")));
@@ -1538,7 +1464,7 @@ impl CfTree {
             }
         }
 
-        Ok(Self {
+        let tree = Self {
             params,
             nodes,
             free,
@@ -1550,7 +1476,91 @@ impl CfTree {
             stats,
             max_input_stat,
             pager: None,
-        })
+        };
+        tree.check_node_ids(&free_set)?;
+        Ok(tree)
+    }
+
+    /// The id checks [`CfTree::reopen`] makes once the nodes are decoded:
+    /// every child id and chain link names a live node of the right kind,
+    /// no node is reached twice from the root, and the chain from the
+    /// first leaf ends. Descents, splits and leaf walks then stay inside
+    /// the arena and terminate. O(nodes); the full auditor is the
+    /// caller's to run.
+    fn check_node_ids(&self, free: &HashSet<u32>) -> Result<(), SnapshotError> {
+        let malformed = |id: NodeId, what: String| SnapshotError::Malformed {
+            detail: format!("node {}: {what}", id.0),
+        };
+        let dead = |id: NodeId| {
+            if id.index() >= self.nodes.len() {
+                Some("outside the arena")
+            } else if free.contains(&id.0) {
+                Some("free-listed")
+            } else {
+                None
+            }
+        };
+        let not_a_leaf =
+            |id: NodeId| dead(id).or((!self.nodes[id.index()].is_leaf()).then_some("not a leaf"));
+
+        for node in &self.nodes {
+            if let NodeKind::Leaf { prev, next } = node.kind {
+                if free.contains(&node.id.0) {
+                    continue;
+                }
+                for link in [prev, next].into_iter().flatten() {
+                    if let Some(why) = not_a_leaf(link) {
+                        return Err(malformed(
+                            node.id,
+                            format!("chain link {} is {why}", link.0),
+                        ));
+                    }
+                }
+            }
+        }
+
+        if let Some(why) = dead(self.root) {
+            return Err(malformed(self.root, format!("the root is {why}")));
+        }
+        let mut seen = vec![false; self.nodes.len()];
+        seen[self.root.index()] = true;
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let NodeKind::Interior { children } = &self.nodes[id.index()].kind else {
+                continue;
+            };
+            if children.is_empty() {
+                return Err(malformed(id, "interior node with no children".into()));
+            }
+            for &child in children {
+                if let Some(why) = dead(child) {
+                    return Err(malformed(id, format!("child {} is {why}", child.0)));
+                }
+                if std::mem::replace(&mut seen[child.index()], true) {
+                    return Err(malformed(id, format!("child {} is reached twice", child.0)));
+                }
+                stack.push(child);
+            }
+        }
+
+        if let Some(why) = not_a_leaf(self.first_leaf) {
+            return Err(malformed(
+                self.first_leaf,
+                format!("the first leaf is {why}"),
+            ));
+        }
+        let mut on_chain = vec![false; self.nodes.len()];
+        let mut cur = Some(self.first_leaf);
+        while let Some(id) = cur {
+            if std::mem::replace(&mut on_chain[id.index()], true) {
+                return Err(malformed(id, "the leaf chain reaches it twice".into()));
+            }
+            cur = match self.nodes[id.index()].kind {
+                NodeKind::Leaf { next, .. } => next,
+                NodeKind::Interior { .. } => unreachable!("chain links were checked"),
+            };
+        }
+        Ok(())
     }
 }
 
@@ -1638,31 +1648,6 @@ fn metric_from_byte(b: u8) -> Option<DistanceMetric> {
     }
 }
 
-/// An entry on its way into the tree: owned (the public `insert_cf` path)
-/// or borrowed (the scratch-CF feed path). A borrowed entry is cloned only
-/// at the moment it must be stored as a new leaf entry, so the common
-/// absorbed case allocates nothing.
-enum EntInput<'a> {
-    Owned(Cf),
-    Ref(&'a Cf),
-}
-
-impl EntInput<'_> {
-    fn get(&self) -> &Cf {
-        match self {
-            EntInput::Owned(cf) => cf,
-            EntInput::Ref(cf) => cf,
-        }
-    }
-
-    fn into_cf(self) -> Cf {
-        match self {
-            EntInput::Owned(cf) => cf,
-            EntInput::Ref(cf) => cf.clone(),
-        }
-    }
-}
-
 struct LeafIter<'a> {
     tree: &'a CfTree,
     cur: Option<NodeId>,
@@ -1681,63 +1666,46 @@ impl Iterator for LeafIter<'_> {
     }
 }
 
-/// Splits `items` into two non-empty groups: the farthest pair of items
-/// (under `metric`, comparing the CFs produced by `cf_of`) seed the groups
-/// and every other item joins the nearer seed. This is the paper's split
-/// rule ("choosing the farthest pair of entries as seeds, and redistributing
-/// the remaining entries based on the closest criteria").
-fn partition_by_farthest_pair<T>(
-    items: Vec<T>,
-    cf_of: impl Fn(&T) -> &Cf,
-    metric: DistanceMetric,
-) -> (Vec<T>, Vec<T>) {
-    assert!(items.len() >= 2, "cannot partition fewer than 2 items");
-    // Gather the items' CFs into one contiguous SoA block: the O(n²)
-    // farthest-pair matrix and the redistribution pass both become linear
-    // sweeps over cache-resident rows.
-    let block = CfBlock::from_cfs(items.iter().map(&cf_of));
-    let (s1, s2, _) = farthest_pair(metric, &block).expect("at least 2 items");
-    let mut g1 = Vec::with_capacity(items.len() / 2 + 1);
-    let mut g2 = Vec::with_capacity(items.len() / 2 + 1);
-    for (k, item) in items.into_iter().enumerate() {
+/// Splits the rows of `block` into two non-empty groups of row indices:
+/// the farthest pair of rows (under `metric`) seed the groups and every
+/// other row joins the nearer seed, in row order. This is the paper's
+/// split rule ("choosing the farthest pair of entries as seeds, and
+/// redistributing the remaining entries based on the closest criteria").
+fn partition_by_farthest_pair(block: &CfBlock, metric: DistanceMetric) -> (Vec<usize>, Vec<usize>) {
+    let (s1, s2, _) = farthest_pair(metric, block).expect("cannot partition fewer than 2 rows");
+    let mut g1 = Vec::with_capacity(block.len() / 2 + 1);
+    let mut g2 = Vec::with_capacity(block.len() / 2 + 1);
+    for k in 0..block.len() {
         if k == s1 {
-            g1.push(item);
+            g1.push(k);
         } else if k == s2 {
-            g2.push(item);
+            g2.push(k);
         } else {
-            let d1 = pair_in_block(metric, &block, k, s1);
-            let d2 = pair_in_block(metric, &block, k, s2);
+            let d1 = pair_in_block(metric, block, k, s1);
+            let d2 = pair_in_block(metric, block, k, s2);
             if d1 <= d2 {
-                g1.push(item);
+                g1.push(k);
             } else {
-                g2.push(item);
+                g2.push(k);
             }
         }
     }
     (g1, g2)
 }
 
-/// Moves items from an over-full group to the other until both respect
+/// Moves rows from an over-full group to the other until both respect
 /// `capacity`. Proximity partitioning ignores capacity, and a merge+resplit
-/// pools up to `2×capacity` items, so a group can overflow; each move picks
-/// the overflowing group's item closest to the *other* group's summary,
+/// pools up to `2×capacity` rows, so a group can overflow; each move picks
+/// the overflowing group's row closest to the *other* group's summary,
 /// keeping the redistribution as proximity-faithful as possible.
-fn rebalance_to_capacity<T>(
-    g1: &mut Vec<T>,
-    g2: &mut Vec<T>,
-    cf_of: impl Fn(&T) -> &Cf,
+fn rebalance_to_capacity(
+    g1: &mut Vec<usize>,
+    g2: &mut Vec<usize>,
+    block: &CfBlock,
     metric: DistanceMetric,
     capacity: usize,
-    dim: usize,
 ) {
     debug_assert!(g1.len() + g2.len() <= 2 * capacity, "pool too large to fit");
-    let group_cf = |g: &[T]| {
-        let mut cf = Cf::empty(dim);
-        for item in g {
-            cf.merge(cf_of(item));
-        }
-        cf
-    };
     loop {
         let (from, to) = if g1.len() > capacity {
             (&mut *g1, &mut *g2)
@@ -1746,22 +1714,26 @@ fn rebalance_to_capacity<T>(
         } else {
             return;
         };
-        let target = group_cf(to);
+        let mut target = Cf::empty(block.dim());
+        for &i in to.iter() {
+            block.merge_row_into(i, &mut target);
+        }
         let mut best = 0;
         let mut best_d = f64::INFINITY;
-        for (i, item) in from.iter().enumerate() {
+        for (k, &i) in from.iter().enumerate() {
+            // The scalar kernel, bit-symmetric in its operands.
             let d = if target.is_empty() {
                 0.0
             } else {
-                metric.distance(cf_of(item), &target)
+                distance_to_row(metric, &target, block, i)
             };
             if d < best_d {
                 best_d = d;
-                best = i;
+                best = k;
             }
         }
-        let item = from.swap_remove(best);
-        to.push(item);
+        let row = from.swap_remove(best);
+        to.push(row);
     }
 }
 
@@ -1873,7 +1845,7 @@ mod tests {
         t.check_invariants().unwrap();
         // Chain order must equal DFS order (checked by invariants), and the
         // entries visited in chain order should cover all 40 points.
-        let total: f64 = t.leaf_entries().map(Cf::n).sum();
+        let total: f64 = t.leaf_entries().map(|e| e.n()).sum();
         assert_eq!(total, 40.0);
     }
 
@@ -1938,11 +1910,13 @@ mod tests {
         for i in 0..5 {
             items.push(Cf::from_point(&Point::xy(100.0 + f64::from(i) * 0.1, 0.0)));
         }
-        let (g1, g2) = partition_by_farthest_pair(items, |e| e, DistanceMetric::D0);
+        let (g1, g2) = partition_by_farthest_pair(&CfBlock::from_cfs(&items), DistanceMetric::D0);
         assert_eq!(g1.len(), 5);
         assert_eq!(g2.len(), 5);
-        let c1 = g1[0].centroid()[0];
-        assert!(g1.iter().all(|e| (e.centroid()[0] - c1).abs() < 10.0));
+        let c1 = items[g1[0]].centroid()[0];
+        assert!(g1
+            .iter()
+            .all(|&i| (items[i].centroid()[0] - c1).abs() < 10.0));
     }
 
     #[test]
@@ -1951,20 +1925,18 @@ mod tests {
             Cf::from_point(&Point::xy(0.0, 0.0)),
             Cf::from_point(&Point::xy(1.0, 0.0)),
         ];
-        let (g1, g2) = partition_by_farthest_pair(items, |e| e, DistanceMetric::D0);
+        let (g1, g2) = partition_by_farthest_pair(&CfBlock::from_cfs(&items), DistanceMetric::D0);
         assert_eq!(g1.len(), 1);
         assert_eq!(g2.len(), 1);
     }
 
     #[test]
-    fn mean_entry_statistic_and_dmin() {
+    fn dmin_of_most_crowded_leaf() {
         let mut t = CfTree::new(small_params(2.0));
         for i in 0..30 {
             t.insert_point(&Point::xy(f64::from(i % 5) * 3.0, 0.0));
             t.insert_point(&Point::xy(f64::from(i % 5) * 3.0 + 0.5, 0.0));
         }
-        let stat = t.mean_entry_statistic();
-        assert!(stat > 0.0 && stat <= 2.0, "stat={stat}");
         let dmin = t.dmin_most_crowded_leaf().unwrap();
         assert!(dmin > 0.0);
         t.check_invariants().unwrap();
@@ -2040,8 +2012,8 @@ mod tests {
         let base = mk(false);
         let pruned = mk(true);
         // Selection is provably unchanged, so the trees must be identical.
-        let a: Vec<Cf> = base.leaf_entries().cloned().collect();
-        let b: Vec<Cf> = pruned.leaf_entries().cloned().collect();
+        let a: Vec<Cf> = base.leaf_entries().collect();
+        let b: Vec<Cf> = pruned.leaf_entries().collect();
         assert_eq!(a, b, "pruned descent must build an identical tree");
         assert_eq!(base.stats().splits, pruned.stats().splits);
         assert_eq!(
@@ -2135,8 +2107,8 @@ mod tests {
 
     /// Identical f64 bit patterns, entry by entry, leaf chain order.
     fn assert_bit_identical(a: &CfTree, b: &CfTree) {
-        let ea: Vec<&Cf> = a.leaf_entries().collect();
-        let eb: Vec<&Cf> = b.leaf_entries().collect();
+        let ea: Vec<Cf> = a.leaf_entries().collect();
+        let eb: Vec<Cf> = b.leaf_entries().collect();
         assert_eq!(ea.len(), eb.len(), "leaf entry counts differ");
         for (i, (x, y)) in ea.iter().zip(&eb).enumerate() {
             let mut wx = Vec::new();

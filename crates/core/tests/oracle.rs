@@ -126,7 +126,7 @@ fn single_leaf_regime_is_bit_exact() {
         assert_eq!(t, o, "decision diverged at point {i} ({p:?})");
     }
     assert_eq!(tree.height(), 1, "test premise: tree never split");
-    let tree_entries: Vec<Cf> = tree.leaf_entries().cloned().collect();
+    let tree_entries: Vec<Cf> = tree.leaf_entries().collect();
     assert_eq!(tree_entries.len(), oracle.entries.len());
     for (i, (a, b)) in tree_entries.iter().zip(&oracle.entries).enumerate() {
         assert!(a == b, "entry {i} differs: tree {a:?} vs oracle {b:?}");
@@ -153,7 +153,7 @@ fn single_leaf_regime_all_metrics_and_kinds() {
                 let o = oracle.insert(Cf::from_point(&p));
                 assert_eq!(t, o, "decision diverged under {metric:?}/{kind:?}");
             }
-            let tree_entries: Vec<Cf> = tree.leaf_entries().cloned().collect();
+            let tree_entries: Vec<Cf> = tree.leaf_entries().collect();
             assert_eq!(
                 tree_entries, oracle.entries,
                 "entries diverged under {metric:?}/{kind:?}"
@@ -181,7 +181,7 @@ fn well_separated_blobs_match_despite_splits() {
     }
     assert!(tree.height() > 1, "test premise: tree split");
     assert_eq!(oracle.entries.len(), centers.len(), "one entry per blob");
-    let t = sorted_entries(tree.leaf_entries().cloned().collect());
+    let t = sorted_entries(tree.leaf_entries().collect());
     let o = sorted_entries(oracle.entries.clone());
     assert_eq!(t, o, "entry sets diverged");
     tree.audit().unwrap();
@@ -202,7 +202,7 @@ fn phase3_input_cfs_agree_with_oracle() {
         tree.insert_point(&p);
         oracle.insert(Cf::from_point(&p));
     }
-    let t_entries = sorted_entries(tree.leaf_entries().cloned().collect());
+    let t_entries = sorted_entries(tree.leaf_entries().collect());
     let o_entries = sorted_entries(oracle.entries.clone());
     assert_eq!(t_entries, o_entries, "phase-3 inputs differ");
 

@@ -4,9 +4,13 @@
 //! (full auditor), bit-for-bit (leaf CF words), and behaviorally (the
 //! global phases produce identical output from the restored tree).
 
+use birch_core::node::Node;
 use birch_core::phase1::Phase1Builder;
-use birch_core::tree::CfTree;
+use birch_core::tree::{CfTree, TreeParams};
 use birch_core::{Birch, BirchConfig, Cf, Point};
+use birch_pager::{
+    decode_page, encode_page, peek_kind, PageKind, SnapshotError, SnapshotReader, SnapshotWriter,
+};
 
 /// Deterministic interleaved blobs with occasional far noise.
 fn noisy_blobs(n: usize) -> Vec<Point> {
@@ -158,4 +162,98 @@ fn reopen_rejects_bit_flips_everywhere() {
     }
     assert!(rejected > 0);
     std::fs::remove_file(&snap).ok();
+}
+
+/// A multi-level tree (B = L = 3) from a deterministic 500-point walk.
+fn walk_tree() -> CfTree {
+    let mut t = CfTree::new(TreeParams {
+        branching: 3,
+        leaf_capacity: 3,
+        threshold: 0.5,
+        ..TreeParams::for_dim(2)
+    });
+    let (mut x, mut y) = (0.0f64, 0.0f64);
+    for i in 0..500 {
+        x = (x * 1.3 + f64::from(i) * 0.7).rem_euclid(50.0);
+        y = (y * 1.7 + f64::from(i) * 0.3).rem_euclid(50.0);
+        t.insert_point(&Point::xy(x, y));
+    }
+    assert!(t.height() >= 3, "need interior pages below the root");
+    t
+}
+
+/// Checkpoints [`walk_tree`], sets the first child word of the snapshot's
+/// first interior page to `child(page_id)`, and reopens it. The page and
+/// the snapshot are re-encoded, so every CRC still holds and only the id
+/// checks can catch the edit.
+fn reopen_with_first_child(tag: &str, child: impl Fn(u32) -> u64) -> Result<CfTree, SnapshotError> {
+    let snap = std::env::temp_dir().join(format!(
+        "birch-recovery-child-{tag}-{}.snap",
+        std::process::id()
+    ));
+    walk_tree().checkpoint(&snap).expect("checkpoint");
+    let reader = SnapshotReader::open(&snap).expect("open snapshot");
+    let mut w = SnapshotWriter::new();
+    w.add_section(*b"META", reader.require(*b"META").expect("META").to_vec());
+    let mut edited = false;
+    for payload in reader.sections(*b"NODE") {
+        let (id, page) = payload.split_at(4);
+        let mut payload = payload.to_vec();
+        if !edited && matches!(peek_kind(page), Ok(PageKind::Interior)) {
+            let id = u32::from_le_bytes(id.try_into().expect("4 bytes"));
+            let per = Node::words_per_entry(PageKind::Interior, 2);
+            let mut p = decode_page(page, per).expect("decode page");
+            p.words[per - 1] = child(id);
+            let page = encode_page(page.len(), p.kind, p.count, p.prev, p.next, &p.words)
+                .expect("re-encode page");
+            payload.truncate(4);
+            payload.extend_from_slice(&page);
+            edited = true;
+        }
+        w.add_section(*b"NODE", payload);
+    }
+    assert!(edited, "snapshot has no interior page");
+    w.finish(&snap).expect("rewrite snapshot");
+    let out = CfTree::reopen(&snap);
+    std::fs::remove_file(&snap).ok();
+    out
+}
+
+fn assert_malformed(got: Result<CfTree, SnapshotError>, want: &str) {
+    match got {
+        Err(SnapshotError::Malformed { detail }) => {
+            assert!(detail.contains(want), "wrong defect named: {detail}");
+        }
+        Err(e) => panic!("expected a malformed-snapshot error, got {e}"),
+        Ok(t) => panic!("bad child id loaded cleanly ({} nodes)", t.node_count()),
+    }
+}
+
+/// A child id past the end of the arena is rejected on reopen, not left
+/// for the first descent to index out of bounds.
+#[test]
+fn reopen_rejects_child_outside_the_arena() {
+    assert_malformed(
+        reopen_with_first_child("far", |_| 100_000),
+        "child 100000 is outside the arena",
+    );
+}
+
+/// A child word wider than a node id is an error, not a decode panic.
+#[test]
+fn reopen_rejects_child_word_beyond_node_ids() {
+    assert_malformed(
+        reopen_with_first_child("wide", |_| 1 << 40),
+        "child pointer 1099511627776 exceeds the arena range",
+    );
+}
+
+/// A node naming itself as a child is rejected instead of making every
+/// descent through it loop forever.
+#[test]
+fn reopen_rejects_self_referencing_child() {
+    assert_malformed(
+        reopen_with_first_child("self", u64::from),
+        "is reached twice",
+    );
 }

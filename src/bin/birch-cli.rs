@@ -29,6 +29,7 @@
 //! events of the run (rebuilds, threshold raises, phase boundaries) to
 //! stdout.
 
+use birch::cli::{is_on, parse_flags};
 use birch::prelude::*;
 use birch_datagen::csv::{read_points, write_points};
 use birch_datagen::{presets, Dataset};
@@ -56,9 +57,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Flags that take no value; their presence means "true".
-const BOOLEAN_FLAGS: &[&str] = &["trace", "profile", "out-of-core"];
-
 /// Trace sink for `--trace`: keeps the last events, skipping the
 /// per-insert descend records that would otherwise evict every
 /// interesting rebuild/threshold event from the ring.
@@ -70,27 +68,6 @@ impl EventSink for CliTrace {
             self.0.record(event);
         }
     }
-}
-
-fn parse_flags(args: impl Iterator<Item = String>) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut args = args.peekable();
-    while let Some(flag) = args.next() {
-        let Some(key) = flag.strip_prefix("--") else {
-            eprintln!("warning: ignoring stray argument {flag:?}");
-            continue;
-        };
-        if BOOLEAN_FLAGS.contains(&key) {
-            map.insert(key.to_string(), String::from("true"));
-            continue;
-        }
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("error: flag --{key} needs a value");
-            std::process::exit(2);
-        });
-        map.insert(key.to_string(), value);
-    }
-    map
 }
 
 fn generate(flags: HashMap<String, String>) -> ExitCode {
@@ -162,10 +139,7 @@ fn cluster(flags: HashMap<String, String>) -> ExitCode {
         .parse()
         .expect("--k must be an integer");
 
-    let labeled = flags
-        .get("labeled")
-        .is_some_and(|v| matches!(v.as_str(), "true" | "yes" | "1"));
-    let (points, truth) = match read_points(&input, labeled) {
+    let (points, truth) = match read_points(&input, is_on(&flags, "labeled")) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error reading {}: {e}", input.display());
@@ -190,15 +164,15 @@ fn cluster(flags: HashMap<String, String>) -> ExitCode {
         }
         config = config.threads(t);
     }
-    if flags.contains_key("out-of-core") {
+    if is_on(&flags, "out-of-core") {
         config = config.out_of_core(true);
     }
     if let Some(dir) = flags.get("spill-dir") {
         config = config.spill_dir(dir.clone());
     }
 
-    let trace = flags.contains_key("trace");
-    if flags.contains_key("profile") {
+    let trace = is_on(&flags, "trace");
+    if is_on(&flags, "profile") {
         birch::core::obs::span::set_enabled(true);
     }
     let mut tracer = CliTrace(TraceLog::new(512));

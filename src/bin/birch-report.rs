@@ -1,7 +1,8 @@
 //! `birch-report` — the run observatory, in human-readable form.
 //!
 //! ```text
-//! birch-report [--preset ds1] [--seed 42] [--per-cluster 200] [--input pts.csv]
+//! birch-report [--preset ds1] [--seed 42] [--per-cluster 200]
+//!              [--input pts.csv [--labeled true]]
 //!              [--k 100] [--threads n] [--memory-kb 80] [--metric D2]
 //!              [--out-of-core] [--folded spans.folded] [--json report.json]
 //! ```
@@ -17,11 +18,11 @@
 //! `inferno-flamegraph < spans.folded > flame.svg`; `--json <path>`
 //! writes the full schema-v4 metrics JSON.
 
+use birch::cli::{is_on, parse_flags};
 use birch::core::obs::span;
 use birch::prelude::*;
 use birch_datagen::csv::read_points;
 use birch_datagen::{presets, Dataset};
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -33,7 +34,7 @@ fn main() -> ExitCode {
     // ---- Input: CSV file, or a generated preset (default ds1, sized
     // down to ~20k points so a report run stays interactive). ----
     let (points, source) = if let Some(path) = flags.get("input") {
-        match read_points(std::path::Path::new(path), false) {
+        match read_points(std::path::Path::new(path), is_on(&flags, "labeled")) {
             Ok((pts, _)) => (pts, path.clone()),
             Err(e) => {
                 eprintln!("error reading {path}: {e}");
@@ -86,7 +87,7 @@ fn main() -> ExitCode {
     if let Some(t) = flags.get("threads") {
         config = config.threads(t.parse().expect("--threads must be a positive integer"));
     }
-    if flags.contains_key("out-of-core") {
+    if is_on(&flags, "out-of-core") {
         config = config.out_of_core(true);
     }
 
@@ -238,28 +239,4 @@ fn main() -> ExitCode {
         println!("metrics JSON written to {path}");
     }
     ExitCode::SUCCESS
-}
-
-/// Flags that take no value; their presence means "true".
-const BOOLEAN_FLAGS: &[&str] = &["out-of-core"];
-
-fn parse_flags(args: impl Iterator<Item = String>) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut args = args.peekable();
-    while let Some(flag) = args.next() {
-        let Some(key) = flag.strip_prefix("--") else {
-            eprintln!("warning: ignoring stray argument {flag:?}");
-            continue;
-        };
-        if BOOLEAN_FLAGS.contains(&key) {
-            map.insert(key.to_string(), String::from("true"));
-            continue;
-        }
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("error: flag --{key} needs a value");
-            std::process::exit(2);
-        });
-        map.insert(key.to_string(), value);
-    }
-    map
 }

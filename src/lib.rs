@@ -32,6 +32,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
+
 pub use birch_baselines as baselines;
 pub use birch_core as core;
 pub use birch_datagen as datagen;

@@ -385,6 +385,40 @@ fn birch_report_writes_folded_stacks() {
     std::fs::remove_file(&folded).ok();
 }
 
+/// `birch-report --input` honours `--labeled true` the way `birch-cli
+/// cluster` does: a generated DS1 file's label column is skipped, not
+/// clustered as a third coordinate.
+#[test]
+fn birch_report_reads_labeled_csv() {
+    let data = tmp("report-labeled.csv");
+    let out = cli()
+        .args(["generate", "--preset", "ds1", "--out"])
+        .arg(&data)
+        .args(["--per-cluster", "20", "--seed", "5"])
+        .output()
+        .expect("run generate");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let out = Command::new(env!("CARGO_BIN_EXE_birch-report"))
+        .arg("--input")
+        .arg(&data)
+        .args(["--labeled", "true", "--k", "100"])
+        .output()
+        .expect("run birch-report");
+    std::fs::remove_file(&data).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(", dim 2;"), "{stdout}");
+}
+
 #[test]
 fn cluster_rejects_missing_file() {
     let out = cli()
