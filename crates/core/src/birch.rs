@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 pub const METRICS_SCHEMA_VERSION: u32 = 6;
 
 /// Errors surfaced by the pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BirchError {
     /// `fit` was called with no points.
     EmptyInput,
@@ -53,6 +53,13 @@ pub enum BirchError {
         got: usize,
         /// Index of the offending point.
         index: usize,
+    },
+    /// A point's weight is zero, negative, NaN or infinite.
+    InvalidWeight {
+        /// Index of the offending point.
+        index: usize,
+        /// Its weight.
+        weight: f64,
     },
     /// Writing or reading a CF-tree snapshot failed.
     Snapshot {
@@ -72,6 +79,12 @@ impl fmt::Display for BirchError {
                 got,
                 index,
             } => write!(f, "point {index} has dimension {got}, expected {expected}"),
+            BirchError::InvalidWeight { index, weight } => {
+                write!(
+                    f,
+                    "point {index} has weight {weight}, expected a finite positive weight"
+                )
+            }
             BirchError::Snapshot { path, detail } => {
                 write!(f, "snapshot {path}: {detail}")
             }
@@ -117,7 +130,8 @@ impl ClusterSummary {
 /// Wall-clock and resource statistics of one `fit`.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
-    /// Phase-1 worker threads used (1 = the serial scan).
+    /// Worker threads used by Phase 1 and by Phase 4's seed search (1 =
+    /// the serial scan and pass).
     pub threads: usize,
     /// Phase-1 duration.
     pub phase1_time: Duration,
@@ -323,6 +337,17 @@ fn validate_points(points: &[Point]) -> Result<usize, BirchError> {
     Ok(dim)
 }
 
+/// Validates per-point weights: each finite and positive.
+fn validate_weights(weights: &[f64]) -> Result<(), BirchError> {
+    match weights.iter().position(|&w| !(w.is_finite() && w > 0.0)) {
+        Some(index) => Err(BirchError::InvalidWeight {
+            index,
+            weight: weights[index],
+        }),
+        None => Ok(()),
+    }
+}
+
 /// The BIRCH clusterer: configuration plus `fit` entry points.
 #[derive(Debug, Clone)]
 pub struct Birch {
@@ -477,7 +502,8 @@ impl Birch {
     ///
     /// # Errors
     ///
-    /// Same as [`Birch::fit`].
+    /// Same as [`Birch::fit`], plus [`BirchError::InvalidWeight`] for the
+    /// first weight that is zero, negative, NaN or infinite.
     pub fn fit_weighted(&self, points: &[(Point, f64)]) -> Result<BirchModel, BirchError> {
         // Split into parallel arrays once; phases borrow both.
         let pts: Vec<Point> = points.iter().map(|(p, _)| p.clone()).collect();
@@ -491,15 +517,17 @@ impl Birch {
         )
     }
 
-    /// Like [`Birch::fit`] but with an explicit Phase-1 thread count,
-    /// overriding [`BirchConfig::threads`] — the paper's §7 "opportunities
-    /// for parallelism". The data is split into contiguous chunks, each
-    /// thread builds a CF-tree under `M/threads` memory, and the per-thread
-    /// leaf entries are merged into one final tree (exact in the totals, by
-    /// the CF Additivity Theorem) before the global phases run as usual.
-    /// See [`crate::parallel`] for the architecture.
+    /// Like [`Birch::fit`] but with an explicit thread count, overriding
+    /// [`BirchConfig::threads`] — the paper's §7 "opportunities for
+    /// parallelism". In Phase 1 the data is split into contiguous chunks,
+    /// each thread builds a CF-tree under the full budget M, and the
+    /// per-thread leaf entries are merged into one final tree (exact in the
+    /// totals, by the CF Additivity Theorem). Phase 4 splits each pass's
+    /// nearest-seed search across the same number of threads, with the same
+    /// output bits as one thread ([`phase4::refine_parallel`]). See
+    /// [`crate::parallel`] for the Phase-1 architecture.
     ///
-    /// With `threads == 1` this is exactly the serial single-scan Phase 1.
+    /// With `threads == 1` this is exactly the serial single-scan fit.
     ///
     /// # Errors
     ///
@@ -522,6 +550,9 @@ impl Birch {
         checkpoint: Option<&Path>,
     ) -> Result<BirchModel, BirchError> {
         let dim = validate_points(points)?;
+        if let Some(w) = weights {
+            validate_weights(w)?;
+        }
         let threads = threads.min(points.len()).max(1);
 
         let mut stats = RunStats {
@@ -723,7 +754,7 @@ impl Birch {
             tee.record(&Event::PhaseStarted {
                 phase: Phase::Refine,
             });
-            let p4 = phase4::refine(
+            let p4 = phase4::refine_parallel(
                 points,
                 weights,
                 &p3.clusters,
@@ -731,6 +762,7 @@ impl Birch {
                     passes: config.phase4_passes,
                     outlier_factor: config.phase4_outlier_factor,
                 },
+                stats.threads.max(1),
             );
             stats.io.outliers_discarded += p4.discarded;
             if p4.discarded > 0 {
@@ -914,6 +946,44 @@ mod tests {
                 index: 1
             }
         );
+    }
+
+    /// Fits three unit-weight points plus one with weight `w` at index 2.
+    fn assert_weight_rejected(w: f64) {
+        let pts: Vec<(Point, f64)> = (0..4)
+            .map(|i| {
+                let x = f64::from(i);
+                (Point::xy(x, x), if i == 2 { w } else { 1.0 })
+            })
+            .collect();
+        let err = Birch::new(BirchConfig::with_clusters(1))
+            .fit_weighted(&pts)
+            .unwrap_err();
+        assert!(
+            matches!(err, BirchError::InvalidWeight { index: 2, weight } if weight.to_bits() == w.to_bits()),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("point 2 has weight"), "{err}");
+    }
+
+    #[test]
+    fn zero_weight_rejected() {
+        assert_weight_rejected(0.0);
+    }
+
+    #[test]
+    fn negative_weight_rejected() {
+        assert_weight_rejected(-1.5);
+    }
+
+    #[test]
+    fn nan_weight_rejected() {
+        assert_weight_rejected(f64::NAN);
+    }
+
+    #[test]
+    fn infinite_weight_rejected() {
+        assert_weight_rejected(f64::INFINITY);
     }
 
     #[test]

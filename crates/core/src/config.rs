@@ -77,11 +77,14 @@ pub struct BirchConfig {
     /// Total dataset size, when known in advance — sharpens the threshold
     /// heuristic's growth target (optional).
     pub total_points_hint: Option<u64>,
-    /// Phase-1 worker threads (§7 "opportunities for parallelism").
-    /// `1` (the default) is the exact serial scan of the paper; `n > 1`
-    /// shards the input across `n` scoped threads, builds one CF-tree per
-    /// shard under `M/n` memory, and merges the shard leaf entries into the
-    /// final tree by CF additivity (see [`crate::parallel`]).
+    /// Worker threads (§7 "opportunities for parallelism") for Phase 1
+    /// and Phase 4. `1` (the default) is the exact serial scan of the
+    /// paper; `n > 1` shards the Phase-1 input across `n` scoped threads,
+    /// builds one CF-tree per shard under the full budget M, and merges the
+    /// shard leaf entries into the final tree by CF additivity (see
+    /// [`crate::parallel`]). Phase 4 splits each pass's nearest-seed search
+    /// across the same `n` threads; its output bits do not depend on `n`
+    /// ([`crate::phase4::refine_parallel`]).
     ///
     /// The default can be overridden process-wide with the `BIRCH_THREADS`
     /// environment variable (read once per config construction) — CI uses
@@ -253,7 +256,8 @@ impl BirchConfig {
         self
     }
 
-    /// Sets the number of Phase-1 worker threads (`1` = the serial scan).
+    /// Sets the number of Phase-1 and Phase-4 worker threads (`1` = the
+    /// serial scan).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one thread");

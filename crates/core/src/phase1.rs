@@ -84,8 +84,9 @@ pub struct Phase1Builder<S: EventSink = NoopSink> {
     /// the auditor's end-to-end conservation baseline: until `finish`,
     /// every fed point is either in the tree or parked on a disk.
     fed_n: f64,
-    /// Reusable scratch CF for the point-feed path ([`Cf::assign_point`]),
-    /// so feeding a point costs zero heap allocations once warmed up.
+    /// Reusable scratch CF for the point-feed path ([`Cf::assign_point`]).
+    /// With the tree's own reused insert buffers, a warm feed whose point
+    /// is absorbed makes no heap allocation (`tests/alloc_free.rs`).
     scratch: Option<Cf>,
     /// Distance-call totals of trees already replaced by rebuilds — the
     /// live tree's [`TreeStats`](crate::tree::TreeStats) reset on every
@@ -142,8 +143,9 @@ where
 }
 
 /// Runs Phase 1 over a slice of points (optionally weighted) using the
-/// builder's allocation-free scratch-CF feed path — the preferred entry
-/// point for point data; [`run`] remains for pre-aggregated CF input.
+/// builder's scratch-CF feed path, which allocates nothing for a point
+/// that is absorbed — the preferred entry point for point data; [`run`]
+/// remains for pre-aggregated CF input.
 ///
 /// # Panics
 ///
@@ -458,9 +460,10 @@ impl<S: EventSink> Phase1Builder<S> {
         self.feed_ref(&cf);
     }
 
-    /// Feeds one unweighted data point through an internal scratch CF, so
-    /// a warm builder pays zero heap allocations per point (the
-    /// `Cf::from_point` route boxes a fresh `LS` vector every time).
+    /// Feeds one unweighted data point through an internal scratch CF (the
+    /// `Cf::from_point` route boxes two fresh vectors every time). A warm
+    /// builder makes no heap allocation for a point that is absorbed; a
+    /// new leaf entry may grow its leaf's slab, and a split allocates.
     ///
     /// # Panics
     ///

@@ -22,17 +22,36 @@ impl Point {
     ///
     /// Panics if `coords` is empty or contains a non-finite value — BIRCH's
     /// distance algebra is meaningless for NaN/∞ inputs, and catching them at
-    /// the boundary keeps every downstream invariant simple.
+    /// the boundary keeps every downstream invariant simple. Use
+    /// [`Point::try_new`] for untrusted input.
     #[must_use]
     pub fn new(coords: Vec<f64>) -> Self {
-        assert!(!coords.is_empty(), "a point must have at least 1 dimension");
-        assert!(
-            coords.iter().all(|c| c.is_finite()),
-            "point coordinates must be finite, got {coords:?}"
-        );
-        Self {
-            coords: coords.into_boxed_slice(),
+        match Self::try_new(coords) {
+            Ok(p) => p,
+            Err(e) => panic!("{e}"),
         }
+    }
+
+    /// Creates a point from its coordinates, or says why they cannot form
+    /// one: [`Point::new`]'s checks as a typed error.
+    ///
+    /// # Errors
+    ///
+    /// [`PointError::Empty`] for no coordinates; [`PointError::NonFinite`]
+    /// naming the first NaN or infinite coordinate.
+    pub fn try_new(coords: Vec<f64>) -> Result<Self, PointError> {
+        if coords.is_empty() {
+            return Err(PointError::Empty);
+        }
+        if let Some(axis) = coords.iter().position(|c| !c.is_finite()) {
+            return Err(PointError::NonFinite {
+                axis,
+                value: coords[axis],
+            });
+        }
+        Ok(Self {
+            coords: coords.into_boxed_slice(),
+        })
     }
 
     /// Convenience constructor for 2-d points (the paper's workloads).
@@ -69,6 +88,36 @@ impl Point {
         self.sq_dist(other).sqrt()
     }
 }
+
+/// Why coordinates cannot form a [`Point`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PointError {
+    /// No coordinates at all.
+    Empty,
+    /// A coordinate is NaN or infinite.
+    NonFinite {
+        /// Index of the first such coordinate.
+        axis: usize,
+        /// Its value.
+        value: f64,
+    },
+}
+
+impl fmt::Display for PointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PointError::Empty => write!(f, "a point must have at least 1 dimension"),
+            PointError::NonFinite { axis, value } => {
+                write!(
+                    f,
+                    "point coordinates must be finite, got {value} at axis {axis}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for PointError {}
 
 /// Squared Euclidean distance between two coordinate slices.
 ///
@@ -207,6 +256,19 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_rejected() {
         let _ = Point::new(vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn try_new_names_what_is_wrong() {
+        assert_eq!(Point::try_new(vec![]), Err(PointError::Empty));
+        assert_eq!(
+            Point::try_new(vec![1.0, 2.0, f64::INFINITY, f64::NAN]),
+            Err(PointError::NonFinite {
+                axis: 2,
+                value: f64::INFINITY
+            })
+        );
+        assert_eq!(Point::try_new(vec![1.0, 2.0]), Ok(Point::xy(1.0, 2.0)));
     }
 
     #[test]

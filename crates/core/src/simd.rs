@@ -50,7 +50,7 @@
 //! block kernels there are kept as the oracles they are checked against.
 
 use crate::cf::Cf;
-use crate::distance::{CfBlock, DistanceMetric};
+use crate::distance::{row_centroid_norm, CfBlock, DistanceMetric, D0_PRUNE_SLACK_REL};
 
 /// The portable explicit-width lane type: a plain array with
 /// `#[inline(always)]` lane arithmetic that LLVM vectorizes to the
@@ -266,21 +266,22 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// The lane twin of `view_distance`: identical metric epilogues over
-/// lane-accumulated deviation sums. Shares the empty-operand contract
-/// (debug-assert, `+∞` in release).
+/// A metric's value before its final square root: `view_distance`'s
+/// deviation form over lane-accumulated sums, with the `sqrt` left off.
+/// D1 has no root, so its value is the distance itself. Shares the
+/// empty-operand contract (debug-assert, `+∞` in release).
 #[inline]
-fn lane_distance(metric: DistanceMetric, dim: usize, a: &Operand<'_>, b: &Operand<'_>) -> f64 {
+fn lane_pre_root(metric: DistanceMetric, dim: usize, a: &Operand<'_>, b: &Operand<'_>) -> f64 {
     if a.n <= 0.0 || b.n <= 0.0 {
         debug_assert!(false, "distance with an empty CF operand");
         return f64::INFINITY;
     }
     match metric {
-        DistanceMetric::D0 => deviation::<false>(dim, a.vec, a.vec_c, b.vec, b.vec_c).sqrt(),
+        DistanceMetric::D0 => deviation::<false>(dim, a.vec, a.vec_c, b.vec, b.vec_c),
         DistanceMetric::D1 => deviation::<true>(dim, a.vec, a.vec_c, b.vec, b.vec_c),
         DistanceMetric::D2 => {
             let dmu_sq = deviation::<false>(dim, a.vec, a.vec_c, b.vec, b.vec_c);
-            (a.sse / a.n + b.sse / b.n + dmu_sq).max(0.0).sqrt()
+            (a.sse / a.n + b.sse / b.n + dmu_sq).max(0.0)
         }
         DistanceMetric::D3 => {
             let n = a.n + b.n;
@@ -289,13 +290,95 @@ fn lane_distance(metric: DistanceMetric, dim: usize, a: &Operand<'_>, b: &Operan
             }
             let dmu_sq = deviation::<false>(dim, a.vec, a.vec_c, b.vec, b.vec_c);
             let sse_m = a.sse + b.sse + (a.n * b.n / n) * dmu_sq;
-            (2.0 * sse_m / (n - 1.0)).max(0.0).sqrt()
+            (2.0 * sse_m / (n - 1.0)).max(0.0)
         }
         DistanceMetric::D4 => {
             let n = a.n + b.n;
             let dmu_sq = deviation::<false>(dim, a.vec, a.vec_c, b.vec, b.vec_c);
-            ((a.n * b.n / n) * dmu_sq).max(0.0).sqrt()
+            ((a.n * b.n / n) * dmu_sq).max(0.0)
         }
+    }
+}
+
+/// A metric's final step from its [`lane_pre_root`] value.
+#[inline(always)]
+fn root(metric: DistanceMetric, pre: f64) -> f64 {
+    if metric == DistanceMetric::D1 {
+        pre
+    } else {
+        pre.sqrt()
+    }
+}
+
+/// The lane twin of `view_distance`: the root of [`lane_pre_root`].
+#[inline]
+fn lane_distance(metric: DistanceMetric, dim: usize, a: &Operand<'_>, b: &Operand<'_>) -> f64 {
+    root(metric, lane_pre_root(metric, dim, a, b))
+}
+
+/// A scan's running best: the winner's distance `d` and its pre-root
+/// value `pre`, with `d == root(pre)`.
+///
+/// `sqrt` is correctly rounded and so monotone: a row whose pre-root value
+/// does not beat `pre` cannot have a root that beats `d`. A scan therefore
+/// takes a row's root only when its pre-root value wins, and the row
+/// becomes the best only if its root wins too. The second test matters
+/// because two pre-root values an ulp apart can share one root: comparing
+/// roots keeps the earlier row, exactly as a scan over distances does.
+#[derive(Clone, Copy)]
+struct Best {
+    pre: f64,
+    d: f64,
+}
+
+impl Best {
+    /// The running best of a first-minimum scan before its first row.
+    const MIN_START: Best = Best {
+        pre: f64::INFINITY,
+        d: f64::INFINITY,
+    };
+
+    /// The running best of a first-maximum scan before its first row.
+    const MAX_START: Best = Best {
+        pre: f64::NEG_INFINITY,
+        d: f64::NEG_INFINITY,
+    };
+
+    /// The best taken unconditionally from a row's pre-root value.
+    #[inline(always)]
+    fn of(metric: DistanceMetric, pre: f64) -> Self {
+        Best {
+            pre,
+            d: root(metric, pre),
+        }
+    }
+
+    /// Takes the row whose pre-root value is `pre` if its distance is
+    /// strictly smaller (so the earliest of equal distances stays).
+    #[inline(always)]
+    fn lower(&mut self, metric: DistanceMetric, pre: f64) -> bool {
+        if pre < self.pre {
+            let d = root(metric, pre);
+            if d < self.d {
+                *self = Best { pre, d };
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Takes the row whose pre-root value is `pre` if its distance is
+    /// strictly larger.
+    #[inline(always)]
+    fn higher(&mut self, metric: DistanceMetric, pre: f64) -> bool {
+        if pre > self.pre {
+            let d = root(metric, pre);
+            if d > self.d {
+                *self = Best { pre, d };
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -320,8 +403,8 @@ pub(crate) fn pair_in_block(metric: DistanceMetric, block: &CfBlock, i: usize, j
     lane_distance(metric, block.dim(), &rows.row(i), &rows.row(j))
 }
 
-/// Lane form of the first-minimum closest-row scan. Identical tie-break
-/// (strict `<`, earliest row wins) to the scalar form.
+/// Lane form of the first-minimum closest-row scan. Identical selection
+/// (strict `<` on distances, earliest row wins) to the scalar form.
 #[inline]
 pub(crate) fn closest_among(
     metric: DistanceMetric,
@@ -332,35 +415,72 @@ pub(crate) fn closest_among(
     let probe = Operand::probe(ent);
     let dim = block.dim();
     let rows = Rows::of(block);
-    let mut best: Option<(usize, f64)> = None;
-    let mut best_d = f64::INFINITY;
+    let mut best = Best::MIN_START;
+    let mut at = None;
     for i in 0..block.len() {
-        let d = lane_distance(metric, dim, &probe, &rows.row(i));
-        if d < best_d {
-            best_d = d;
-            best = Some((i, d));
+        if best.lower(metric, lane_pre_root(metric, dim, &probe, &rows.row(i))) {
+            at = Some(i);
         }
     }
-    best
+    at.map(|i| (i, best.d))
 }
 
-/// Lane form of the first-minimum closest-pair scan.
+/// Lane form of [`crate::distance::closest_among_pruned`]: the D0 scan
+/// skips a row whose norm bound exceeds the best distance so far.
+pub(crate) fn closest_among_pruned(
+    metric: DistanceMetric,
+    ent: &Cf,
+    block: &CfBlock,
+) -> (Option<(usize, f64)>, u64, u64) {
+    if metric != DistanceMetric::D0 {
+        let best = closest_among(metric, ent, block);
+        return (best, block.len() as u64, 0);
+    }
+    let probe = Operand::probe(ent);
+    let dim = block.dim();
+    let rows = Rows::of(block);
+    let ent_norm = ent.mean_sq().sqrt();
+    let mut best = Best::MIN_START;
+    let mut at = None;
+    let (mut evaluated, mut pruned) = (0u64, 0u64);
+    for i in 0..block.len() {
+        let row_norm = row_centroid_norm(block, i);
+        let bound = (ent_norm - row_norm).abs() - D0_PRUNE_SLACK_REL * (ent_norm + row_norm);
+        if bound > best.d {
+            pruned += 1;
+            continue;
+        }
+        evaluated += 1;
+        if best.lower(metric, lane_pre_root(metric, dim, &probe, &rows.row(i))) {
+            at = Some(i);
+        }
+    }
+    (at.map(|i| (i, best.d)), evaluated, pruned)
+}
+
+/// Lane form of the first-minimum closest-pair scan. The first pair is
+/// taken unconditionally, as in the scalar form.
 #[inline]
 pub(crate) fn closest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
     let _sp = crate::obs::span::enter("simd_kernel");
     let dim = block.dim();
     let rows = Rows::of(block);
-    let mut best: Option<(usize, usize, f64)> = None;
+    let mut best: Option<(usize, usize, Best)> = None;
     for i in 0..block.len() {
         let a = rows.row(i);
         for j in (i + 1)..block.len() {
-            let d = lane_distance(metric, dim, &a, &rows.row(j));
-            if best.is_none_or(|(_, _, bd)| d < bd) {
-                best = Some((i, j, d));
+            let pre = lane_pre_root(metric, dim, &a, &rows.row(j));
+            match best.as_mut() {
+                Some((bi, bj, run)) => {
+                    if run.lower(metric, pre) {
+                        (*bi, *bj) = (i, j);
+                    }
+                }
+                None => best = Some((i, j, Best::of(metric, pre))),
             }
         }
     }
-    best
+    best.map(|(i, j, run)| (i, j, run.d))
 }
 
 /// Lane form of the first-maximum farthest-pair scan.
@@ -375,18 +495,16 @@ pub(crate) fn farthest_pair(
     let _sp = crate::obs::span::enter("simd_kernel");
     let dim = block.dim();
     let rows = Rows::of(block);
-    let (mut far, mut far_d) = ((0, 1), f64::NEG_INFINITY);
+    let (mut far, mut best) = ((0, 1), Best::MAX_START);
     for i in 0..block.len() {
         let a = rows.row(i);
         for j in (i + 1)..block.len() {
-            let d = lane_distance(metric, dim, &a, &rows.row(j));
-            if d > far_d {
+            if best.higher(metric, lane_pre_root(metric, dim, &a, &rows.row(j))) {
                 far = (i, j);
-                far_d = d;
             }
         }
     }
-    Some((far.0, far.1, far_d))
+    Some((far.0, far.1, best.d))
 }
 
 #[cfg(test)]
@@ -479,6 +597,42 @@ mod tests {
         }
     }
 
+    /// Asserts that the three lane scans pick the scalar oracles' rows.
+    fn assert_scans_agree(m: DistanceMetric, probe: &Cf, block: &CfBlock, ctx: &str) {
+        let lane = closest_among(m, probe, block);
+        let scalar = closest_among_scalar(m, probe, block);
+        assert_eq!(
+            lane.map(|(i, _)| i),
+            scalar.map(|(i, _)| i),
+            "{m} {ctx} closest_among winner"
+        );
+        let (lp, sp) = (closest_pair(m, block), closest_pair_scalar(m, block));
+        assert_eq!(
+            lp.map(|(i, j, _)| (i, j)),
+            sp.map(|(i, j, _)| (i, j)),
+            "{m} {ctx} closest_pair"
+        );
+        let (lf, sf) = (farthest_pair(m, block), farthest_pair_scalar(m, block));
+        assert_eq!(
+            lf.map(|(i, j, _)| (i, j)),
+            sf.map(|(i, j, _)| (i, j)),
+            "{m} {ctx} farthest_pair"
+        );
+    }
+
+    /// Two y coordinates `(hi, lo)` whose pre-root values `3² + y²` (summed
+    /// in the dim-2 kernels' order) differ, `lo`'s the smaller, but share
+    /// one square root: searched a few floats down from `hi = 4`.
+    fn root_collision() -> (f64, f64) {
+        let pre = |y: f64| 3.0 * 3.0 + y * y;
+        let hi = 4.0_f64;
+        (1..64)
+            .map(|k| f64::from_bits(hi.to_bits() - k))
+            .find(|&lo| pre(lo) < pre(hi) && pre(lo).sqrt() == pre(hi).sqrt())
+            .map(|lo| (hi, lo))
+            .expect("a pre-root pair sharing one root")
+    }
+
     #[test]
     fn scans_agree_with_scalar_oracles() {
         // Winners must match the scalar scans at every dim: distances
@@ -487,27 +641,41 @@ mod tests {
         for dim in [2usize, 3, 5, 8, 33] {
             let cfs = fixture(dim, 10);
             let block = CfBlock::from_cfs(&cfs);
-            let probe = &cfs[3];
             for m in DistanceMetric::ALL {
-                let lane = closest_among(m, probe, &block);
-                let scalar = closest_among_scalar(m, probe, &block);
-                assert_eq!(
-                    lane.map(|(i, _)| i),
-                    scalar.map(|(i, _)| i),
-                    "{m} dim {dim} closest_among winner"
-                );
-                let (lp, sp) = (closest_pair(m, &block), closest_pair_scalar(m, &block));
-                assert_eq!(
-                    lp.map(|(i, j, _)| (i, j)),
-                    sp.map(|(i, j, _)| (i, j)),
-                    "{m} dim {dim} closest_pair"
-                );
-                let (lf, sf) = (farthest_pair(m, &block), farthest_pair_scalar(m, &block));
-                assert_eq!(
-                    lf.map(|(i, j, _)| (i, j)),
-                    sf.map(|(i, j, _)| (i, j)),
-                    "{m} dim {dim} farthest_pair"
-                );
+                assert_scans_agree(m, &cfs[3], &block, &format!("dim {dim}"));
+            }
+        }
+
+        // Root collisions: each block holds an earlier and a later
+        // candidate at distance 5, the later one's pre-root value an ulp
+        // past the earlier's. The strict rule on distances keeps the
+        // earlier one; a scan comparing pre-root values alone would not.
+        let (hi, lo) = root_collision();
+        let at = |x: f64, y: f64| Cf::from_point(&Point::xy(x, y));
+        let origin = at(0.0, 0.0);
+        // closest_among from the origin: rows 1 and 2.
+        let among = CfBlock::from_cfs(&[at(30.0, 0.0), at(3.0, hi), at(3.0, lo), at(-30.0, 0.0)]);
+        // closest_pair: pairs (0, 1) and (2, 3).
+        let pairs =
+            CfBlock::from_cfs(&[origin.clone(), at(3.0, hi), at(1e3, 0.0), at(1e3 + 3.0, lo)]);
+        // farthest_pair: pairs (0, 1) and (0, 2).
+        let far = CfBlock::from_cfs(&[origin.clone(), at(3.0, lo), at(3.0, hi)]);
+        let d0 = DistanceMetric::D0;
+        assert_eq!(
+            closest_among_scalar(d0, &origin, &among).map(|(i, _)| i),
+            Some(1)
+        );
+        assert_eq!(
+            closest_pair_scalar(d0, &pairs).map(|(i, j, _)| (i, j)),
+            Some((0, 1))
+        );
+        assert_eq!(
+            farthest_pair_scalar(d0, &far).map(|(i, j, _)| (i, j)),
+            Some((0, 1))
+        );
+        for m in DistanceMetric::ALL {
+            for (block, ctx) in [(&among, "among"), (&pairs, "pairs"), (&far, "far")] {
+                assert_scans_agree(m, &origin, block, &format!("root collision {ctx}"));
             }
         }
     }

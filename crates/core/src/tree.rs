@@ -325,6 +325,20 @@ pub struct CfTree {
     /// Out-of-core mode: `Some` after [`CfTree::enable_paging`]. Never
     /// cloned (a clone is always fully resident with paging off).
     pager: Option<Box<TreePager>>,
+    /// Buffers the insert path reuses.
+    scratch: InsertScratch,
+}
+
+/// Buffers the insert path reuses, so that a warm insert allocates
+/// nothing. Scratch only: never serialized, and a clone or a reopened
+/// tree starts with empty ones.
+#[derive(Debug, Default)]
+struct InsertScratch {
+    /// The last descent's interior path as `(node, child index)` pairs
+    /// from the root down, filled by [`CfTree::descend`].
+    path: Vec<(NodeId, usize)>,
+    /// The absorb test's tentative merge.
+    tentative: Option<Cf>,
 }
 
 impl Clone for CfTree {
@@ -345,6 +359,7 @@ impl Clone for CfTree {
             stats: self.stats,
             max_input_stat: self.max_input_stat,
             pager: None,
+            scratch: InsertScratch::default(),
         }
     }
 }
@@ -372,6 +387,7 @@ impl CfTree {
             stats: TreeStats::default(),
             max_input_stat: 0.0,
             pager: None,
+            scratch: InsertScratch::default(),
         }
     }
 
@@ -598,7 +614,8 @@ impl CfTree {
     /// the insert caused any. This is the single insertion code path —
     /// [`CfTree::insert_cf`] delegates here with [`NoopSink`], which
     /// monomorphizes every telemetry branch away. A new leaf entry is
-    /// copied into the leaf's slab, so no `Cf` is built for it.
+    /// copied into the leaf's slab, and the descent path and the absorb
+    /// test reuse the tree's buffers, so a warm insert allocates nothing.
     ///
     /// # Panics
     ///
@@ -613,17 +630,17 @@ impl CfTree {
         let depth = self.height - 1;
         self.total.merge(ent);
 
-        let (leaf_id, path) = self.descend(ent);
+        let leaf_id = self.descend(ent);
         let outcome = 'insert: {
             // Step 2: try to absorb into the closest leaf entry.
-            if self.absorb_into_closest(leaf_id, &path, ent) {
+            if self.absorb_into_closest(leaf_id, ent) {
                 break 'insert InsertOutcome::Absorbed;
             }
 
             // New entry (split-free): update the path, then copy `ent` in.
             self.note_atomic_input(ent);
             if self.node(leaf_id).entry_count() < self.params.leaf_capacity {
-                self.add_to_path(&path, ent);
+                self.add_to_path(ent);
                 self.node_mut(leaf_id).push_entry(ent);
                 self.leaf_entry_count += 1;
                 break 'insert InsertOutcome::Added;
@@ -634,7 +651,7 @@ impl CfTree {
             self.node_mut(leaf_id).push_entry(ent);
             self.leaf_entry_count += 1;
             let new_leaf = self.split_leaf(leaf_id);
-            self.propagate_split(&path, new_leaf);
+            self.propagate_split(new_leaf);
             InsertOutcome::AddedWithSplit
         };
 
@@ -667,8 +684,8 @@ impl CfTree {
     fn try_absorb_inner(&mut self, ent: &Cf) -> bool {
         assert!(!ent.is_empty(), "cannot absorb an empty CF");
         assert_eq!(ent.dim(), self.params.dim, "dimension mismatch");
-        let (leaf_id, path) = self.descend(ent);
-        if !self.absorb_into_closest(leaf_id, &path, ent) {
+        let leaf_id = self.descend(ent);
+        if !self.absorb_into_closest(leaf_id, ent) {
             return false;
         }
         self.total.merge(ent);
@@ -677,24 +694,30 @@ impl CfTree {
     }
 
     /// The absorb test of §4.3 step 2: merges `ent` into the leaf entry
-    /// closest to it and updates the path if the merged entry satisfies
-    /// the threshold. Builds one tentative `Cf` per attempt.
-    fn absorb_into_closest(&mut self, leaf_id: NodeId, path: &[(NodeId, usize)], ent: &Cf) -> bool {
+    /// closest to it and updates the last descent's path if the merged
+    /// entry satisfies the threshold. The tentative merge is a `Cf` the
+    /// tree keeps between calls, loaded from the row each attempt.
+    fn absorb_into_closest(&mut self, leaf_id: NodeId, ent: &Cf) -> bool {
         let Some(idx) = self.closest_leaf_entry(leaf_id, ent) else {
             return false;
         };
-        let mut tentative = self.node(leaf_id).block().row_cf(idx);
+        let mut tentative = self
+            .scratch
+            .tentative
+            .take()
+            .unwrap_or_else(|| Cf::empty(self.params.dim));
+        self.node(leaf_id).block().load_row(idx, &mut tentative);
         tentative.merge(ent);
-        if !self
+        let fits = self
             .params
             .threshold_kind
-            .satisfies(&tentative, self.params.threshold)
-        {
-            return false;
+            .satisfies(&tentative, self.params.threshold);
+        if fits {
+            self.node_mut(leaf_id).set_cf(idx, &tentative);
+            self.add_to_path(ent);
         }
-        self.node_mut(leaf_id).set_cf(idx, &tentative);
-        self.add_to_path(path, ent);
-        true
+        self.scratch.tentative = Some(tentative);
+        fits
     }
 
     /// Like [`CfTree::try_absorb`] but additionally allowed to *add* `ent`
@@ -706,7 +729,7 @@ impl CfTree {
         if self.try_absorb(ent) {
             return true;
         }
-        let (leaf_id, path) = self.descend(ent);
+        let leaf_id = self.descend(ent);
         if self.node(leaf_id).entry_count() >= self.params.leaf_capacity {
             self.evict_to_cap();
             return false;
@@ -714,7 +737,7 @@ impl CfTree {
         self.note_atomic_input(ent);
         self.node_mut(leaf_id).push_entry(ent);
         self.leaf_entry_count += 1;
-        self.add_to_path(&path, ent);
+        self.add_to_path(ent);
         self.total.merge(ent);
         self.strict_audit("try_add_no_split");
         self.evict_to_cap();
@@ -724,14 +747,15 @@ impl CfTree {
     /// Root-to-leaf descent following the closest child at each level,
     /// scanning each node's contiguous [`CfBlock`] with the batched
     /// [`closest_among`] kernel (or its D0 lower-bound-pruned variant when
-    /// [`TreeParams::descend_prune`] is on). Returns the leaf id and the
-    /// interior path as `(node, child_index)` pairs from the root downward.
-    /// Takes `&mut self` only to accumulate the distance-call counters.
-    fn descend(&mut self, ent: &Cf) -> (NodeId, Vec<(NodeId, usize)>) {
+    /// [`TreeParams::descend_prune`] is on). Returns the leaf id and leaves
+    /// the interior path in the tree's reused path buffer, which
+    /// [`CfTree::add_to_path`] and [`CfTree::propagate_split`] read.
+    fn descend(&mut self, ent: &Cf) -> NodeId {
         let _sp = crate::obs::span::enter("descend");
         let metric = self.params.metric;
         let prune = self.params.descend_prune;
-        let mut path = Vec::with_capacity(self.height.saturating_sub(1));
+        let mut path = std::mem::take(&mut self.scratch.path);
+        path.clear();
         let mut cur = self.root;
         let mut calls = 0u64;
         let mut skipped = 0u64;
@@ -755,7 +779,8 @@ impl CfTree {
         }
         self.stats.distance_calls += calls;
         self.stats.distance_calls_pruned += skipped;
-        (cur, path)
+        self.scratch.path = path;
+        cur
     }
 
     /// Index of the leaf entry closest to `ent`, or `None` if the leaf is
@@ -775,12 +800,14 @@ impl CfTree {
         best.map(|(i, _)| i)
     }
 
-    /// Merges `ent` into every `[CF, child]` entry along the descent path —
-    /// the cheap CF update used when no split occurred.
-    fn add_to_path(&mut self, path: &[(NodeId, usize)], ent: &Cf) {
-        for &(nid, idx) in path {
+    /// Merges `ent` into every `[CF, child]` entry along the last
+    /// descent's path — the cheap CF update used when no split occurred.
+    fn add_to_path(&mut self, ent: &Cf) {
+        let path = std::mem::take(&mut self.scratch.path);
+        for &(nid, idx) in &path {
             self.node_mut(nid).merge_into(idx, ent);
         }
+        self.scratch.path = path;
     }
 
     /// Splits an over-full leaf. The farthest pair of entries seeds two
@@ -804,11 +831,13 @@ impl CfTree {
         self.alloc(moved)
     }
 
-    /// Walks the descent path bottom-up after a leaf split: recomputes the
-    /// changed child's CF entry, inserts the new sibling's entry, splits
-    /// overflowing interior nodes, applies the merging refinement where the
-    /// propagation stops, and grows a new root if the split reaches the top.
-    fn propagate_split(&mut self, path: &[(NodeId, usize)], new_child: NodeId) {
+    /// Walks the last descent's path bottom-up after a leaf split:
+    /// recomputes the changed child's CF entry, inserts the new sibling's
+    /// entry, splits overflowing interior nodes, applies the merging
+    /// refinement where the propagation stops, and grows a new root if the
+    /// split reaches the top.
+    fn propagate_split(&mut self, new_child: NodeId) {
+        let path = std::mem::take(&mut self.scratch.path);
         let mut pending = Some(new_child);
         for &(nid, idx) in path.iter().rev() {
             // The child at `idx` may have changed shape: recompute its CF.
@@ -826,6 +855,7 @@ impl CfTree {
                 }
             }
         }
+        self.scratch.path = path;
 
         if let Some(new_id) = pending {
             // Root split: the tree grows one level.
@@ -1476,6 +1506,7 @@ impl CfTree {
             stats,
             max_input_stat,
             pager: None,
+            scratch: InsertScratch::default(),
         };
         tree.check_node_ids(&free_set)?;
         Ok(tree)

@@ -64,7 +64,8 @@ pub fn write_points(
 /// # Errors
 ///
 /// Returns an I/O error for file problems, or `InvalidData` for malformed
-/// rows (wrong arity, unparsable numbers).
+/// rows (wrong arity, unparsable numbers, no coordinates, a NaN or
+/// infinite coordinate), naming the row.
 pub fn read_points(path: &Path, labeled: bool) -> io::Result<LabeledPoints> {
     let mut reader = BufReader::new(File::open(path)?);
     let mut points = Vec::new();
@@ -110,7 +111,7 @@ pub fn read_points(path: &Path, labeled: bool) -> io::Result<LabeledPoints> {
             }
             Some(_) => {}
         }
-        points.push(Point::new(coords));
+        points.push(Point::try_new(coords).map_err(|e| bad(row, &e.to_string()))?);
         if labeled {
             labels.push(label);
         }
@@ -166,6 +167,19 @@ mod tests {
         let err = read_points(&path, false).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("row 2"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_coordinates_rejected() {
+        let path = tmp("nonfinite");
+        for field in ["nan", "inf", "-inf", "NaN"] {
+            std::fs::write(&path, format!("1.0,2.0\n3.0,4.0\n5.0,{field}\n")).unwrap();
+            let err = read_points(&path, false).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("row 3"), "{err}");
+            assert!(err.to_string().contains("finite"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

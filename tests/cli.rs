@@ -430,6 +430,21 @@ fn cluster_rejects_missing_file() {
 }
 
 #[test]
+fn cluster_rejects_non_finite_coordinates() {
+    let data = tmp("nonfinite.csv");
+    std::fs::write(&data, "1.0,2.0\n3.0,4.0\n5.0,nan\n7.0,8.0\n").unwrap();
+    let out = cli()
+        .args(["cluster", "--input", data.to_str().unwrap(), "--k", "2"])
+        .output()
+        .expect("run cluster");
+    std::fs::remove_file(&data).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("row 3"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn no_subcommand_prints_usage() {
     let out = cli().output().expect("run bare");
     assert_eq!(out.status.code(), Some(2));
