@@ -31,9 +31,9 @@
 //!    exactly `0` under the current refresh-by-recomputation policy). A
 //!    node's rows ([`crate::distance::CfBlock`]) are its only copy of its
 //!    CFs, so there is no second copy to compare them with.
-//! 7. **Kernel agreement**: every node's row distances
-//!    replayed through the production SIMD kernel ([`crate::simd`]) agree
-//!    with the bit-exact scalar oracle within the tolerance contract
+//! 7. **Kernel agreement**: every node's row distances replayed through
+//!    the production lane kernel (the crate's `simd` module) agree with
+//!    the bit-exact scalar oracle within the tolerance contract
 //!    [`crate::distance::SIMD_TOLERANCE_REL`] (worst case reported as
 //!    [`AuditReport::simd_kernel_drift`]).
 //! 8. **Prune-bound soundness**: the Phase 3 candidate lower bound

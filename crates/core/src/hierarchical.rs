@@ -17,8 +17,8 @@
 //!   O(m²) worst-case distance evaluations, further cut by the
 //!   cached-statistic lower-bound prune ([`pair_lower_bound`]), which
 //!   searches each neighbor outward in centroid norm from the chain tip
-//!   and stops once the bound rules out every remaining row
-//!   ([`crate::annulus`]). For
+//!   and stops once the bound rules out every remaining row (the
+//!   crate's `annulus` module). For
 //!   reducible linkages the merge *set* equals the greedy closest-pair
 //!   order's, so sorting the discovered merges by distance recovers the
 //!   exact greedy dendrogram — including the `DistanceThreshold` cut,

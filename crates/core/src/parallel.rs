@@ -41,7 +41,7 @@
 //! data, so their thresholds may settle differently than one scan's, and
 //! merge-time threshold raises coarsen further (see DESIGN.md).
 //!
-//! Telemetry: each worker carries its own [`MetricsRecorder`]; the
+//! Telemetry: each worker carries its own [`crate::obs::MetricsRecorder`]; the
 //! per-shard wall time, rebuild count, and threshold trajectory are
 //! surfaced as [`ShardReport`]s so `--metrics-json` exposes shard skew,
 //! while the aggregated counters fold into one [`MetricsReport`].

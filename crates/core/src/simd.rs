@@ -24,19 +24,30 @@
 //!
 //! * **Deviation sweep** — every metric needs either `Σ Δμᵢ²` or
 //!   `Σ |Δμᵢ|` over the compensated centroid difference
-//!   `Δμᵢ = (μ_aᵢ − μ_bᵢ) + (c_aᵢ − c_bᵢ)`. [`deviation`] computes both
-//!   through one const-generic accumulator. Row-vs-row sweeps run over
+//!   `Δμᵢ = (μ_aᵢ − μ_bᵢ) + (c_aᵢ − c_bᵢ)`. Row-vs-row sweeps run over
 //!   the block's stride-padded slabs ([`CfBlock::stride`]) so the lane
 //!   loop has no scalar tail (zero padding contributes exactly `0`);
 //!   probe-vs-row sweeps take the probe's unpadded `dim` slices and
 //!   finish the remainder serially.
 //!
-//! * **Small-dim specializations** — dims 1–4 dispatch to fully-unrolled
-//!   serial-order loops (`dev_serial`) that live entirely in registers.
-//!   They preserve the scalar accumulation order, so lane results at
-//!   dim ≤ 4 are **bit-identical** to the scalar oracle — the low-dim
-//!   regime can never regress into different arithmetic, and every
-//!   dim-2 historical pin keeps holding through the lane path.
+//! * **Compiled per metric and dimension class** — [`pre_root`] is the
+//!   one kernel: each metric's formula without its final `sqrt`, generic
+//!   over the metric `M` and a dimension class `D`. Dims 1–4 are classes
+//!   of their own, fully-unrolled serial-order loops (`dev_serial`) that
+//!   live entirely in registers and keep the scalar accumulation order,
+//!   so lane results at dim ≤ 4 are **bit-identical** to the scalar
+//!   oracle and every dim-2 historical pin holds through the lane path.
+//!   Every wider dim is the [`WIDE`] class, the lane sweep. Every scan is
+//!   compiled once per `(M, D)`, and the `compiled!` macro, the one
+//!   dispatch point, picks the instance once per call, so a scan's row
+//!   loop carries no call and no metric or dimension branch.
+//!
+//! * **Chunked selection** — the first-minimum and first-maximum scans
+//!   (`closest_among` and the inner loops of `closest_pair` and
+//!   `farthest_pair`) compute [`CHUNK`] rows' pre-root values into a
+//!   stack buffer, keeping the running extreme with a select rather than
+//!   a branch, and take a root only when a chunk's extreme beats the
+//!   running best (see [`Best`] for why the selection stays exact).
 //!
 //! * **Tolerance contract** — above dim 4 the lane reduction reorders
 //!   the sums (four partial sums + one horizontal fold), so results may
@@ -46,11 +57,13 @@
 //!
 //! These are the only production kernels: the batched scans in
 //! `distance.rs` (`pair_in_block`, `closest_among`, `closest_pair`,
-//! `farthest_pair` and the D0-pruned scan) call them directly. The scalar
-//! block kernels there are kept as the oracles they are checked against.
+//! `farthest_pair` and the D0-pruned scan) call them directly, and each
+//! entry point here pays the metric and dimension dispatch once per call,
+//! not once per row. The scalar block kernels there are kept as the
+//! oracles they are checked against.
 
 use crate::cf::Cf;
-use crate::distance::{row_centroid_norm, CfBlock, DistanceMetric, D0_PRUNE_SLACK_REL};
+use crate::distance::{row_centroid_norm, CfBlock, DistanceMetric, D0_PRUNE_SLACK_REL, LANE_WIDTH};
 
 /// The portable explicit-width lane type: a plain array with
 /// `#[inline(always)]` lane arithmetic that LLVM vectorizes to the
@@ -124,25 +137,63 @@ mod lane {
 
 use lane::F64x4;
 
-/// Fully-unrolled serial-order deviation sum over the first `D`
-/// coordinates: bit-identical to the scalar kernel's
-/// `for i { s += …(Δμᵢ) }` loop because it *is* that loop, with the trip
-/// count known at compile time so it lives in registers.
+/// The metric ids the kernels are compiled for (const-generic arguments
+/// stand in for the enum, which stable Rust does not accept there).
+const D0: u8 = DistanceMetric::D0 as u8;
+const D1: u8 = DistanceMetric::D1 as u8;
+const D2: u8 = DistanceMetric::D2 as u8;
+const D3: u8 = DistanceMetric::D3 as u8;
+const D4: u8 = DistanceMetric::D4 as u8;
+
+/// The dimension class of every dim above 4: the lane sweep, whose
+/// length is read from the slices. (An empty block's dim 0 lands here
+/// too; it has no rows to scan.)
+const WIDE: usize = 0;
+
+/// Rows per selection chunk: the stack buffer of pre-root values that a
+/// first-extreme scan fills before it looks at any root.
+const CHUNK: usize = 32;
+
+/// The one dispatch point: runs `$scan::<M, D>$args` compiled for the
+/// runtime metric and the dimension class of `$dim` (1–4 each their own
+/// class, every other dim [`WIDE`]).
+macro_rules! compiled {
+    ($metric:expr, $dim:expr, $scan:ident $args:tt) => {
+        match $metric {
+            DistanceMetric::D0 => compiled!(@class D0, $dim, $scan $args),
+            DistanceMetric::D1 => compiled!(@class D1, $dim, $scan $args),
+            DistanceMetric::D2 => compiled!(@class D2, $dim, $scan $args),
+            DistanceMetric::D3 => compiled!(@class D3, $dim, $scan $args),
+            DistanceMetric::D4 => compiled!(@class D4, $dim, $scan $args),
+        }
+    };
+    (@class $m:ident, $dim:expr, $scan:ident $args:tt) => {
+        match $dim {
+            1 => $scan::<$m, 1> $args,
+            2 => $scan::<$m, 2> $args,
+            3 => $scan::<$m, 3> $args,
+            4 => $scan::<$m, 4> $args,
+            _ => $scan::<$m, WIDE> $args,
+        }
+    };
+}
+
+/// Fully-unrolled serial-order deviation sum (`Σ Δμᵢ²`, or `Σ |Δμᵢ|`
+/// when `abs`) over the first `D` coordinates: bit-identical to the
+/// scalar kernel's `for i { s += …(Δμᵢ) }` loop because it *is* that
+/// loop, with the trip count known at compile time so it lives in
+/// registers.
 #[inline(always)]
-fn dev_serial<const ABS: bool, const D: usize>(
-    av: &[f64],
-    ac: &[f64],
-    bv: &[f64],
-    bc: &[f64],
-) -> f64 {
+fn dev_serial<const D: usize>(abs: bool, av: &[f64], ac: &[f64], bv: &[f64], bc: &[f64]) -> f64 {
     // One up-front length check per operand; the indexed loads below are
-    // then provably in bounds and check-free.
+    // then provably in bounds and check-free. A scan's rows come from
+    // `LANE_WIDTH`-long chunks, so their checks fold away entirely.
     let (av, ac) = (&av[..D], &ac[..D]);
     let (bv, bc) = (&bv[..D], &bc[..D]);
     let mut s = 0.0;
     for i in 0..D {
         let d = (av[i] - bv[i]) + (ac[i] - bc[i]);
-        s += if ABS { d.abs() } else { d * d };
+        s += if abs { d.abs() } else { d * d };
     }
     s
 }
@@ -159,8 +210,8 @@ fn dev_serial<const ABS: bool, const D: usize>(
 /// guard proves every 4-wide load in bounds — LLVM drops the per-element
 /// checks and emits straight vector loads, where a naive `s[i + k]` form
 /// keeps checks that serialize the whole loop.
-#[inline]
-fn dev_lanes<const ABS: bool>(av: &[f64], ac: &[f64], bv: &[f64], bc: &[f64]) -> f64 {
+#[inline(always)]
+fn dev_lanes(abs: bool, av: &[f64], ac: &[f64], bv: &[f64], bc: &[f64]) -> f64 {
     let len = av.len().min(ac.len()).min(bv.len()).min(bc.len());
     let full = len & !3;
     let (avh, ach) = (&av[..full], &ac[..full]);
@@ -170,36 +221,16 @@ fn dev_lanes<const ABS: bool>(av: &[f64], ac: &[f64], bv: &[f64], bc: &[f64]) ->
     while k + 4 <= full {
         let d = (F64x4::from_chunk(&avh[k..k + 4]) - F64x4::from_chunk(&bvh[k..k + 4]))
             + (F64x4::from_chunk(&ach[k..k + 4]) - F64x4::from_chunk(&bch[k..k + 4]));
-        acc = if ABS { acc + d.abs() } else { acc + d * d };
+        acc = if abs { acc + d.abs() } else { acc + d * d };
         k += 4;
     }
     let mut s = acc.hsum();
     while k < len {
         let d = (av[k] - bv[k]) + (ac[k] - bc[k]);
-        s += if ABS { d.abs() } else { d * d };
+        s += if abs { d.abs() } else { d * d };
         k += 1;
     }
     s
-}
-
-/// Deviation sum (`Σ Δμᵢ²`, or `Σ |Δμᵢ|` when `ABS`) over `dim` live
-/// coordinates, dispatching dims 1–4 to the bit-identical serial
-/// specializations and everything larger to the lane sweep. The slices
-/// may be longer than `dim` (stride padding); only `dim` coordinates are
-/// read on the serial path, while the lane path reads whatever length
-/// the *shortest* interpretation allows — callers pass either exactly
-/// `dim` (probe rows) or the zero-padded stride (block rows), and zero
-/// padding contributes exactly `0` to either sum.
-#[inline(always)]
-fn deviation<const ABS: bool>(dim: usize, av: &[f64], ac: &[f64], bv: &[f64], bc: &[f64]) -> f64 {
-    match dim {
-        0 => 0.0,
-        1 => dev_serial::<ABS, 1>(av, ac, bv, bc),
-        2 => dev_serial::<ABS, 2>(av, ac, bv, bc),
-        3 => dev_serial::<ABS, 3>(av, ac, bv, bc),
-        4 => dev_serial::<ABS, 4>(av, ac, bv, bc),
-        _ => dev_lanes::<ABS>(av, ac, bv, bc),
-    }
 }
 
 /// A borrowed CF operand for the lane kernels: the scalar stats plus the
@@ -252,6 +283,11 @@ impl<'a> Rows<'a> {
         }
     }
 
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.n.len()
+    }
+
     /// Row `i` as full padded stride slices (tail-free lane sweep), its
     /// SSE folded with the carry as [`Cf::sse`] folds it.
     #[inline(always)]
@@ -264,67 +300,108 @@ impl<'a> Rows<'a> {
             vec_c: &self.vec_c[i * s..(i + 1) * s],
         }
     }
-}
 
-/// A metric's value before its final square root: `view_distance`'s
-/// deviation form over lane-accumulated sums, with the `sqrt` left off.
-/// D1 has no root, so its value is the distance itself. Shares the
-/// empty-operand contract (debug-assert, `+∞` in release).
-#[inline]
-fn lane_pre_root(metric: DistanceMetric, dim: usize, a: &Operand<'_>, b: &Operand<'_>) -> f64 {
-    if a.n <= 0.0 || b.n <= 0.0 {
-        debug_assert!(false, "distance with an empty CF operand");
-        return f64::INFINITY;
-    }
-    match metric {
-        DistanceMetric::D0 => deviation::<false>(dim, a.vec, a.vec_c, b.vec, b.vec_c),
-        DistanceMetric::D1 => deviation::<true>(dim, a.vec, a.vec_c, b.vec, b.vec_c),
-        DistanceMetric::D2 => {
-            let dmu_sq = deviation::<false>(dim, a.vec, a.vec_c, b.vec, b.vec_c);
-            (a.sse / a.n + b.sse / b.n + dmu_sq).max(0.0)
-        }
-        DistanceMetric::D3 => {
-            let n = a.n + b.n;
-            if n <= 1.0 {
-                return 0.0; // fractional weights: merged "cluster" of ≤ one point
-            }
-            let dmu_sq = deviation::<false>(dim, a.vec, a.vec_c, b.vec, b.vec_c);
-            let sse_m = a.sse + b.sse + (a.n * b.n / n) * dmu_sq;
-            (2.0 * sse_m / (n - 1.0)).max(0.0)
-        }
-        DistanceMetric::D4 => {
-            let n = a.n + b.n;
-            let dmu_sq = deviation::<false>(dim, a.vec, a.vec_c, b.vec, b.vec_c);
-            ((a.n * b.n / n) * dmu_sq).max(0.0)
-        }
+    /// Rows `start..end` in order, each as [`Rows::row`] gives it. Every
+    /// slab is sliced once for the whole range and the slices are walked
+    /// together, so no row load carries a bounds check; in the serial
+    /// classes the stride is the constant [`LANE_WIDTH`].
+    #[inline(always)]
+    fn range<const D: usize>(&self, start: usize, end: usize) -> impl Iterator<Item = Operand<'a>> {
+        let s = if D == WIDE { self.stride } else { LANE_WIDTH };
+        debug_assert_eq!(s, self.stride, "a serial class's rows are one lane wide");
+        let vec = self.vec[start * s..end * s].chunks_exact(s);
+        let vec_c = self.vec_c[start * s..end * s].chunks_exact(s);
+        let sse = self.sse[start..end].iter().zip(&self.sse_c[start..end]);
+        self.n[start..end].iter().zip(sse).zip(vec.zip(vec_c)).map(
+            |((&n, (&sse, &sse_c)), (vec, vec_c))| Operand {
+                n,
+                sse: sse + sse_c,
+                vec,
+                vec_c,
+            },
+        )
     }
 }
 
-/// A metric's final step from its [`lane_pre_root`] value.
+/// The one kernel: metric `M`'s value before its final square root,
+/// `view_distance`'s deviation form over the dimension class `D`'s sums.
+/// D1 has no root, so its value is the distance itself. The metric match
+/// and the class test fold away at compile time, so a row costs its
+/// arithmetic and the empty-operand guard, which never fires on a live
+/// tree. Shares the empty-operand contract (debug-assert, `+∞` in
+/// release).
 #[inline(always)]
-fn root(metric: DistanceMetric, pre: f64) -> f64 {
-    if metric == DistanceMetric::D1 {
+fn pre_root<const M: u8, const D: usize>(a: &Operand<'_>, b: &Operand<'_>) -> f64 {
+    let abs = M == D1;
+    let dev = if D == WIDE {
+        dev_lanes(abs, a.vec, a.vec_c, b.vec, b.vec_c)
+    } else {
+        dev_serial::<D>(abs, a.vec, a.vec_c, b.vec, b.vec_c)
+    };
+    let n = a.n + b.n;
+    let pre = match M {
+        D0 | D1 => dev,
+        D2 => (a.sse / a.n + b.sse / b.n + dev).max(0.0),
+        D3 => {
+            let sse_m = a.sse + b.sse + (a.n * b.n / n) * dev;
+            // Fractional weights: a merged "cluster" of at most one point.
+            if n <= 1.0 {
+                0.0
+            } else {
+                (2.0 * sse_m / (n - 1.0)).max(0.0)
+            }
+        }
+        D4 => ((a.n * b.n / n) * dev).max(0.0),
+        _ => unreachable!("no metric has id {M}"),
+    };
+    let empty = a.n <= 0.0 || b.n <= 0.0;
+    debug_assert!(!empty, "distance with an empty CF operand");
+    if empty {
+        f64::INFINITY
+    } else {
+        pre
+    }
+}
+
+/// Metric `M`'s final step from its [`pre_root`] value.
+#[inline(always)]
+fn root<const M: u8>(pre: f64) -> f64 {
+    if M == D1 {
         pre
     } else {
         pre.sqrt()
     }
 }
 
-/// The lane twin of `view_distance`: the root of [`lane_pre_root`].
-#[inline]
-fn lane_distance(metric: DistanceMetric, dim: usize, a: &Operand<'_>, b: &Operand<'_>) -> f64 {
-    root(metric, lane_pre_root(metric, dim, a, b))
+/// The lane twin of `view_distance`: the root of [`pre_root`].
+#[inline(always)]
+fn lane_distance<const M: u8, const D: usize>(a: &Operand<'_>, b: &Operand<'_>) -> f64 {
+    root::<M>(pre_root::<M, D>(a, b))
 }
 
-/// A scan's running best: the winner's distance `d` and its pre-root
-/// value `pre`, with `d == root(pre)`.
+/// Whether `x` beats `y` in a first-maximum (`MAX`) or first-minimum scan.
+/// Nothing beats or is beaten by NaN.
+#[inline(always)]
+fn beats<const MAX: bool>(x: f64, y: f64) -> bool {
+    if MAX {
+        x > y
+    } else {
+        x < y
+    }
+}
+
+/// A scan's running best: the winner's distance `d` and a pre-root value
+/// `pre` with `d == root(pre)`.
 ///
-/// `sqrt` is correctly rounded and so monotone: a row whose pre-root value
-/// does not beat `pre` cannot have a root that beats `d`. A scan therefore
-/// takes a row's root only when its pre-root value wins, and the row
-/// becomes the best only if its root wins too. The second test matters
-/// because two pre-root values an ulp apart can share one root: comparing
-/// roots keeps the earlier row, exactly as a scan over distances does.
+/// `sqrt` is correctly rounded and so monotone: a value that does not beat
+/// `pre` cannot have a root that beats `d`, so a scan takes a root only
+/// when a pre-root value wins, and a row becomes the best only if its root
+/// wins too. The second test matters because two pre-root values an ulp
+/// apart can share one root: comparing roots keeps the earlier row,
+/// exactly as a scan over distances does. A chunk of rows is resolved the
+/// same way through its extreme value `x`: the rows whose root equals
+/// `root(x)` are exactly the chunk's rows at its best distance, so the
+/// first of them is the chunk's first-extreme row.
 #[derive(Clone, Copy)]
 struct Best {
     pre: f64,
@@ -346,19 +423,19 @@ impl Best {
 
     /// The best taken unconditionally from a row's pre-root value.
     #[inline(always)]
-    fn of(metric: DistanceMetric, pre: f64) -> Self {
+    fn of<const M: u8>(pre: f64) -> Self {
         Best {
             pre,
-            d: root(metric, pre),
+            d: root::<M>(pre),
         }
     }
 
     /// Takes the row whose pre-root value is `pre` if its distance is
     /// strictly smaller (so the earliest of equal distances stays).
     #[inline(always)]
-    fn lower(&mut self, metric: DistanceMetric, pre: f64) -> bool {
+    fn lower<const M: u8>(&mut self, pre: f64) -> bool {
         if pre < self.pre {
-            let d = root(metric, pre);
+            let d = root::<M>(pre);
             if d < self.d {
                 *self = Best { pre, d };
                 return true;
@@ -366,20 +443,53 @@ impl Best {
         }
         false
     }
+}
 
-    /// Takes the row whose pre-root value is `pre` if its distance is
-    /// strictly larger.
-    #[inline(always)]
-    fn higher(&mut self, metric: DistanceMetric, pre: f64) -> bool {
-        if pre > self.pre {
-            let d = root(metric, pre);
-            if d > self.d {
-                *self = Best { pre, d };
-                return true;
+/// Continues a first-minimum (first-maximum when `MAX`) scan of `a`
+/// against rows `from..` of `rows`, chunk by chunk: fills `buf` with a
+/// chunk's pre-root values and its extreme with no branch per row, and
+/// resolves the chunk only when that extreme beats `best` (see [`Best`]).
+/// Returns the row that last replaced `best`, if any.
+#[inline(always)]
+fn scan_rows<const M: u8, const D: usize, const MAX: bool>(
+    a: &Operand<'_>,
+    rows: &Rows<'_>,
+    from: usize,
+    best: &mut Best,
+    buf: &mut [f64; CHUNK],
+) -> Option<usize> {
+    let mut at = None;
+    let mut start = from;
+    while start < rows.len() {
+        let end = rows.len().min(start + CHUNK);
+        let vals = &mut buf[..end - start];
+        let mut extreme = if MAX {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        };
+        for (v, b) in vals.iter_mut().zip(rows.range::<D>(start, end)) {
+            *v = pre_root::<M, D>(a, &b);
+            extreme = if beats::<MAX>(*v, extreme) {
+                *v
+            } else {
+                extreme
+            };
+        }
+        if beats::<MAX>(extreme, best.pre) {
+            let d = root::<M>(extreme);
+            if beats::<MAX>(d, best.d) {
+                *best = Best { pre: extreme, d };
+                let i = vals
+                    .iter()
+                    .position(|&v| root::<M>(v) == d)
+                    .expect("a chunk's extreme is one of its rows");
+                at = Some(start + i);
             }
         }
-        false
+        start = end;
     }
+    at
 }
 
 /// Lane form of [`crate::distance::distance_to_row`] (probe vs block
@@ -387,12 +497,8 @@ impl Best {
 /// tolerance contract above.
 #[inline]
 pub(crate) fn distance_to_row(metric: DistanceMetric, ent: &Cf, block: &CfBlock, i: usize) -> f64 {
-    lane_distance(
-        metric,
-        block.dim(),
-        &Operand::probe(ent),
-        &Rows::of(block).row(i),
-    )
+    let (probe, row) = (Operand::probe(ent), Rows::of(block).row(i));
+    compiled!(metric, block.dim(), lane_distance(&probe, &row))
 }
 
 /// Lane form of [`crate::distance::pair_in_block`]: both rows as padded
@@ -400,7 +506,8 @@ pub(crate) fn distance_to_row(metric: DistanceMetric, ent: &Cf, block: &CfBlock,
 #[inline]
 pub(crate) fn pair_in_block(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
     let rows = Rows::of(block);
-    lane_distance(metric, block.dim(), &rows.row(i), &rows.row(j))
+    let (a, b) = (rows.row(i), rows.row(j));
+    compiled!(metric, block.dim(), lane_distance(&a, &b))
 }
 
 /// Lane form of the first-minimum closest-row scan. Identical selection
@@ -412,16 +519,16 @@ pub(crate) fn closest_among(
     block: &CfBlock,
 ) -> Option<(usize, f64)> {
     let _sp = crate::obs::span::enter("simd_kernel");
-    let probe = Operand::probe(ent);
-    let dim = block.dim();
-    let rows = Rows::of(block);
+    let (probe, rows) = (Operand::probe(ent), Rows::of(block));
+    compiled!(metric, block.dim(), closest_among_in(&probe, &rows))
+}
+
+fn closest_among_in<const M: u8, const D: usize>(
+    probe: &Operand<'_>,
+    rows: &Rows<'_>,
+) -> Option<(usize, f64)> {
     let mut best = Best::MIN_START;
-    let mut at = None;
-    for i in 0..block.len() {
-        if best.lower(metric, lane_pre_root(metric, dim, &probe, &rows.row(i))) {
-            at = Some(i);
-        }
-    }
+    let at = scan_rows::<M, D, false>(probe, rows, 0, &mut best, &mut [0.0; CHUNK]);
     at.map(|i| (i, best.d))
 }
 
@@ -437,13 +544,26 @@ pub(crate) fn closest_among_pruned(
         return (best, block.len() as u64, 0);
     }
     let probe = Operand::probe(ent);
-    let dim = block.dim();
-    let rows = Rows::of(block);
     let ent_norm = ent.mean_sq().sqrt();
+    compiled!(
+        metric,
+        block.dim(),
+        closest_among_pruned_in(&probe, ent_norm, block)
+    )
+}
+
+/// Row by row, since whether a row is skipped depends on the best found
+/// before it.
+fn closest_among_pruned_in<const M: u8, const D: usize>(
+    probe: &Operand<'_>,
+    ent_norm: f64,
+    block: &CfBlock,
+) -> (Option<(usize, f64)>, u64, u64) {
+    let rows = Rows::of(block);
     let mut best = Best::MIN_START;
     let mut at = None;
     let (mut evaluated, mut pruned) = (0u64, 0u64);
-    for i in 0..block.len() {
+    for i in 0..rows.len() {
         let row_norm = row_centroid_norm(block, i);
         let bound = (ent_norm - row_norm).abs() - D0_PRUNE_SLACK_REL * (ent_norm + row_norm);
         if bound > best.d {
@@ -451,7 +571,7 @@ pub(crate) fn closest_among_pruned(
             continue;
         }
         evaluated += 1;
-        if best.lower(metric, lane_pre_root(metric, dim, &probe, &rows.row(i))) {
+        if best.lower::<M>(pre_root::<M, D>(probe, &rows.row(i))) {
             at = Some(i);
         }
     }
@@ -463,24 +583,25 @@ pub(crate) fn closest_among_pruned(
 #[inline]
 pub(crate) fn closest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
     let _sp = crate::obs::span::enter("simd_kernel");
-    let dim = block.dim();
+    if block.len() < 2 {
+        return None;
+    }
     let rows = Rows::of(block);
-    let mut best: Option<(usize, usize, Best)> = None;
-    for i in 0..block.len() {
-        let a = rows.row(i);
-        for j in (i + 1)..block.len() {
-            let pre = lane_pre_root(metric, dim, &a, &rows.row(j));
-            match best.as_mut() {
-                Some((bi, bj, run)) => {
-                    if run.lower(metric, pre) {
-                        (*bi, *bj) = (i, j);
-                    }
-                }
-                None => best = Some((i, j, Best::of(metric, pre))),
-            }
+    compiled!(metric, block.dim(), closest_pair_in(&rows))
+}
+
+fn closest_pair_in<const M: u8, const D: usize>(rows: &Rows<'_>) -> Option<(usize, usize, f64)> {
+    let buf = &mut [0.0; CHUNK];
+    // Pair (0, 1) is the unconditional start; meeting it again in the
+    // scan cannot replace it, since nothing beats itself.
+    let mut best = Best::of::<M>(pre_root::<M, D>(&rows.row(0), &rows.row(1)));
+    let mut at = (0, 1);
+    for i in 0..rows.len() {
+        if let Some(j) = scan_rows::<M, D, false>(&rows.row(i), rows, i + 1, &mut best, buf) {
+            at = (i, j);
         }
     }
-    best.map(|(i, j, run)| (i, j, run.d))
+    Some((at.0, at.1, best.d))
 }
 
 /// Lane form of the first-maximum farthest-pair scan.
@@ -493,18 +614,19 @@ pub(crate) fn farthest_pair(
         return None;
     }
     let _sp = crate::obs::span::enter("simd_kernel");
-    let dim = block.dim();
     let rows = Rows::of(block);
-    let (mut far, mut best) = ((0, 1), Best::MAX_START);
-    for i in 0..block.len() {
-        let a = rows.row(i);
-        for j in (i + 1)..block.len() {
-            if best.higher(metric, lane_pre_root(metric, dim, &a, &rows.row(j))) {
-                far = (i, j);
-            }
+    compiled!(metric, block.dim(), farthest_pair_in(&rows))
+}
+
+fn farthest_pair_in<const M: u8, const D: usize>(rows: &Rows<'_>) -> Option<(usize, usize, f64)> {
+    let buf = &mut [0.0; CHUNK];
+    let (mut best, mut at) = (Best::MAX_START, (0, 1));
+    for i in 0..rows.len() {
+        if let Some(j) = scan_rows::<M, D, true>(&rows.row(i), rows, i + 1, &mut best, buf) {
+            at = (i, j);
         }
     }
-    Some((far.0, far.1, best.d))
+    Some((at.0, at.1, best.d))
 }
 
 #[cfg(test)]
@@ -597,25 +719,27 @@ mod tests {
         }
     }
 
-    /// Asserts that the three lane scans pick the scalar oracles' rows.
+    /// Asserts that the three lane scans pick the scalar oracles' rows,
+    /// and at dim ≤ 4 also return the scalar oracles' distance bits.
     fn assert_scans_agree(m: DistanceMetric, probe: &Cf, block: &CfBlock, ctx: &str) {
+        let bits = |d: f64| if block.dim() <= 4 { d.to_bits() } else { 0 };
         let lane = closest_among(m, probe, block);
         let scalar = closest_among_scalar(m, probe, block);
         assert_eq!(
-            lane.map(|(i, _)| i),
-            scalar.map(|(i, _)| i),
+            lane.map(|(i, d)| (i, bits(d))),
+            scalar.map(|(i, d)| (i, bits(d))),
             "{m} {ctx} closest_among winner"
         );
         let (lp, sp) = (closest_pair(m, block), closest_pair_scalar(m, block));
         assert_eq!(
-            lp.map(|(i, j, _)| (i, j)),
-            sp.map(|(i, j, _)| (i, j)),
+            lp.map(|(i, j, d)| (i, j, bits(d))),
+            sp.map(|(i, j, d)| (i, j, bits(d))),
             "{m} {ctx} closest_pair"
         );
         let (lf, sf) = (farthest_pair(m, block), farthest_pair_scalar(m, block));
         assert_eq!(
-            lf.map(|(i, j, _)| (i, j)),
-            sf.map(|(i, j, _)| (i, j)),
+            lf.map(|(i, j, d)| (i, j, bits(d))),
+            sf.map(|(i, j, d)| (i, j, bits(d))),
             "{m} {ctx} farthest_pair"
         );
     }
@@ -637,45 +761,135 @@ mod tests {
     fn scans_agree_with_scalar_oracles() {
         // Winners must match the scalar scans at every dim: distances
         // agree within 1e-12 relative while the fixtures keep every
-        // inter-row gap far wider, so no ordering can flip.
-        for dim in [2usize, 3, 5, 8, 33] {
-            let cfs = fixture(dim, 10);
-            let block = CfBlock::from_cfs(&cfs);
-            for m in DistanceMetric::ALL {
-                assert_scans_agree(m, &cfs[3], &block, &format!("dim {dim}"));
+        // inter-row gap far wider, so no ordering can flip. The block
+        // sizes sit on both sides of one and two selection chunks, and
+        // the dims cover every dimension class.
+        for dim in [1usize, 2, 3, 4, 5, 8, 33] {
+            let cfs = fixture(dim, 101);
+            let probe = &cfs[100];
+            for rows in [1usize, 2, 10, 31, 32, 33, 64, 65, 100] {
+                let block = CfBlock::from_cfs(&cfs[..rows]);
+                for m in DistanceMetric::ALL {
+                    assert_scans_agree(m, probe, &block, &format!("dim {dim}, {rows} rows"));
+                }
             }
         }
 
-        // Root collisions: each block holds an earlier and a later
-        // candidate at distance 5, the later one's pre-root value an ulp
-        // past the earlier's. The strict rule on distances keeps the
-        // earlier one; a scan comparing pre-root values alone would not.
-        let (hi, lo) = root_collision();
+        // Planted cases, probed from the origin, each with the winner the
+        // scalar scan it targets must pick under D0.
+        enum Want {
+            Among(usize),
+            Pair(usize, usize),
+            Far(usize, usize),
+        }
         let at = |x: f64, y: f64| Cf::from_point(&Point::xy(x, y));
         let origin = at(0.0, 0.0);
-        // closest_among from the origin: rows 1 and 2.
-        let among = CfBlock::from_cfs(&[at(30.0, 0.0), at(3.0, hi), at(3.0, lo), at(-30.0, 0.0)]);
-        // closest_pair: pairs (0, 1) and (2, 3).
-        let pairs =
+        let planted = |backdrop: &[Cf], rows: &[(usize, Cf)]| {
+            let mut block = CfBlock::from_cfs(backdrop);
+            for (i, cf) in rows {
+                block.set(*i, cf);
+            }
+            block
+        };
+        // Backdrops of 64 singletons: 100 apart on a line from (100, 0);
+        // 5 apart on an 8-wide grid from (150, 150); 1e-3 apart on one
+        // from (1.5, 2), 2.5 from both the origin and (3, 4).
+        let line = (0..64)
+            .map(|r| at(100.0 * (r + 1) as f64, 0.0))
+            .collect::<Vec<_>>();
+        let lattice = |x: f64, y: f64, step: f64| {
+            (0..64)
+                .map(|r| at(x + step * (r % 8) as f64, y + step * (r / 8) as f64))
+                .collect::<Vec<_>>()
+        };
+        let (grid, huddle) = (lattice(150.0, 150.0, 5.0), lattice(1.5, 2.0, 1e-3));
+        let mut cases = Vec::new();
+
+        // Exact ties across a chunk boundary. closest_among: the same
+        // nearest row in two chunks. closest_pair: row 0's two nearest
+        // rows straddle its scan's first chunk boundary (at CHUNK + 1),
+        // and two equal pairs sit in the scans of rows 5 and 41.
+        // farthest_pair: row 0's two farthest rows straddle it. The
+        // earlier row or pair must win.
+        for (a, b) in [(CHUNK - 1, CHUNK), (5, 40)] {
+            let block = planted(&line, &[(a, at(3.0, 4.0)), (b, at(3.0, 4.0))]);
+            cases.push((format!("tie rows {a}, {b}"), block, Want::Among(a)));
+        }
+        let (a, b) = (CHUNK, CHUNK + 1);
+        let rows = [(0, origin.clone()), (a, at(3.0, 4.0)), (b, at(-3.0, -4.0))];
+        cases.push((
+            "tie pairs in one scan".into(),
+            planted(&line, &rows),
+            Want::Pair(0, a),
+        ));
+        let rows = [(40, at(603.0, 4.0)), (63, at(4203.0, 4.0))];
+        cases.push((
+            "tie pairs in two scans".into(),
+            planted(&line, &rows),
+            Want::Pair(5, 40),
+        ));
+        let rows = [
+            (0, origin.clone()),
+            (a, at(300.0, 400.0)),
+            (b, at(400.0, 300.0)),
+        ];
+        cases.push((
+            "tie far pairs".into(),
+            planted(&grid, &rows),
+            Want::Far(0, a),
+        ));
+
+        // Root collisions: an earlier and a later candidate at distance 5,
+        // one's pre-root value an ulp past the other's. The strict rule on
+        // distances keeps the earlier one; a scan comparing pre-root
+        // values alone would not. First within one chunk, then straddling
+        // a chunk boundary in both orders.
+        let (hi, lo) = root_collision();
+        let block = CfBlock::from_cfs(&[at(30.0, 0.0), at(3.0, hi), at(3.0, lo), at(-30.0, 0.0)]);
+        cases.push(("root collision among".into(), block, Want::Among(1)));
+        let block =
             CfBlock::from_cfs(&[origin.clone(), at(3.0, hi), at(1e3, 0.0), at(1e3 + 3.0, lo)]);
-        // farthest_pair: pairs (0, 1) and (0, 2).
-        let far = CfBlock::from_cfs(&[origin.clone(), at(3.0, lo), at(3.0, hi)]);
+        cases.push(("root collision pairs".into(), block, Want::Pair(0, 1)));
+        let block = CfBlock::from_cfs(&[origin.clone(), at(3.0, lo), at(3.0, hi)]);
+        cases.push(("root collision far".into(), block, Want::Far(0, 1)));
+        for (y1, y2) in [(hi, lo), (lo, hi)] {
+            let ctx = format!("root collision across chunks, y {y1} then {y2}");
+            let rows = [(CHUNK - 1, at(3.0, y1)), (CHUNK, at(3.0, y2))];
+            let want = Want::Among(CHUNK - 1);
+            cases.push((format!("{ctx}: among"), planted(&line, &rows), want));
+            let rows = [(0, origin.clone()), (a, at(3.0, y1)), (b, at(-3.0, -y2))];
+            cases.push((
+                format!("{ctx}: pairs"),
+                planted(&line, &rows),
+                Want::Pair(0, a),
+            ));
+            let rows = [(0, origin.clone()), (a, at(3.0, y1)), (b, at(3.0, y2))];
+            cases.push((
+                format!("{ctx}: far"),
+                planted(&huddle, &rows),
+                Want::Far(0, a),
+            ));
+        }
+
         let d0 = DistanceMetric::D0;
-        assert_eq!(
-            closest_among_scalar(d0, &origin, &among).map(|(i, _)| i),
-            Some(1)
-        );
-        assert_eq!(
-            closest_pair_scalar(d0, &pairs).map(|(i, j, _)| (i, j)),
-            Some((0, 1))
-        );
-        assert_eq!(
-            farthest_pair_scalar(d0, &far).map(|(i, j, _)| (i, j)),
-            Some((0, 1))
-        );
-        for m in DistanceMetric::ALL {
-            for (block, ctx) in [(&among, "among"), (&pairs, "pairs"), (&far, "far")] {
-                assert_scans_agree(m, &origin, block, &format!("root collision {ctx}"));
+        for (ctx, block, want) in &cases {
+            let (got, want) = match *want {
+                Want::Among(i) => (
+                    closest_among_scalar(d0, &origin, block).map(|(i, _)| (i, 0)),
+                    (i, 0),
+                ),
+                Want::Pair(i, j) => (
+                    closest_pair_scalar(d0, block).map(|(i, j, _)| (i, j)),
+                    (i, j),
+                ),
+                Want::Far(i, j) => (
+                    farthest_pair_scalar(d0, block).map(|(i, j, _)| (i, j)),
+                    (i, j),
+                ),
+            };
+            assert_eq!(got, Some(want), "{ctx}");
+            for m in DistanceMetric::ALL {
+                assert_scans_agree(m, &origin, block, ctx);
             }
         }
     }

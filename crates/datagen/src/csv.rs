@@ -11,7 +11,8 @@
 //!
 //! with an optional integer label column (ground truth; empty = noise).
 //! Buffered line-at-a-time reading follows the database-Rust guidance —
-//! one reusable `String`, no per-line allocation beyond the parsed floats.
+//! one reusable byte buffer, no per-line allocation beyond the parsed
+//! floats, and never the whole file in memory.
 
 use birch_core::Point;
 use std::fs::File;
@@ -61,53 +62,66 @@ pub fn write_points(
 
 /// Reads points (and labels, when `labeled` is true) from a CSV file.
 ///
+/// Streams the file a line at a time through one reused byte buffer, so
+/// the only allocations are the points themselves, each built from an
+/// exactly sized coordinate vector.
+///
 /// # Errors
 ///
 /// Returns an I/O error for file problems, or `InvalidData` for malformed
-/// rows (wrong arity, unparsable numbers, no coordinates, a NaN or
-/// infinite coordinate), naming the row.
+/// rows (invalid UTF-8, wrong arity, unparsable numbers, no coordinates,
+/// a NaN or infinite coordinate), naming the row.
 pub fn read_points(path: &Path, labeled: bool) -> io::Result<LabeledPoints> {
     let mut reader = BufReader::new(File::open(path)?);
     let mut points = Vec::new();
     let mut labels: Vec<Option<usize>> = Vec::new();
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut dim: Option<usize> = None;
     let mut row = 0usize;
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if reader.read_until(b'\n', &mut line)? == 0 {
             break;
         }
         row += 1;
-        let trimmed = line.trim_end();
+        let text =
+            std::str::from_utf8(&line).map_err(|e| bad(row, &format!("invalid UTF-8: {e}")))?;
+        let trimmed = text.trim_end();
         if trimmed.is_empty() {
             continue;
         }
-        let mut fields: Vec<&str> = trimmed.split(',').collect();
-        let label = if labeled {
-            let raw = fields
-                .pop()
-                .ok_or_else(|| bad(row, "missing label column"))?;
-            if raw.is_empty() {
+        // The label is the last field; a labeled row without a comma has
+        // no coordinate fields at all.
+        let (fields, label) = if labeled {
+            let (fields, raw) = match trimmed.rsplit_once(',') {
+                Some((fields, raw)) => (Some(fields), raw),
+                None => (None, trimmed),
+            };
+            let label = if raw.is_empty() {
                 None
             } else {
                 Some(
                     raw.parse::<usize>()
                         .map_err(|e| bad(row, &format!("label: {e}")))?,
                 )
-            }
+            };
+            (fields, label)
         } else {
-            None
+            (Some(trimmed), None)
         };
-        let coords: Vec<f64> = fields
-            .iter()
-            .map(|f| f.trim().parse::<f64>())
-            .collect::<Result<_, _>>()
-            .map_err(|e| bad(row, &format!("coordinate: {e}")))?;
+        let arity = fields.map_or(0, |f| f.bytes().filter(|&b| b == b',').count() + 1);
+        let mut coords = Vec::with_capacity(arity);
+        for field in fields.into_iter().flat_map(|f| f.split(',')) {
+            let c = field
+                .trim()
+                .parse::<f64>()
+                .map_err(|e| bad(row, &format!("coordinate: {e}")))?;
+            coords.push(c);
+        }
         match dim {
-            None => dim = Some(coords.len()),
-            Some(d) if d != coords.len() => {
-                return Err(bad(row, &format!("arity {} != {d}", coords.len())));
+            None => dim = Some(arity),
+            Some(d) if d != arity => {
+                return Err(bad(row, &format!("arity {arity} != {d}")));
             }
             Some(_) => {}
         }
@@ -163,10 +177,16 @@ mod tests {
     #[test]
     fn malformed_rows_rejected() {
         let path = tmp("bad");
-        std::fs::write(&path, "1.0,2.0\n3.0,oops\n").unwrap();
-        let err = read_points(&path, false).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("row 2"));
+        let cases: [(&[u8], &str); 2] = [
+            (b"1.0,2.0\n3.0,oops\n", "row 2"),
+            (b"1.0,2.0\n3.0,4.0\n5.0,\xFF\n", "row 3"),
+        ];
+        for (bytes, row) in cases {
+            std::fs::write(&path, bytes).unwrap();
+            let err = read_points(&path, false).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(row), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
