@@ -17,7 +17,9 @@
 //! lane kernels buy over the scalar forms they replaced, and the bin
 //! asserts the speedup matrix stays at or above [`MIN_LANE_SPEEDUP`] in
 //! every cell. Writes `BENCH_insert_kernel.json` (each row carries a
-//! `simd` column naming the kernel family measured, always `"lane"`) and
+//! `simd` column naming the kernel family measured, always `"lane"`, and
+//! `calls`, the back-to-back calls in one timed window, so a reader can
+//! tell a window's wall, `calls × kernel_ns`, from one call's) and
 //! finishes with two end-to-end `# METRICS` lines (D0 descent-prune
 //! off/on) so the distance-call counters land in the committed bench
 //! trajectory.
@@ -135,6 +137,8 @@ struct Row {
     dim: usize,
     metric: DistanceMetric,
     op: &'static str,
+    /// Calls per timed window.
+    calls: usize,
     scalar_ns: f64,
     kernel_ns: f64,
 }
@@ -210,6 +214,7 @@ fn main() {
                 dim,
                 metric,
                 op: "descent",
+                calls: iters,
                 scalar_ns,
                 kernel_ns,
             });
@@ -228,6 +233,7 @@ fn main() {
                 dim,
                 metric,
                 op: "split",
+                calls: pair_iters,
                 scalar_ns,
                 kernel_ns,
             });
@@ -262,6 +268,7 @@ fn main() {
                 dim,
                 metric,
                 op: "phase3",
+                calls: mat_iters,
                 scalar_ns,
                 kernel_ns,
             });
@@ -293,11 +300,12 @@ fn main() {
             json.push(',');
         }
         json.push_str(&format!(
-            "{{\"dim\":{},\"metric\":\"{}\",\"op\":\"{}\",\"simd\":\"lane\",\
+            "{{\"dim\":{},\"metric\":\"{}\",\"op\":\"{}\",\"simd\":\"lane\",\"calls\":{},\
              \"scalar_ns\":{},\"kernel_ns\":{},\"speedup\":{}}}",
             r.dim,
             r.metric,
             r.op,
+            r.calls,
             json_f64(r.scalar_ns),
             json_f64(r.kernel_ns),
             json_f64(r.scalar_ns / r.kernel_ns),

@@ -10,11 +10,13 @@
 //! distance does (Schubert & Lang's aggregated HAC and Moore's anchors
 //! hierarchy use the same cached-norm bound; see PAPERS.md).
 //!
-//! Phase 3's nearest-neighbour chain ([`crate::hierarchical`]) and Phase 4's
-//! seed search ([`crate::phase4`]) both run on it. The walk only changes
-//! which rows are looked at, never how a visited row compares, so callers
-//! keep their scan's tie rules and stay bit-identical to it (DESIGN.md
-//! §12.3).
+//! Phase 3's nearest-neighbour chain ([`crate::hierarchical`]) walks it. The
+//! walk only changes which rows are looked at, never how a visited row
+//! compares, so the chain keeps its scan's tie rules and stays
+//! bit-identical to it (DESIGN.md §12.3). Phase 4's seed search
+//! ([`crate::phase4`]) does not walk: it sorts its seeds with a
+//! [`NormOrder`] and scans the same annulus a chunk of rows at a time,
+//! closing each side on the same [`gap_bound`].
 
 use crate::distance::D0_PRUNE_SLACK_REL;
 
@@ -78,6 +80,20 @@ impl NormOrder {
     #[inline]
     pub(crate) fn id(&self, pos: usize) -> usize {
         self.ids[pos] as usize
+    }
+
+    /// The norms in sorted order.
+    #[must_use]
+    #[inline]
+    pub(crate) fn norms(&self) -> &[f64] {
+        &self.norms
+    }
+
+    /// The row ids in sorted order.
+    #[must_use]
+    #[inline]
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
     }
 
     /// Heap bytes of the two arrays (capacity: what the allocation holds).

@@ -35,10 +35,10 @@ use std::time::{Duration, Instant};
 /// Version stamp of the metrics JSON emitted by [`RunStats::to_json`].
 /// Bump here (and only here) when the schema changes; tests pin this
 /// constant, not a literal. See DESIGN.md §10 for the v3 → v4,
-/// v4 → v5 and v5 → v6 migration tables. v6 adds the page-cache
-/// counters to `io` (`page_refs`/`page_faults`/`page_evictions`) and
-/// the `page_spill` component to `memory`.
-pub const METRICS_SCHEMA_VERSION: u32 = 6;
+/// v4 → v5, v5 → v6 and v6 → v7 migration tables. v7 counts
+/// `outliers_discarded` (in `io` and `counters`) in points, the dropped
+/// entries' summed N, instead of in entries.
+pub const METRICS_SCHEMA_VERSION: u32 = 7;
 
 /// Errors surfaced by the pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,7 +245,7 @@ impl RunStats {
             self.io.disk_bytes_read,
             self.io.disk_write_attempts,
             self.io.disk_faults_injected,
-            self.io.outliers_discarded,
+            json_f64(self.io.outliers_discarded),
             self.io.page_refs,
             self.io.page_faults,
             self.io.page_evictions,
@@ -764,11 +764,19 @@ impl Birch {
                 },
                 stats.threads.max(1),
             );
-            stats.io.outliers_discarded += p4.discarded;
             if p4.discarded > 0 {
-                tee.record(&Event::OutlierDiscarded {
-                    count: p4.discarded,
+                // In points, as Phases 1 and 2 count theirs: the weight
+                // of the rejected points.
+                let points = weights.map_or(p4.discarded as f64, |w| {
+                    p4.labels
+                        .iter()
+                        .zip(w)
+                        .filter(|(l, _)| l.is_none())
+                        .map(|(_, w)| w)
+                        .sum()
                 });
+                stats.io.outliers_discarded += points;
+                tee.record(&Event::OutlierDiscarded { points });
             }
             tee.record(&Event::PhaseFinished {
                 phase: Phase::Refine,

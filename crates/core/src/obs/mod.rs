@@ -143,10 +143,12 @@ pub enum Event {
         /// write-back (injected fault or force-full degradation).
         folded_back: u64,
     },
-    /// Outlier entries discarded for good at the end of a scan.
+    /// Outliers discarded for good: outlier entries at the end of a scan,
+    /// or points a refinement pass rejects.
     OutlierDiscarded {
-        /// Entries dropped.
-        count: u64,
+        /// Points dropped: the summed N (weight) of the dropped entries or
+        /// points, fractional for weighted input.
+        points: f64,
     },
     /// The in-memory page high-water mark rose.
     PagesHighWater {
@@ -194,7 +196,7 @@ impl Event {
                 "outlier scan: {absorbed} re-absorbed, {reinserted} re-inserted, \
                  {folded_back} folded back"
             ),
-            Event::OutlierDiscarded { count } => format!("{count} outlier entrie(s) discarded"),
+            Event::OutlierDiscarded { points } => format!("{points} outlier point(s) discarded"),
             Event::PagesHighWater { pages } => format!("page high-water mark now {pages}"),
         }
     }
@@ -477,7 +479,7 @@ impl EventSink for MetricsRecorder {
                 r.outliers_reinserted += reinserted;
                 r.outliers_folded_back += folded_back;
             }
-            Event::OutlierDiscarded { count } => r.outliers_discarded += count,
+            Event::OutlierDiscarded { points } => r.outliers_discarded += points,
             Event::PagesHighWater { pages } => r.peak_pages = r.peak_pages.max(pages),
         }
     }
@@ -508,8 +510,9 @@ pub struct MetricsReport {
     /// Outlier entries folded into the tree on a refused disk
     /// write-back (fault paths).
     pub outliers_folded_back: u64,
-    /// Outlier entries discarded at end of scan.
-    pub outliers_discarded: u64,
+    /// Points discarded as outliers: the summed N (weight) of the entries
+    /// dropped at the end of a scan and of the points refinement rejects.
+    pub outliers_discarded: f64,
     /// Page high-water mark observed via events.
     pub peak_pages: usize,
     /// Distance evaluations performed by the insert hot path (descent
@@ -607,7 +610,7 @@ impl MetricsReport {
             self.outliers_reabsorbed,
             self.outliers_reinserted,
             self.outliers_folded_back,
-            self.outliers_discarded,
+            json_f64(self.outliers_discarded),
             self.distance_calls,
             self.distance_calls_pruned,
             self.phase3_pairs_evaluated,
@@ -760,7 +763,7 @@ mod tests {
             reinserted: 3,
             folded_back: 1,
         });
-        rec.record(&Event::OutlierDiscarded { count: 2 });
+        rec.record(&Event::OutlierDiscarded { points: 2.5 });
         rec.record(&Event::RebuildTriggered {
             old_threshold: 0.0,
             new_threshold: 1.0,
@@ -774,7 +777,7 @@ mod tests {
         assert_eq!(r.outliers_reabsorbed, 4);
         assert_eq!(r.outliers_reinserted, 3);
         assert_eq!(r.outliers_folded_back, 1);
-        assert_eq!(r.outliers_discarded, 2);
+        assert_eq!(r.outliers_discarded, 2.5);
         assert_eq!(r.rebuilds, 1);
         assert_eq!(r.events, 7);
     }

@@ -151,17 +151,21 @@ pub fn prometheus_exposition(stats: &RunStats) -> String {
         &mut out,
         "birch_outliers_total",
         "counter",
-        "Outlier-entry dispositions (spilled, reabsorbed, reinserted, folded back, discarded).",
+        "Outlier dispositions: spilled, reabsorbed, reinserted and folded back count entries; discarded counts points (the dropped entries' summed N).",
     );
     for (op, v) in [
         ("spilled", m.outliers_spilled),
         ("reabsorbed", m.outliers_reabsorbed),
         ("reinserted", m.outliers_reinserted),
         ("folded_back", m.outliers_folded_back),
-        ("discarded", m.outliers_discarded),
     ] {
         let _ = writeln!(out, "birch_outliers_total{{disposition=\"{op}\"}} {v}");
     }
+    let _ = writeln!(
+        out,
+        "birch_outliers_total{{disposition=\"discarded\"}} {}",
+        num(m.outliers_discarded)
+    );
 
     header(
         &mut out,

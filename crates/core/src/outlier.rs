@@ -461,30 +461,31 @@ impl OutlierStore {
     }
 
     /// Final disposition at the end of the scan: either discards the
-    /// remaining entries (returning how many points were dropped) or folds
-    /// them back into the tree, per the configuration.
-    pub fn finalize(&mut self, tree: &mut CfTree) -> u64 {
+    /// remaining entries (returning how many points were dropped: their
+    /// summed N, fractional for weighted input) or folds them back into the
+    /// tree (returning 0), per the configuration.
+    pub fn finalize(&mut self, tree: &mut CfTree) -> f64 {
         self.finalize_observed(tree, &mut NoopSink)
     }
 
     /// Like [`OutlierStore::finalize`], but reporting telemetry to `sink`:
-    /// an [`Event::OutlierDiscarded`] with the discard count (when
+    /// an [`Event::OutlierDiscarded`] with the points dropped (when
     /// discarding), or split/refinement deltas for the fold-back inserts
     /// (when not). With [`NoopSink`] this monomorphizes to exactly
     /// [`OutlierStore::finalize`].
-    pub fn finalize_observed(&mut self, tree: &mut CfTree, sink: &mut impl EventSink) -> u64 {
+    pub fn finalize_observed(&mut self, tree: &mut CfTree, sink: &mut impl EventSink) -> f64 {
         let remaining = self.drain_verified();
         if self.config.discard_at_end {
-            let count = remaining.len() as u64;
-            if sink.enabled() && count > 0 {
-                sink.record(&Event::OutlierDiscarded { count });
+            let points: f64 = remaining.iter().map(Cf::n).sum();
+            if sink.enabled() && !remaining.is_empty() {
+                sink.record(&Event::OutlierDiscarded { points });
             }
-            count
+            points
         } else {
             for cf in remaining {
                 tree.insert_cf_observed(&cf, sink);
             }
-            0
+            0.0
         }
     }
 }
@@ -656,7 +657,7 @@ mod tests {
         assert_eq!(report.retained, 1);
         assert_eq!(store.len(), 1);
         let discarded = store.finalize(&mut t);
-        assert_eq!(discarded, 1);
+        assert_eq!(discarded, 1.0);
         assert_eq!(t.total_cf().n(), 20.0);
     }
 
@@ -671,7 +672,7 @@ mod tests {
         let mut t = tree(0.5);
         t.insert_point(&Point::xy(0.0, 0.0));
         let discarded = store.finalize(&mut t);
-        assert_eq!(discarded, 0);
+        assert_eq!(discarded, 0.0);
         assert_eq!(t.total_cf().n(), 2.0);
         assert_eq!(t.leaf_entry_count(), 2);
     }

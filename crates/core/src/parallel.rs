@@ -546,22 +546,28 @@ mod tests {
 
     #[test]
     fn carried_outliers_rejudged_not_lost_silently() {
-        // Noise points spread across shards: with outlier handling on,
-        // each shard may park some; the merge must account for every
-        // point as either kept in the tree or counted discarded.
+        // Noise in close pairs: with outlier handling on, each pair lands
+        // in one leaf entry of two points, which the shard parks and the
+        // merge discards. The merge must account for every point as either
+        // kept in the tree or counted discarded, so a discarded entry
+        // counts its N, not one.
         let mut pts = blobs(8_000, 2);
         for i in 0..40 {
             let j = f64::from(i);
-            pts.push(Point::xy(5_000.0 + j * 211.0, -7_000.0 - j * 173.0));
+            let (x, y) = (5_000.0 + j * 211.0, -7_000.0 - j * 173.0);
+            pts.push(Point::xy(x, y));
+            pts.push(Point::xy(x + 0.01, y));
         }
         let cfg = BirchConfig::with_clusters(2)
             .memory(8 * 1024)
             .page_size(1024);
         let out = run(&cfg, 2, &pts, 4);
         let kept = out.tree.total_cf().n();
-        let discarded = out.io.outliers_discarded as f64;
-        assert!(
-            (kept + discarded - pts.len() as f64).abs() < 1e-6,
+        let discarded = out.io.outliers_discarded;
+        assert!(discarded >= 2.0, "no pair was discarded: {discarded}");
+        assert_eq!(
+            kept + discarded,
+            pts.len() as f64,
             "kept {kept} + discarded {discarded} != {}",
             pts.len()
         );

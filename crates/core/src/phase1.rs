@@ -987,7 +987,7 @@ mod tests {
         let n = 5000;
         let out = run(&cfg, 2, blobs(n, 4));
         assert!((out.tree.total_cf().n() - n as f64).abs() < 1e-6);
-        assert_eq!(out.io.outliers_discarded, 0);
+        assert_eq!(out.io.outliers_discarded, 0.0);
     }
 
     #[test]
@@ -1021,7 +1021,7 @@ mod tests {
         let cfg = tiny_config();
         let out = run(&cfg, 2, input);
         assert!(
-            out.io.outliers_discarded > 0,
+            out.io.outliers_discarded > 0.0,
             "expected discarded outliers, io={:?}",
             out.io
         );

@@ -179,7 +179,7 @@ mod tests {
         let mut store = OutlierStore::new(64 * 1024, 32, OutlierConfig::default());
         let out = condense(t, 20, &mut est, Some(&mut store), &mut io);
         assert!(out.leaf_entry_count() <= 20);
-        assert!(io.outliers_discarded > 0, "io={io:?}");
+        assert!(io.outliers_discarded > 0.0, "io={io:?}");
     }
 
     #[test]
@@ -272,7 +272,7 @@ mod tests {
         };
         let mut store = OutlierStore::new(64 * 1024, 32, cfg);
         let out = condense(t, 10, &mut est, Some(&mut store), &mut io);
-        assert_eq!(io.outliers_discarded, 0);
+        assert_eq!(io.outliers_discarded, 0.0);
         assert!(store.is_empty());
         assert!(
             (out.total_cf().n() - 450.0).abs() < 1e-6,

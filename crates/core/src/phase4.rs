@@ -12,7 +12,8 @@
 
 use crate::annulus::{gap_bound, NormOrder};
 use crate::cf::Cf;
-use crate::point::{sq_dist, Point};
+use crate::point::Point;
+use crate::simd::{compiled, WIDE};
 
 /// Configuration for the refinement pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,9 +46,11 @@ pub struct Phase4Result {
     pub clusters: Vec<Cf>,
     /// Points discarded as outliers over the final pass.
     pub discarded: u64,
-    /// Point-to-seed distances computed over all passes. A brute scan
-    /// computes `points × seeds` per pass; the norm-ordered seed search
-    /// skips the seeds its bound rules out.
+    /// Point-to-seed distances computed over all passes: the seed rows
+    /// each point's search scanned, each row counted once per point. A
+    /// brute scan computes `points × seeds` per pass; the norm-ordered
+    /// seed search scans whole chunks of rows around the point's norm and
+    /// skips the rows its bound rules out.
     pub seed_distance_calls: u64,
 }
 
@@ -118,7 +121,8 @@ pub fn refine_parallel(
                 nz.iter().sum::<f64>() / nz.len() as f64
             }
         };
-        let keep = |best: usize, best_d: f64| match config.outlier_factor {
+        // The search returns squared distances; only this rule reads a root.
+        let keep = |best: usize, best_sq: f64| match config.outlier_factor {
             None => true,
             Some(f) => {
                 let scale = if radii[best] > 0.0 {
@@ -126,7 +130,7 @@ pub fn refine_parallel(
                 } else {
                     mean_radius
                 };
-                scale == 0.0 || best_d <= f * scale
+                scale == 0.0 || best_sq.sqrt() <= f * scale
             }
         };
 
@@ -172,9 +176,9 @@ pub fn refine_parallel(
 const BLOCK_PER_WORKER: usize = 4096;
 
 /// One block's search: sets each label to the point's nearest seed, or to
-/// `None` when `keep` rejects that seed and distance. The points split
-/// into `threads` contiguous chunks; the calling thread labels the first
-/// and scoped workers the rest, each writing only its own chunk of
+/// `None` when `keep` rejects that seed and squared distance. The points
+/// split into `threads` contiguous chunks; the calling thread labels the
+/// first and scoped workers the rest, each writing only its own chunk of
 /// `labels`. Returns the seed distances computed and the points rejected.
 fn label_points(
     points: &[Point],
@@ -184,14 +188,7 @@ fn label_points(
     threads: usize,
 ) -> (u64, u64) {
     let label_chunk = |points: &[Point], labels: &mut [Option<usize>]| {
-        let (mut calls, mut dropped) = (0u64, 0u64);
-        for (p, label) in points.iter().zip(labels) {
-            let (best, best_d) = seeds.nearest(p, &mut calls);
-            let kept = keep(best, best_d);
-            dropped += u64::from(!kept);
-            *label = kept.then_some(best);
-        }
-        (calls, dropped)
+        compiled!(seeds.dim, label_rows(points, seeds, keep, labels))
     };
     let chunk = points.len().div_ceil(threads).max(1);
     let mut chunks = points.chunks(chunk).zip(labels.chunks_mut(chunk));
@@ -211,19 +208,47 @@ fn label_points(
     })
 }
 
-fn norm(p: &Point) -> f64 {
-    p.coords().iter().map(|v| v * v).sum::<f64>().sqrt()
+/// One worker's chunk of a block, searched with the seed scan compiled
+/// for dimension class `D` (see [`SeedSlab::nearest`]).
+fn label_rows<const D: usize>(
+    points: &[Point],
+    seeds: &SeedSlab,
+    keep: &impl Fn(usize, f64) -> bool,
+    labels: &mut [Option<usize>],
+) -> (u64, u64) {
+    let (mut calls, mut dropped) = (0u64, 0u64);
+    for (p, label) in points.iter().zip(labels) {
+        let (best, best_sq) = seeds.nearest::<D>(p.coords(), &mut calls);
+        let kept = keep(best, best_sq);
+        dropped += u64::from(!kept);
+        *label = kept.then_some(best);
+    }
+    (calls, dropped)
 }
 
+fn norm(x: &[f64]) -> f64 {
+    x.iter().map(|v| v * v).sum::<f64>().sqrt()
+}
+
+/// Seed rows per side and round of the seed search: the stack array of
+/// squared distances that one branch-free fold selects from. Eight rows
+/// measured best or near-best on 2-d and 16-d seed sets alike
+/// (EXPERIMENTS.md).
+const CHUNK: usize = 8;
+
 /// One pass's seed centroids as a single flat slab, rows in `(‖c‖, seed
-/// index)` order, so the seed search walks outward in norm from each
-/// point (see [`crate::annulus`]) and reads the rows it visits from one
-/// contiguous allocation. It replaces a `Vec<Point>` of centroids and a
-/// vector of their norms, and holds less heap than the two did.
+/// index)` order, so the seed search scans outward in norm from each
+/// point (see [`crate::annulus`]).
+///
+/// The slab is dimension-major: coordinate `i` of sorted row `p` sits at
+/// `cols[i·K + p]`, so a chunk of consecutive rows is contiguous per
+/// coordinate and one chunk's distances are computed a coordinate at a
+/// time across all its rows. The norms and ids are the pass's
+/// [`NormOrder`]; with the slab that is K·d + K `f64` and K `u32` of heap.
 struct SeedSlab {
     order: NormOrder,
-    /// Row `pos` (sorted position) occupies `coords[pos*dim .. (pos+1)*dim]`.
-    coords: Vec<f64>,
+    /// Coordinate `i` of sorted row `p` is `cols[i * order.len() + p]`.
+    cols: Vec<f64>,
     dim: usize,
 }
 
@@ -232,50 +257,145 @@ impl SeedSlab {
         let order = NormOrder::new(
             &clusters
                 .iter()
-                .map(|c| norm(&c.centroid()))
+                .map(|c| norm(c.centroid().coords()))
                 .collect::<Vec<f64>>(),
         );
-        let dim = clusters[0].dim();
-        let mut coords = Vec::with_capacity(order.len() * dim);
-        for pos in 0..order.len() {
-            coords.extend_from_slice(clusters[order.id(pos)].centroid().coords());
+        let (k, dim) = (order.len(), clusters[0].dim());
+        let mut cols = vec![0.0; k * dim];
+        for (p, &id) in order.ids().iter().enumerate() {
+            let c = clusters[id as usize].centroid();
+            for (i, &v) in c.coords().iter().enumerate() {
+                cols[i * k + p] = v;
+            }
         }
-        Self { order, coords, dim }
+        Self { order, cols, dim }
     }
 
-    /// Index and distance of the seed centroid nearest to `p` (Euclidean,
-    /// per the paper: "the Euclidian distance to the closest seed"),
-    /// adding the number of seed distances computed to `calls`.
+    /// Squared distances from `x` to sorted rows `start..start + CHUNK`.
+    /// Each row sums `(x_i − c_i)²` over `i` in index order, the order of
+    /// [`crate::point::sq_dist`], so every distance has a brute scan's
+    /// bits: the arithmetic runs across the chunk's rows, never across a
+    /// row's coordinates.
+    #[inline(always)]
+    fn chunk_sq(&self, x: &[f64], start: usize) -> [f64; CHUNK] {
+        let k = self.order.len();
+        let mut acc = [0.0; CHUNK];
+        for (i, &xi) in x.iter().enumerate() {
+            let col: &[f64; CHUNK] = self.cols[i * k + start..][..CHUNK]
+                .try_into()
+                .expect("a chunk is CHUNK rows");
+            for (a, &c) in acc.iter_mut().zip(col) {
+                let d = xi - c;
+                *a += d * d;
+            }
+        }
+        acc
+    }
+
+    /// Folds the chunk of sorted rows `start..start + CHUNK`, whose squared
+    /// distances are `acc`, into `best`, the running lexicographic minimum
+    /// of `(squared distance, seed index)`: the chunk's minimum by a
+    /// pairwise tree, then the lowest seed index among the rows equal to
+    /// it. No branch depends on a row; the equal rows are a bit mask,
+    /// nearly always of one row.
+    #[inline(always)]
+    fn fold(&self, acc: &[f64; CHUNK], start: usize, best: &mut (f64, u32)) {
+        let mut tree = *acc;
+        let mut width = CHUNK;
+        while width > 1 {
+            width /= 2;
+            for r in 0..width {
+                tree[r] = if tree[r + width] < tree[r] {
+                    tree[r + width]
+                } else {
+                    tree[r]
+                };
+            }
+        }
+        let min = tree[0];
+        let mut equal = acc
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (r, &v)| m | u32::from(v == min) << r);
+        let ids = &self.order.ids()[start..start + CHUNK];
+        let mut id = u32::MAX;
+        while equal != 0 {
+            id = id.min(ids[equal.trailing_zeros() as usize]);
+            equal &= equal - 1;
+        }
+        if min < best.0 || (min == best.0 && id < best.1) {
+            *best = (min, id);
+        }
+    }
+
+    /// Index and squared distance of the seed centroid nearest to `x`
+    /// (Euclidean, per the paper: "the Euclidian distance to the closest
+    /// seed"), adding the seed rows scanned to `calls`. `D` is the
+    /// dimension class (1–4, or [`WIDE`] for every wider dim), so the
+    /// coordinate loop of a class 1–4 scan has a constant trip count.
     ///
-    /// Exactly the brute scan's answer: the walk closes a side only once
-    /// every seed left on it is provably farther than the best found, and
-    /// among equal minima the lowest seed index wins, as in an index-order
-    /// scan that takes over on a strict win — the property tests pin the
-    /// index and the distance's bits.
-    fn nearest(&self, p: &Point, calls: &mut u64) -> (usize, f64) {
-        let pn = norm(p);
-        let (mut best, mut best_sq) = (usize::MAX, f64::INFINITY);
-        self.order.walk(
-            pn,
-            f64::INFINITY,
-            |c| {
-                let b = gap_bound(pn, c);
-                b * b
-            },
-            |pos, id| {
-                *calls += 1;
-                let d = sq_dist(
-                    p.coords(),
-                    &self.coords[pos * self.dim..(pos + 1) * self.dim],
-                );
-                if d < best_sq || (d == best_sq && id < best) {
-                    best_sq = d;
-                    best = id;
+    /// Rounds start at the point's norm: each scans the next [`CHUNK`]
+    /// rows on each side that is open at the round's start, a side staying
+    /// open while [`gap_bound`] of its next unscanned row, squared, is
+    /// within the best squared distance. A chunk that would run past
+    /// either end is clamped to the last full chunk inside the slab, so
+    /// the scanned rows are always one contiguous run. With fewer than
+    /// `CHUNK` seeds every row is scanned.
+    ///
+    /// Exactly the brute scan's answer: `gap_bound` stays below the exact
+    /// bound of every row beyond the one it is taken at, so every unscanned
+    /// row is provably farther than the best, and among equal minima the
+    /// lowest seed index wins, as in an index-order scan that takes over on
+    /// a strict win — the property tests pin the index and the distance's
+    /// bits.
+    fn nearest<const D: usize>(&self, x: &[f64], calls: &mut u64) -> (usize, f64) {
+        assert_eq!(x.len(), self.dim, "point and seed dimensions differ");
+        let x = if D == WIDE { x } else { &x[..D] };
+        let q = norm(x);
+        let (norms, ids) = (self.order.norms(), self.order.ids());
+        let k = norms.len();
+        let mut best = (f64::INFINITY, u32::MAX);
+        if k < CHUNK {
+            for (p, &id) in ids.iter().enumerate() {
+                let mut d = 0.0;
+                for (i, &xi) in x.iter().enumerate() {
+                    let e = xi - self.cols[i * k + p];
+                    d += e * e;
                 }
-                best_sq
-            },
-        );
-        (best, best_sq.sqrt())
+                if d < best.0 || (d == best.0 && id < best.1) {
+                    best = (d, id);
+                }
+            }
+            *calls += k as u64;
+            return (best.1 as usize, best.0);
+        }
+        let open = |pos: usize, best_sq: f64| {
+            let b = gap_bound(q, norms[pos]);
+            b * b <= best_sq
+        };
+        // Rows `lo..hi` have been scanned; `lo - 1` and `hi` are next.
+        let mut lo = norms.partition_point(|&n| n < q);
+        let mut hi = lo;
+        loop {
+            let (left, right) = (lo > 0 && open(lo - 1, best.0), hi < k && open(hi, best.0));
+            if !(left || right) {
+                break;
+            }
+            if left {
+                let start = lo.saturating_sub(CHUNK);
+                self.fold(&self.chunk_sq(x, start), start, &mut best);
+                lo = start;
+                hi = hi.max(start + CHUNK);
+            }
+            if right && hi < k {
+                let start = hi.min(k - CHUNK);
+                self.fold(&self.chunk_sq(x, start), start, &mut best);
+                lo = lo.min(start);
+                hi = start + CHUNK;
+            }
+        }
+        *calls += (hi - lo) as u64;
+        (best.1 as usize, best.0)
     }
 }
 
@@ -389,7 +509,8 @@ mod tests {
     }
 
     /// Oracle: the plain linear scan the norm-ordered search replaced —
-    /// every seed in index order, a strict win takes over.
+    /// every seed in index order, a strict win takes over. Returns the
+    /// index and the squared distance.
     fn brute(p: &Point, centroids: &[Point]) -> (usize, f64) {
         let mut best = 0;
         let mut best_sq = f64::INFINITY;
@@ -400,7 +521,16 @@ mod tests {
                 best = i;
             }
         }
-        (best, best_sq.sqrt())
+        (best, best_sq)
+    }
+
+    /// The slab's search for `p`, compiled for its dimension class.
+    fn nearest(slab: &SeedSlab, p: &Point, calls: &mut u64) -> (usize, f64) {
+        compiled!(slab.dim, nearest_in(slab, p.coords(), calls))
+    }
+
+    fn nearest_in<const D: usize>(slab: &SeedSlab, x: &[f64], calls: &mut u64) -> (usize, f64) {
+        slab.nearest::<D>(x, calls)
     }
 
     /// Seeds and query points for one generated case. `layout`: 0 random,
@@ -466,7 +596,7 @@ mod tests {
 
         #[test]
         fn nearest_seed_matches_brute_scan(
-            dim in prop::sample::select(&[1usize, 2, 16]),
+            dim in prop::sample::select(&[1usize, 2, 3, 4, 5, 16]),
             offset in prop::sample::select(&[0.0, 1e8, -1e8]),
             layout in 0u32..4,
             n_seeds in 1usize..40,
@@ -478,7 +608,7 @@ mod tests {
             let mut calls = 0;
             for (i, p) in points.iter().enumerate() {
                 let (bi, bd) = brute(p, &centroids);
-                let (si, sd) = slab.nearest(p, &mut calls);
+                let (si, sd) = nearest(&slab, p, &mut calls);
                 prop_assert_eq!(bi, si, "point {} dim {} layout {} offset {}", i, dim, layout, offset);
                 prop_assert_eq!(bd.to_bits(), sd.to_bits(), "point {} dim {} layout {}", i, dim, layout);
             }
@@ -487,7 +617,7 @@ mod tests {
 
         #[test]
         fn refine_matches_brute_assignment(
-            dim in prop::sample::select(&[1usize, 2, 16]),
+            dim in prop::sample::select(&[1usize, 2, 3, 4, 5, 16]),
             offset in prop::sample::select(&[0.0, 1e8]),
             layout in 0u32..4,
             n_seeds in 1usize..25,
@@ -516,9 +646,9 @@ mod tests {
                 let mut next: Vec<Cf> = clusters.iter().map(|_| Cf::empty(dim)).collect();
                 discarded = 0;
                 for (i, p) in points.iter().enumerate() {
-                    let (b, d) = brute(p, &centroids);
+                    let (b, d_sq) = brute(p, &centroids);
                     let scale = if radii[b] > 0.0 { radii[b] } else { mean_radius };
-                    let keep = factor.is_none_or(|f| scale == 0.0 || d <= f * scale);
+                    let keep = factor.is_none_or(|f| scale == 0.0 || d_sq.sqrt() <= f * scale);
                     labels[i] = keep.then_some(b);
                     if keep {
                         next[b].add_weighted_point(p, weights[i]);
@@ -556,21 +686,30 @@ mod tests {
 
     #[test]
     fn seed_distance_calls_count_only_the_annulus() {
-        // Seeds on a line at x = 0, 10, …, 90 and one point just right of
-        // each: the nearest seed is 1 away and every other seed's norm is
-        // at least 9 away, so each point computes exactly one distance —
-        // where a brute scan computes ten.
-        let seeds: Vec<Cf> = (0..10)
+        // 100 seeds on a line at x = 10, 20, …, 1000 (norm = x) and one
+        // point 1 left of each, at 10·i + 9 for seed i. The search starts
+        // between seeds i − 1 and i and scans a chunk of 8 rows on each
+        // side, which holds seed i at distance 1; the next unscanned row on
+        // either side is then at least 81 away in norm, so both sides close
+        // after that one round: 16 rows per point. Near the ends the chunks
+        // are clamped inside the slab and overlap, and rows scanned twice
+        // count once: point 0 has no left side (8 rows), points 1–7 scan
+        // rows 0..16 (16), and points 93–99 scan rows i − 8..100
+        // (15, 14, …, 9: 84 in all). 8 + 92·16 + 84 = 1564, where a brute
+        // scan computes 100 · 100 = 10,000.
+        let seeds: Vec<Cf> = (1..=100)
             .map(|i| Cf::from_point(&Point::xy(f64::from(i) * 10.0, 0.0)))
             .collect();
-        let pts: Vec<Point> = (0..10)
-            .map(|i| Point::xy(f64::from(i) * 10.0 + 1.0, 0.0))
+        let pts: Vec<Point> = (1..=100)
+            .map(|i| Point::xy(f64::from(i) * 10.0 - 1.0, 0.0))
             .collect();
         let r = refine(&pts, None, &seeds, Phase4Config::default());
-        assert_eq!(r.seed_distance_calls, 10);
-        let want: Vec<Option<usize>> = (0..10).map(Some).collect();
+        assert_eq!(r.seed_distance_calls, 1564);
+        assert!(r.seed_distance_calls < 100 * 100);
+        let want: Vec<Option<usize>> = (0..100).map(Some).collect();
         assert_eq!(r.labels, want);
-        // Every pass counts: the second pass's centroids sit on the points.
+        // Every pass counts: the second pass's centroids sit on the points,
+        // one per seed, so its search scans the same rows again.
         let two = refine(
             &pts,
             None,
@@ -580,7 +719,8 @@ mod tests {
                 outlier_factor: None,
             },
         );
-        assert_eq!(two.seed_distance_calls, 20);
+        assert_eq!(two.seed_distance_calls, 2 * 1564);
+        assert_eq!(two.labels, want);
     }
 
     #[test]

@@ -148,7 +148,7 @@ const D4: u8 = DistanceMetric::D4 as u8;
 /// The dimension class of every dim above 4: the lane sweep, whose
 /// length is read from the slices. (An empty block's dim 0 lands here
 /// too; it has no rows to scan.)
-const WIDE: usize = 0;
+pub(crate) const WIDE: usize = 0;
 
 /// Rows per selection chunk: the stack buffer of pre-root values that a
 /// first-extreme scan fills before it looks at any root.
@@ -156,27 +156,33 @@ const CHUNK: usize = 32;
 
 /// The one dispatch point: runs `$scan::<M, D>$args` compiled for the
 /// runtime metric and the dimension class of `$dim` (1–4 each their own
-/// class, every other dim [`WIDE`]).
+/// class, every other dim [`WIDE`]). Without a metric it runs
+/// `$scan::<D>$args`, for a kernel with no metric to choose (Phase 4's
+/// Euclidean seed search).
 macro_rules! compiled {
     ($metric:expr, $dim:expr, $scan:ident $args:tt) => {
         match $metric {
-            DistanceMetric::D0 => compiled!(@class D0, $dim, $scan $args),
-            DistanceMetric::D1 => compiled!(@class D1, $dim, $scan $args),
-            DistanceMetric::D2 => compiled!(@class D2, $dim, $scan $args),
-            DistanceMetric::D3 => compiled!(@class D3, $dim, $scan $args),
-            DistanceMetric::D4 => compiled!(@class D4, $dim, $scan $args),
+            DistanceMetric::D0 => compiled!(@class [D0,] $dim, $scan $args),
+            DistanceMetric::D1 => compiled!(@class [D1,] $dim, $scan $args),
+            DistanceMetric::D2 => compiled!(@class [D2,] $dim, $scan $args),
+            DistanceMetric::D3 => compiled!(@class [D3,] $dim, $scan $args),
+            DistanceMetric::D4 => compiled!(@class [D4,] $dim, $scan $args),
         }
     };
-    (@class $m:ident, $dim:expr, $scan:ident $args:tt) => {
+    ($dim:expr, $scan:ident $args:tt) => {
+        compiled!(@class [] $dim, $scan $args)
+    };
+    (@class [$($m:ident,)?] $dim:expr, $scan:ident $args:tt) => {
         match $dim {
-            1 => $scan::<$m, 1> $args,
-            2 => $scan::<$m, 2> $args,
-            3 => $scan::<$m, 3> $args,
-            4 => $scan::<$m, 4> $args,
-            _ => $scan::<$m, WIDE> $args,
+            1 => $scan::<$($m,)? 1> $args,
+            2 => $scan::<$($m,)? 2> $args,
+            3 => $scan::<$($m,)? 3> $args,
+            4 => $scan::<$($m,)? 4> $args,
+            _ => $scan::<$($m,)? { $crate::simd::WIDE }> $args,
         }
     };
 }
+pub(crate) use compiled;
 
 /// Fully-unrolled serial-order deviation sum (`Σ Δμᵢ²`, or `Σ |Δμᵢ|`
 /// when `abs`) over the first `D` coordinates: bit-identical to the

@@ -7,7 +7,7 @@
 use std::fmt;
 
 /// Counters describing the resource behaviour of one clustering run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IoStats {
     /// Number of CF-tree rebuilds triggered by memory pressure (paper §5.1).
     pub rebuilds: u64,
@@ -40,8 +40,11 @@ pub struct IoStats {
     pub splits: u64,
     /// Merging refinements performed after splits (paper §4.3).
     pub merge_refinements: u64,
-    /// Outlier entries discarded for good at the end of the run.
-    pub outliers_discarded: u64,
+    /// Points discarded for good as outliers: the summed N (weight) of the
+    /// outlier entries dropped at the end of the scan, so that the kept
+    /// tree's N plus this equals the N fed exactly, plus any points a
+    /// refinement pass discards. Fractional for weighted input.
+    pub outliers_discarded: f64,
 }
 
 impl IoStats {
@@ -170,7 +173,7 @@ mod tests {
             page_evictions: 28,
             splits: 5,
             merge_refinements: 4,
-            outliers_discarded: 1,
+            outliers_discarded: 1.5,
         };
         let before = a;
         a.absorb(&IoStats::default());

@@ -10,7 +10,9 @@
 #     points_per_s down for phase1_scaling; for phase3_scaling the
 #     deterministic NN-chain work counters up, or the same-process
 #     heap÷chain wall ratio down).
-#   * insert_kernel rows with baseline kernel_ns < 1000 (sub-µs) and
+#   * insert_kernel rows whose baseline timing window (calls ×
+#     kernel_ns: each row is the best of several windows of `calls`
+#     back-to-back calls) is under 1 ms, or that record no calls, and
 #     phase1_scaling runs with baseline wall_s < 0.05 are skipped as
 #     timer/scheduler noise — every skip is printed, never silent.
 #     phase3_scaling rows whose baseline heap ratio is null (oracle
