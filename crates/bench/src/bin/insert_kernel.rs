@@ -19,22 +19,19 @@
 //! every cell. Writes `BENCH_insert_kernel.json` (each row carries a
 //! `simd` column naming the kernel family measured, always `"lane"`, and
 //! `calls`, the back-to-back calls in one timed window, so a reader can
-//! tell a window's wall, `calls × kernel_ns`, from one call's) and
-//! finishes with two end-to-end `# METRICS` lines (D0 descent-prune
-//! off/on) so the distance-call counters land in the committed bench
-//! trajectory.
+//! tell a window's wall, `calls × kernel_ns`, from one call's).
 //!
 //! ```text
 //! cargo run --release -p birch-bench --bin insert_kernel \
 //!     [-- --seed 42 --reps 5 --out BENCH_insert_kernel.json]
 //! ```
 
-use birch_bench::{print_header, print_metrics, print_row};
+use birch_bench::{print_header, print_row};
 use birch_core::distance::{
     closest_among, closest_among_scalar, farthest_pair, farthest_pair_scalar, pair_in_block,
     pair_in_block_scalar, CfBlock,
 };
-use birch_core::{Birch, BirchConfig, Cf, DistanceMetric, Point};
+use birch_core::{Cf, DistanceMetric, Point};
 use std::time::Instant;
 
 const DIMS: [usize; 4] = [2, 8, 32, 128];
@@ -339,27 +336,4 @@ fn main() {
         "speedup matrix floor: {worst_speedup:.2} (>= {} - {LANE_NOISE_TOL} noise allowance required)",
         MIN_LANE_SPEEDUP
     );
-
-    // End-to-end counter datapoints: a fixed D0 workload with the descent
-    // prune off vs on. The clusterings are identical (the prune is
-    // selection-exact); only the distance-call counters move.
-    let mut rng = Rng(seed ^ 0xE2E);
-    let pts: Vec<Point> = (0..20_000)
-        .map(|i| {
-            let c = f64::from(i % 10) * 40.0;
-            Point::xy(c + rng.f64() * 3.0, c + rng.f64() * 3.0)
-        })
-        .collect();
-    for (label, prune) in [
-        ("insert_kernel_prune_off", false),
-        ("insert_kernel_prune_on", true),
-    ] {
-        let config = BirchConfig::with_clusters(10)
-            .memory(32 * 1024)
-            .metric(DistanceMetric::D0)
-            .descend_prune(prune)
-            .total_points(pts.len() as u64);
-        let model = Birch::new(config).fit(&pts).expect("fit succeeds");
-        print_metrics(label, &model);
-    }
 }

@@ -795,7 +795,6 @@ mod tests {
             threshold_kind: ThresholdKind::Diameter,
             metric: DistanceMetric::D2,
             merge_refinement: true,
-            descend_prune: false,
         }
     }
 

@@ -34,11 +34,10 @@ use std::time::{Duration, Instant};
 
 /// Version stamp of the metrics JSON emitted by [`RunStats::to_json`].
 /// Bump here (and only here) when the schema changes; tests pin this
-/// constant, not a literal. See DESIGN.md §10 for the v3 → v4,
-/// v4 → v5, v5 → v6 and v6 → v7 migration tables. v7 counts
-/// `outliers_discarded` (in `io` and `counters`) in points, the dropped
-/// entries' summed N, instead of in entries.
-pub const METRICS_SCHEMA_VERSION: u32 = 7;
+/// constant, not a literal. See DESIGN.md §10 for the migration tables
+/// from v3 → v4 to v7 → v8. v8 drops the `counters` entry that counted
+/// the calls the retired D0 descent prune skipped.
+pub const METRICS_SCHEMA_VERSION: u32 = 8;
 
 /// Errors surfaced by the pipeline.
 #[derive(Debug, Clone, PartialEq)]

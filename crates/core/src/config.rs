@@ -49,12 +49,6 @@ pub struct BirchConfig {
     pub global_method: crate::phase3::GlobalMethod,
     /// §4.3 merging refinement (default on).
     pub merge_refinement: bool,
-    /// D0 triangle-inequality descent prune (default off). Never changes
-    /// which child/entry a descent selects — only skips distance
-    /// evaluations that a centroid-norm lower bound proves cannot win (see
-    /// [`crate::tree::TreeParams::descend_prune`]). Only effective under
-    /// [`DistanceMetric::D0`].
-    pub descend_prune: bool,
     /// §5.1.3 outlier handling (default on).
     pub outlier_handling: bool,
     /// Potential-outlier fraction: entry is an outlier candidate when its
@@ -136,7 +130,6 @@ impl BirchConfig {
             clusters,
             global_method: crate::phase3::GlobalMethod::Hierarchical,
             merge_refinement: true,
-            descend_prune: false,
             outlier_handling: true,
             outlier_factor: 0.25,
             delay_split: true,
@@ -249,13 +242,6 @@ impl BirchConfig {
         self
     }
 
-    /// Enables/disables the D0 descent prune.
-    #[must_use]
-    pub fn descend_prune(mut self, enabled: bool) -> Self {
-        self.descend_prune = enabled;
-        self
-    }
-
     /// Sets the number of Phase-1 and Phase-4 worker threads (`1` = the
     /// serial scan).
     #[must_use]
@@ -324,7 +310,6 @@ mod tests {
         assert_eq!(c.initial_threshold, 0.0);
         assert!(c.outlier_handling);
         assert!(c.delay_split);
-        assert!(!c.descend_prune);
         assert!((c.outlier_factor - 0.25).abs() < f64::EPSILON);
         c.validate();
     }
@@ -342,7 +327,6 @@ mod tests {
             .phase2(false)
             .refinement_passes(3)
             .discard_refinement_outliers(2.0)
-            .descend_prune(true)
             .total_points(42);
         assert_eq!(c.memory_bytes, 1 << 20);
         assert_eq!(c.disk_bytes, (1 << 20) / 5);
@@ -354,7 +338,6 @@ mod tests {
         assert!(!c.phase2);
         assert_eq!(c.phase4_passes, 3);
         assert_eq!(c.phase4_outlier_factor, Some(2.0));
-        assert!(c.descend_prune);
         assert_eq!(c.total_points_hint, Some(42));
         c.validate();
     }

@@ -763,48 +763,24 @@ pub fn closest_among(metric: DistanceMetric, ent: &Cf, block: &CfBlock) -> Optio
     crate::simd::closest_among(metric, ent, block)
 }
 
-/// Conservative slack of the D0 prune bound, relative to the *sum* of the
-/// two centroid norms being compared.
+/// Conservative slack of the centroid-norm bound, relative to the *sum*
+/// of the two centroid norms being compared.
 ///
-/// The cached `‖μ‖²` ignores the Neumaier carries that
-/// the distances fold in, and the lane kernels reorder sums, so the
-/// computed bound `|‖μ_a‖ − ‖μ_b‖|` can sit above the true D0 by a few
-/// ulps *of the norms* (not of their difference). Every contributing
-/// error is relative to the norms themselves — carry magnitude ≤ 2⁻⁵²‖μ‖,
-/// dot-product and `sqrt` rounding O(dim·ε)‖μ‖, lane reordering within
-/// [`SIMD_TOLERANCE_REL`] — totalling ≲ 3e-14·(‖μ_a‖+‖μ_b‖) at dim ≤ 128.
-/// Subtracting `D0_PRUNE_SLACK_REL · (‖μ_a‖+‖μ_b‖)` therefore makes the
-/// bound a true lower bound with ≥ 30× margin, preserving the
-/// exact-selection guarantee: a pruned row provably cannot win the
+/// The reverse triangle inequality gives `D0(a, b) ≥ |‖μ_a‖ − ‖μ_b‖|`.
+/// [`pair_lower_bound`] builds every metric's bound on it for Phase 3's
+/// candidate prune, and the norm-ordered scans of Phases 3 and 4
+/// (`crate::annulus`, `annulus_stop_bound`) close a side on it. The
+/// cached `‖μ‖²` ignores the Neumaier carries that the distances fold
+/// in, and the lane kernels reorder sums, so the computed bound can sit
+/// above the true D0 by a few ulps *of the norms* (not of their
+/// difference). Every contributing error is relative to the norms
+/// themselves — carry magnitude ≤ 2⁻⁵²‖μ‖, dot-product and `sqrt`
+/// rounding O(dim·ε)‖μ‖, lane reordering within [`SIMD_TOLERANCE_REL`] —
+/// totalling ≲ 3e-14·(‖μ_a‖+‖μ_b‖) at dim ≤ 128. Subtracting
+/// `D0_PRUNE_SLACK_REL · (‖μ_a‖+‖μ_b‖)` therefore makes the bound a true
+/// lower bound with ≥ 30× margin: a row it skips provably cannot win a
 /// strict-`<` comparison.
 pub const D0_PRUNE_SLACK_REL: f64 = 1e-12;
-
-/// [`closest_among`] with the D0 triangle-inequality lower-bound prune.
-///
-/// For D0 (centroid Euclidean distance) the reverse triangle inequality
-/// gives `D0(a, b) ≥ |‖c_a‖ − ‖c_b‖|`, and each centroid norm is O(1)
-/// from the cached squared norms. A row whose lower bound strictly
-/// exceeds the best distance so far cannot win the strict `<` comparison,
-/// so skipping it provably never changes the selected index (tie order
-/// included). Non-D0 metrics fall back to the plain scan.
-///
-/// The bound is widened by [`D0_PRUNE_SLACK_REL`] to absorb the
-/// carry/rounding mismatch between the uncompensated cached
-/// norms and the compensated (and possibly lane-reordered) distances —
-/// conservative, so selection safety is preserved at the cost of a few
-/// un-pruned borderline rows.
-///
-/// Returns `(best, evaluated, pruned)`: the winning `(index, distance)`,
-/// how many full distance evaluations ran, and how many rows the bound
-/// skipped.
-#[must_use]
-pub fn closest_among_pruned(
-    metric: DistanceMetric,
-    ent: &Cf,
-    block: &CfBlock,
-) -> (Option<(usize, f64)>, u64, u64) {
-    crate::simd::closest_among_pruned(metric, ent, block)
-}
 
 /// Cheap lower bound on `pair_in_block(metric, block, i, j)` computed
 /// from the rows' cached summary statistics alone — no vector sweep.
@@ -1326,60 +1302,49 @@ mod tests {
     }
 
     #[test]
-    fn pruned_scan_picks_identical_winner_and_counts() {
-        // Rows with widely spread centroid norms so the D0 bound prunes.
-        let rows: Vec<Cf> = (0..40)
-            .map(|i| {
-                let x = f64::from(i) * 25.0;
-                cf_of(&[[x, x * 0.5]])
-            })
-            .collect();
-        let b = CfBlock::from_cfs(&rows);
-        let probe = cf_of(&[[26.0, 12.0]]);
-        let plain = closest_among(DistanceMetric::D0, &probe, &b);
-        let (pruned_best, evaluated, pruned) = closest_among_pruned(DistanceMetric::D0, &probe, &b);
-        assert_eq!(plain.map(|(i, _)| i), pruned_best.map(|(i, _)| i));
-        assert_eq!(
-            plain.map(|(_, d)| d.to_bits()),
-            pruned_best.map(|(_, d)| d.to_bits())
-        );
-        assert!(pruned > 0, "spread norms must prune something");
-        assert_eq!(evaluated + pruned, rows.len() as u64);
-        // Non-D0 metrics fall back to the plain scan, nothing pruned.
-        let (_, ev2, pr2) = closest_among_pruned(DistanceMetric::D2, &probe, &b);
-        assert_eq!((ev2, pr2), (rows.len() as u64, 0));
-    }
-
-    #[test]
     fn stable_prune_bound_is_conservative_near_the_boundary() {
-        // Rows whose centroid norms equal the probe's exactly sit *on*
-        // the prune boundary once a very close best (d = 1e-9) is held:
-        // their exact norm-difference bound is 0 and the slack pushes it
-        // negative, so the conservative bound must refuse to prune them
-        // even though they are far away in actual distance. A wrong-sign
-        // slack (or a bound computed on drifted cached norms) would
-        // prune them here. Far rows with large norm gaps still prune.
-        let probe = cf_of(&[[30.0, 0.0]]);
-        let mut rows: Vec<Cf> = vec![
-            cf_of(&[[30.0 + 1e-9, 0.0]]), // true winner, evaluated first
-            cf_of(&[[0.0, 30.0]]),        // ‖μ‖ = 30 exactly: bound ≤ 0, must evaluate
-            cf_of(&[[-30.0, 0.0]]),       // same norm from the other side
-        ];
-        rows.extend((1..30).map(|i| {
+        // The probe's nearest row is 1e-9 away, so that row's bound sits
+        // within a few norm-ulps of its distance, and rows whose centroid
+        // norms equal the probe's exactly have an exact norm-difference
+        // bound of 0 although they are far away. The slack must keep
+        // every bound at or below the true distance (a wrong-sign slack
+        // lifts the nearest row's over it) and the equal-norm rows' at or
+        // below the best, so a scan holding that best never skips them.
+        // Far rows with large norm gaps still bound over the best.
+        let rows: Vec<Cf> = [
+            [30.0, 0.0],        // the probe
+            [30.0 + 1e-9, 0.0], // its true nearest, 1e-9 away
+            [0.0, 30.0],        // ‖μ‖ = 30 exactly: bound ≤ 0
+            [-30.0, 0.0],       // same norm from the other side
+        ]
+        .iter()
+        .map(|&p| cf_of(&[p]))
+        .chain((1..30).map(|i| {
             let x = f64::from(i) * 500.0;
             cf_of(&[[x, x]])
-        }));
+        }))
+        .collect();
         let b = CfBlock::from_cfs(&rows);
-        let plain = closest_among(DistanceMetric::D0, &probe, &b);
-        let (best, evaluated, pruned) = closest_among_pruned(DistanceMetric::D0, &probe, &b);
-        assert_eq!(plain.map(|(i, _)| i), best.map(|(i, _)| i));
-        assert_eq!(
-            plain.map(|(_, d)| d.to_bits()),
-            best.map(|(_, d)| d.to_bits())
-        );
-        assert!(pruned > 0, "far rows must prune");
-        assert!(evaluated >= 3, "equal-norm rows must not prune");
-        assert_eq!(evaluated + pruned, rows.len() as u64);
+        let best = pair_in_block(DistanceMetric::D0, &b, 0, 1);
+        assert!(best > 0.0 && best < 1e-8, "best {best}");
+        for j in 1..rows.len() {
+            let bound = pair_lower_bound(DistanceMetric::D0, &b, 0, j);
+            let dist = pair_in_block(DistanceMetric::D0, &b, 0, j);
+            assert!(bound <= dist, "row {j}: bound {bound} > distance {dist}");
+        }
+        for j in [2, 3] {
+            let bound = pair_lower_bound(DistanceMetric::D0, &b, 0, j);
+            assert!(
+                bound <= best,
+                "equal-norm row {j} bounds {bound} over the best"
+            );
+        }
+        for j in 4..rows.len() {
+            assert!(
+                pair_lower_bound(DistanceMetric::D0, &b, 0, j) > best,
+                "far row {j} must bound over the best"
+            );
+        }
     }
 
     #[test]

@@ -409,7 +409,7 @@ impl MetricsRecorder {
     /// and prune-skipped distance evaluations) into the report. Called by
     /// the pipeline after the global clustering step; pair counts are
     /// deliberately kept separate from Phase 1's `distance_calls` so the
-    /// two prunes stay independently measurable.
+    /// two phases' work stays independently measurable.
     pub fn note_phase3_pairs(&mut self, evaluated: u64, pruned: u64) {
         self.report.phase3_pairs_evaluated += evaluated;
         self.report.phase3_pairs_pruned += pruned;
@@ -522,10 +522,6 @@ pub struct MetricsReport {
     ///
     /// [`TreeStats`]: crate::tree::TreeStats
     pub distance_calls: u64,
-    /// Descent-scan candidates skipped by the D0 lower-bound prune
-    /// (always 0 with `descend_prune` off). Same provenance as
-    /// [`MetricsReport::distance_calls`].
-    pub distance_calls_pruned: u64,
     /// Phase 3 candidate-pair distances actually evaluated by the
     /// agglomerator (schema v5). Set via
     /// [`MetricsRecorder::note_phase3_pairs`], not from events.
@@ -568,7 +564,6 @@ impl MetricsReport {
         self.outliers_discarded += other.outliers_discarded;
         self.peak_pages = self.peak_pages.max(other.peak_pages);
         self.distance_calls += other.distance_calls;
-        self.distance_calls_pruned += other.distance_calls_pruned;
         self.phase3_pairs_evaluated += other.phase3_pairs_evaluated;
         self.phase3_pairs_pruned += other.phase3_pairs_pruned;
         self.trace_capacity = self.trace_capacity.max(other.trace_capacity);
@@ -598,7 +593,7 @@ impl MetricsReport {
             "{{\"inserts\":{},\"splits\":{},\"merge_refinements\":{},\"rebuilds\":{},\
              \"thresholds_raised\":{},\"outliers_spilled\":{},\"outliers_reabsorbed\":{},\
              \"outliers_reinserted\":{},\"outliers_folded_back\":{},\
-             \"outliers_discarded\":{},\"distance_calls\":{},\"distance_calls_pruned\":{},\
+             \"outliers_discarded\":{},\"distance_calls\":{},\
              \"phase3_pairs_evaluated\":{},\"phase3_pairs_pruned\":{},\
              \"events\":{}}}",
             self.inserts,
@@ -612,7 +607,6 @@ impl MetricsReport {
             self.outliers_folded_back,
             json_f64(self.outliers_discarded),
             self.distance_calls,
-            self.distance_calls_pruned,
             self.phase3_pairs_evaluated,
             self.phase3_pairs_pruned,
             self.events

@@ -117,17 +117,12 @@ pub fn prometheus_exposition(stats: &RunStats) -> String {
         &mut out,
         "birch_distance_calls_total",
         "counter",
-        "Distance evaluations in the insert hot path (pruned = skipped by the D0 bound).",
+        "Distance evaluations in the insert hot path.",
     );
     let _ = writeln!(
         out,
         "birch_distance_calls_total{{kind=\"performed\"}} {}",
         m.distance_calls
-    );
-    let _ = writeln!(
-        out,
-        "birch_distance_calls_total{{kind=\"pruned\"}} {}",
-        m.distance_calls_pruned
     );
 
     header(
@@ -398,6 +393,7 @@ mod tests {
         s.memory.pager_pages.record(2048);
         s.metrics.inserts = 900;
         s.metrics.splits = 12;
+        s.metrics.distance_calls = 55;
         s.metrics.phase3_pairs_evaluated = 77;
         s.metrics.phase3_pairs_pruned = 33;
         s
@@ -425,6 +421,14 @@ mod tests {
         );
         assert!(
             text.contains("birch_io_total{op=\"disk_faults_injected\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("birch_distance_calls_total{kind=\"performed\"} 55"),
+            "{text}"
+        );
+        assert!(
+            !text.contains("birch_distance_calls_total{kind=\"pruned\"}"),
             "{text}"
         );
         assert!(

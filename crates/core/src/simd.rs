@@ -53,17 +53,17 @@
 //!   the sums (four partial sums + one horizontal fold), so results may
 //!   differ from the scalar oracle in the last ulps. The bound is
 //!   [`crate::distance::SIMD_TOLERANCE_REL`]; the differential tests
-//!   below and the tree auditor ([`crate::audit`]) both enforce it.
+//!   below and the tree auditor ([`mod@crate::audit`]) both enforce it.
 //!
 //! These are the only production kernels: the batched scans in
-//! `distance.rs` (`pair_in_block`, `closest_among`, `closest_pair`,
-//! `farthest_pair` and the D0-pruned scan) call them directly, and each
-//! entry point here pays the metric and dimension dispatch once per call,
-//! not once per row. The scalar block kernels there are kept as the
-//! oracles they are checked against.
+//! `distance.rs` (`pair_in_block`, `closest_among`, `closest_pair` and
+//! `farthest_pair`) call them directly, and each entry point here pays
+//! the metric and dimension dispatch once per call, not once per row.
+//! The scalar block kernels there are kept as the oracles they are
+//! checked against.
 
 use crate::cf::Cf;
-use crate::distance::{row_centroid_norm, CfBlock, DistanceMetric, D0_PRUNE_SLACK_REL, LANE_WIDTH};
+use crate::distance::{CfBlock, DistanceMetric, LANE_WIDTH};
 
 /// The portable explicit-width lane type: a plain array with
 /// `#[inline(always)]` lane arithmetic that LLVM vectorizes to the
@@ -435,20 +435,6 @@ impl Best {
             d: root::<M>(pre),
         }
     }
-
-    /// Takes the row whose pre-root value is `pre` if its distance is
-    /// strictly smaller (so the earliest of equal distances stays).
-    #[inline(always)]
-    fn lower<const M: u8>(&mut self, pre: f64) -> bool {
-        if pre < self.pre {
-            let d = root::<M>(pre);
-            if d < self.d {
-                *self = Best { pre, d };
-                return true;
-            }
-        }
-        false
-    }
 }
 
 /// Continues a first-minimum (first-maximum when `MAX`) scan of `a`
@@ -536,52 +522,6 @@ fn closest_among_in<const M: u8, const D: usize>(
     let mut best = Best::MIN_START;
     let at = scan_rows::<M, D, false>(probe, rows, 0, &mut best, &mut [0.0; CHUNK]);
     at.map(|i| (i, best.d))
-}
-
-/// Lane form of [`crate::distance::closest_among_pruned`]: the D0 scan
-/// skips a row whose norm bound exceeds the best distance so far.
-pub(crate) fn closest_among_pruned(
-    metric: DistanceMetric,
-    ent: &Cf,
-    block: &CfBlock,
-) -> (Option<(usize, f64)>, u64, u64) {
-    if metric != DistanceMetric::D0 {
-        let best = closest_among(metric, ent, block);
-        return (best, block.len() as u64, 0);
-    }
-    let probe = Operand::probe(ent);
-    let ent_norm = ent.mean_sq().sqrt();
-    compiled!(
-        metric,
-        block.dim(),
-        closest_among_pruned_in(&probe, ent_norm, block)
-    )
-}
-
-/// Row by row, since whether a row is skipped depends on the best found
-/// before it.
-fn closest_among_pruned_in<const M: u8, const D: usize>(
-    probe: &Operand<'_>,
-    ent_norm: f64,
-    block: &CfBlock,
-) -> (Option<(usize, f64)>, u64, u64) {
-    let rows = Rows::of(block);
-    let mut best = Best::MIN_START;
-    let mut at = None;
-    let (mut evaluated, mut pruned) = (0u64, 0u64);
-    for i in 0..rows.len() {
-        let row_norm = row_centroid_norm(block, i);
-        let bound = (ent_norm - row_norm).abs() - D0_PRUNE_SLACK_REL * (ent_norm + row_norm);
-        if bound > best.d {
-            pruned += 1;
-            continue;
-        }
-        evaluated += 1;
-        if best.lower::<M>(pre_root::<M, D>(probe, &rows.row(i))) {
-            at = Some(i);
-        }
-    }
-    (at.map(|i| (i, best.d)), evaluated, pruned)
 }
 
 /// Lane form of the first-minimum closest-pair scan. The first pair is

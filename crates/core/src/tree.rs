@@ -27,8 +27,8 @@
 
 use crate::cf::Cf;
 use crate::distance::{
-    closest_among, closest_among_pruned, closest_pair, distance_to_row, farthest_pair,
-    pair_in_block, CfBlock, DistanceMetric, ThresholdKind,
+    closest_among, closest_pair, distance_to_row, farthest_pair, pair_in_block, CfBlock,
+    DistanceMetric, ThresholdKind,
 };
 use crate::node::{Node, NodeId, NodeKind};
 use crate::obs::{Event, EventSink, NoopSink};
@@ -62,13 +62,6 @@ pub struct TreeParams {
     pub metric: DistanceMetric,
     /// Whether to run the §4.3 merging refinement after splits.
     pub merge_refinement: bool,
-    /// Whether the descent's closest-child/closest-entry scans may skip
-    /// candidates using the D0 triangle-inequality lower bound (see
-    /// [`crate::distance::closest_among_pruned`]). Off by default; only
-    /// effective under [`DistanceMetric::D0`], and provably never changes
-    /// which candidate is selected — only how many distances are evaluated
-    /// (observable via [`TreeStats::distance_calls_pruned`]).
-    pub descend_prune: bool,
 }
 
 impl TreeParams {
@@ -84,7 +77,6 @@ impl TreeParams {
             threshold_kind: ThresholdKind::default(),
             metric: DistanceMetric::default(),
             merge_refinement: true,
-            descend_prune: false,
         }
     }
 
@@ -121,12 +113,8 @@ pub struct TreeStats {
     /// closest-child scans of the descent plus the closest-leaf-entry scan
     /// (the §6.1 CPU cost model's inner loop). Distances computed during
     /// splits, refinement, or Dmin probes are not counted: this counter
-    /// exists to measure the descent workload the lower-bound prune acts
-    /// on.
+    /// measures the descent workload alone.
     pub distance_calls: u64,
-    /// Descent-scan candidates skipped by the D0 triangle-inequality lower
-    /// bound ([`TreeParams::descend_prune`]). Always 0 with pruning off.
-    pub distance_calls_pruned: u64,
 }
 
 /// Heap occupancy of one tree, split the way the memory gauge reports it
@@ -746,57 +734,39 @@ impl CfTree {
 
     /// Root-to-leaf descent following the closest child at each level,
     /// scanning each node's contiguous [`CfBlock`] with the batched
-    /// [`closest_among`] kernel (or its D0 lower-bound-pruned variant when
-    /// [`TreeParams::descend_prune`] is on). Returns the leaf id and leaves
-    /// the interior path in the tree's reused path buffer, which
+    /// [`closest_among`] kernel. Returns the leaf id and leaves the
+    /// interior path in the tree's reused path buffer, which
     /// [`CfTree::add_to_path`] and [`CfTree::propagate_split`] read.
     fn descend(&mut self, ent: &Cf) -> NodeId {
         let _sp = crate::obs::span::enter("descend");
         let metric = self.params.metric;
-        let prune = self.params.descend_prune;
         let mut path = std::mem::take(&mut self.scratch.path);
         path.clear();
         let mut cur = self.root;
         let mut calls = 0u64;
-        let mut skipped = 0u64;
         self.fault_in(cur);
         while !self.node(cur).is_leaf() {
             let node = self.node(cur);
             debug_assert!(node.entry_count() > 0, "interior node with no children");
-            let best = if prune {
-                let (best, evaluated, pruned) = closest_among_pruned(metric, ent, node.block());
-                calls += evaluated;
-                skipped += pruned;
-                best
-            } else {
-                calls += node.entry_count() as u64;
-                closest_among(metric, ent, node.block())
-            };
-            let best = best.map_or(0, |(i, _)| i);
+            calls += node.entry_count() as u64;
+            let best = closest_among(metric, ent, node.block()).map_or(0, |(i, _)| i);
             path.push((cur, best));
             cur = node.children()[best];
             self.fault_in(cur);
         }
         self.stats.distance_calls += calls;
-        self.stats.distance_calls_pruned += skipped;
         self.scratch.path = path;
         cur
     }
 
     /// Index of the leaf entry closest to `ent`, or `None` if the leaf is
     /// empty. Same kernelized scan as [`CfTree::descend`]; takes `&mut self`
-    /// only to accumulate the distance-call counters.
+    /// only to accumulate the distance-call counter.
     fn closest_leaf_entry(&mut self, leaf_id: NodeId, ent: &Cf) -> Option<usize> {
-        let metric = self.params.metric;
         let node = self.node(leaf_id);
-        let (best, evaluated, pruned) = if self.params.descend_prune {
-            closest_among_pruned(metric, ent, node.block())
-        } else {
-            let best = closest_among(metric, ent, node.block());
-            (best, node.entry_count() as u64, 0)
-        };
-        self.stats.distance_calls += evaluated;
-        self.stats.distance_calls_pruned += pruned;
+        let calls = node.entry_count() as u64;
+        let best = closest_among(self.params.metric, ent, node.block());
+        self.stats.distance_calls += calls;
         best.map(|(i, _)| i)
     }
 
@@ -1325,7 +1295,7 @@ impl CfTree {
         m.push(threshold_kind_to_byte(p.threshold_kind));
         m.push(metric_to_byte(p.metric));
         m.push(u8::from(p.merge_refinement));
-        m.push(u8::from(p.descend_prune));
+        m.push(0); // the retired descent-prune byte (see `reopen`)
         m.extend_from_slice(&p.threshold.to_bits().to_le_bytes());
         m.extend_from_slice(&self.root.0.to_le_bytes());
         m.extend_from_slice(&self.first_leaf.0.to_le_bytes());
@@ -1344,7 +1314,7 @@ impl CfTree {
         m.extend_from_slice(&self.stats.splits.to_le_bytes());
         m.extend_from_slice(&self.stats.merge_refinements.to_le_bytes());
         m.extend_from_slice(&self.stats.distance_calls.to_le_bytes());
-        m.extend_from_slice(&self.stats.distance_calls_pruned.to_le_bytes());
+        m.extend_from_slice(&0u64.to_le_bytes()); // the retired pruned-call counter
         m.extend_from_slice(
             &u32::try_from(self.free.len())
                 .expect("free list range")
@@ -1396,7 +1366,12 @@ impl CfTree {
         let metric = metric_from_byte(c.u8()?)
             .ok_or_else(|| malformed("unknown distance metric byte".into()))?;
         let merge_refinement = c.u8()? != 0;
-        let descend_prune = c.u8()? != 0;
+        // The retired D0 descent-prune flag. A build with the prune on
+        // wrote 1, and the prune never changed which row a scan selected,
+        // so such a tree is as valid as one written with 0.
+        if c.u8()? > 1 {
+            return Err(malformed("descent-prune byte is neither 0 nor 1".into()));
+        }
         let threshold = f64::from_bits(c.u64()?);
         if dim == 0 || branching < 2 || leaf_capacity < 2 || !threshold.is_finite() {
             return Err(malformed("inconsistent tree parameters".into()));
@@ -1409,7 +1384,6 @@ impl CfTree {
             threshold_kind,
             metric,
             merge_refinement,
-            descend_prune,
         };
         let root = NodeId(c.u32()?);
         let first_leaf = NodeId(c.u32()?);
@@ -1422,8 +1396,8 @@ impl CfTree {
             splits: c.u64()?,
             merge_refinements: c.u64()?,
             distance_calls: c.u64()?,
-            distance_calls_pruned: c.u64()?,
         };
+        c.u64()?; // the retired pruned-call counter
         let free_len = c.u32()? as usize;
         let mut free = Vec::with_capacity(free_len);
         let mut free_set = HashSet::with_capacity(free_len);
@@ -1782,7 +1756,6 @@ mod tests {
             threshold_kind: ThresholdKind::Diameter,
             metric: DistanceMetric::D2,
             merge_refinement: true,
-            descend_prune: false,
         }
     }
 
@@ -2028,55 +2001,6 @@ mod tests {
         t
     }
 
-    // The bound is widened by `D0_PRUNE_SLACK_REL`, so selection is
-    // provably unchanged: the trees must be identical and the
-    // evaluated/pruned counters must reconcile exactly.
-    #[test]
-    fn d0_prune_builds_identical_tree_and_counts_pruned() {
-        let mk = |prune: bool| {
-            walk_tree(TreeParams {
-                metric: DistanceMetric::D0,
-                descend_prune: prune,
-                ..small_params(0.5)
-            })
-        };
-        let base = mk(false);
-        let pruned = mk(true);
-        // Selection is provably unchanged, so the trees must be identical.
-        let a: Vec<Cf> = base.leaf_entries().collect();
-        let b: Vec<Cf> = pruned.leaf_entries().collect();
-        assert_eq!(a, b, "pruned descent must build an identical tree");
-        assert_eq!(base.stats().splits, pruned.stats().splits);
-        assert_eq!(
-            base.stats().merge_refinements,
-            pruned.stats().merge_refinements
-        );
-        // The prune must actually fire, and every candidate is either
-        // evaluated or pruned — the totals reconcile exactly.
-        assert_eq!(base.stats().distance_calls_pruned, 0);
-        assert!(
-            pruned.stats().distance_calls_pruned > 0,
-            "prune never fired"
-        );
-        assert_eq!(
-            pruned.stats().distance_calls + pruned.stats().distance_calls_pruned,
-            base.stats().distance_calls,
-        );
-        base.check_invariants().unwrap();
-        pruned.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn prune_flag_is_inert_under_non_d0_metrics() {
-        let t = walk_tree(TreeParams {
-            descend_prune: true,
-            ..small_params(0.5)
-        });
-        let u = walk_tree(small_params(0.5));
-        assert_eq!(t.stats(), u.stats(), "prune flag must be a no-op under D2");
-        assert_eq!(t.stats().distance_calls_pruned, 0);
-    }
-
     #[test]
     fn distance_call_counter_is_pinned_on_fixed_workload() {
         // Regression pin: the descent + closest-leaf-entry scans of the
@@ -2085,7 +2009,6 @@ mod tests {
         // evaluations — intentional changes must update the pin.
         let t = walk_tree(small_params(0.5));
         assert_eq!(t.stats().distance_calls, DISTANCE_CALLS_PIN);
-        assert_eq!(t.stats().distance_calls_pruned, 0);
     }
 
     /// See `distance_call_counter_is_pinned_on_fixed_workload`.
@@ -2283,27 +2206,77 @@ mod tests {
         std::fs::remove_file(&snap).unwrap();
     }
 
-    #[test]
-    fn reopen_rejects_wrong_backend_tag() {
-        let snap = temp_file("backend.snapshot");
-        let mut t = walk_tree(small_params(0.5));
-        t.checkpoint(&snap).unwrap();
-        // A payload edit means re-checksumming, so rebuild the snapshot
-        // through the writer with the backend tag flipped.
-        let reader = SnapshotReader::open(&snap).unwrap();
+    /// Edits the META section of the snapshot at `snap` in place. A
+    /// payload edit means re-checksumming, so the snapshot is rebuilt
+    /// through the writer.
+    fn rewrite_meta(snap: &Path, edit: impl FnOnce(&mut [u8])) {
+        let reader = SnapshotReader::open(snap).unwrap();
         let mut meta = reader.require(*b"META").unwrap().to_vec();
-        meta[0] ^= 1; // flip the backend tag
+        edit(&mut meta);
         let mut w = SnapshotWriter::new();
         w.add_section(*b"META", meta);
         for node in reader.sections(*b"NODE") {
             w.add_section(*b"NODE", node.to_vec());
         }
-        w.finish(&snap).unwrap();
+        w.finish(snap).unwrap();
+    }
+
+    #[test]
+    fn reopen_rejects_wrong_backend_tag() {
+        let snap = temp_file("backend.snapshot");
+        let mut t = walk_tree(small_params(0.5));
+        t.checkpoint(&snap).unwrap();
+        rewrite_meta(&snap, |meta| meta[0] ^= 1); // flip the backend tag
         let err = CfTree::reopen(&snap).unwrap_err();
         std::fs::remove_file(&snap).unwrap();
         assert!(
             matches!(err, SnapshotError::Malformed { .. }),
             "wrong backend must be malformed, got {err}"
+        );
+    }
+
+    #[test]
+    fn reopen_accepts_retired_prune_byte_as_zero_or_one() {
+        // META offsets: the retired descent-prune byte follows the backend
+        // tag, dim, B and L (u32 each) and the threshold-kind, metric and
+        // merge-refinement bytes; the retired pruned-call counter follows
+        // the distance-call counter.
+        const PRUNE_BYTE: usize = 19;
+        const CALLS: std::ops::Range<usize> = 76..84;
+        const RETIRED_CALLS: std::ops::Range<usize> = 84..92;
+        let snap = temp_file("prune-byte.snapshot");
+        let mut t = walk_tree(TreeParams {
+            metric: DistanceMetric::D0,
+            ..small_params(0.5)
+        });
+        t.checkpoint(&snap).unwrap();
+        {
+            let reader = SnapshotReader::open(&snap).unwrap();
+            let meta = reader.require(*b"META").unwrap();
+            assert_eq!(meta[PRUNE_BYTE], 0, "the retired byte is written as 0");
+            assert_eq!(meta[CALLS], t.stats().distance_calls.to_le_bytes());
+            assert_eq!(meta[RETIRED_CALLS], [0; 8]);
+        }
+
+        // A build with the prune on wrote 1 and counted pruned calls: the
+        // tree it saved reopens bit-identical, the count ignored.
+        rewrite_meta(&snap, |meta| {
+            meta[PRUNE_BYTE] = 1;
+            meta[RETIRED_CALLS].copy_from_slice(&1234u64.to_le_bytes());
+        });
+        let back = CfTree::reopen(&snap).unwrap();
+        back.audit().unwrap();
+        assert_eq!(back.params(), t.params());
+        assert_eq!(back.stats(), t.stats());
+        assert_bit_identical(&back, &t);
+
+        // No build ever wrote any other value.
+        rewrite_meta(&snap, |meta| meta[PRUNE_BYTE] = 2);
+        let err = CfTree::reopen(&snap).unwrap_err();
+        std::fs::remove_file(&snap).unwrap();
+        assert!(
+            matches!(err, SnapshotError::Malformed { .. }),
+            "a prune byte of 2 must be malformed, got {err}"
         );
     }
 }

@@ -29,10 +29,10 @@
 //! events of the run (rebuilds, threshold raises, phase boundaries) to
 //! stdout.
 
-use birch::cli::{is_on, parse_flags};
+use birch::cli::{config, is_on, parse_flags, positive, preset_spec, usage_error};
 use birch::prelude::*;
 use birch_datagen::csv::{read_points, write_points};
-use birch_datagen::{presets, Dataset};
+use birch_datagen::Dataset;
 use birch_eval::visualize::clusters_to_csv;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -71,40 +71,12 @@ impl EventSink for CliTrace {
 }
 
 fn generate(flags: HashMap<String, String>) -> ExitCode {
-    let preset = flags.get("preset").map_or("ds1", String::as_str);
-    let seed: u64 = flags
-        .get("seed")
-        .map_or(42, |s| s.parse().expect("--seed must be an integer"));
     let out = PathBuf::from(
         flags
             .get("out")
-            .unwrap_or_else(|| {
-                eprintln!("error: generate needs --out <file>");
-                std::process::exit(2);
-            })
-            .clone(),
+            .unwrap_or_else(|| usage_error("generate needs --out <file>")),
     );
-    let mut spec = match preset {
-        "ds1" => presets::ds1(seed),
-        "ds2" => presets::ds2(seed),
-        "ds3" => presets::ds3(seed),
-        "ds1o" => presets::ds1o(seed),
-        "ds2o" => presets::ds2o(seed),
-        "ds3o" => presets::ds3o(seed),
-        other => {
-            eprintln!("error: unknown preset {other:?}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(n) = flags.get("per-cluster") {
-        let n: usize = n.parse().expect("--per-cluster must be an integer");
-        if spec.n_low == spec.n_high {
-            spec.n_low = n;
-            spec.n_high = n;
-        } else {
-            spec.n_high = 2 * n;
-        }
-    }
+    let (_, spec) = preset_spec(&flags, None);
     let ds = Dataset::generate(&spec);
     if let Err(e) = write_points(&out, &ds.points, Some(&ds.labels)) {
         eprintln!("error writing {}: {e}", out.display());
@@ -124,20 +96,13 @@ fn cluster(flags: HashMap<String, String>) -> ExitCode {
     let input = PathBuf::from(
         flags
             .get("input")
-            .unwrap_or_else(|| {
-                eprintln!("error: cluster needs --input <file>");
-                std::process::exit(2);
-            })
-            .clone(),
+            .unwrap_or_else(|| usage_error("cluster needs --input <file>")),
     );
-    let k: usize = flags
-        .get("k")
-        .unwrap_or_else(|| {
-            eprintln!("error: cluster needs --k <n>");
-            std::process::exit(2);
-        })
-        .parse()
-        .expect("--k must be an integer");
+    let k = positive(&flags, "k").unwrap_or_else(|| usage_error("cluster needs --k <n>"));
+    let mut config = config(&flags, k);
+    if let Some(dir) = flags.get("spill-dir") {
+        config = config.spill_dir(dir.clone());
+    }
 
     let (points, truth) = match read_points(&input, is_on(&flags, "labeled")) {
         Ok(v) => v,
@@ -147,29 +112,7 @@ fn cluster(flags: HashMap<String, String>) -> ExitCode {
         }
     };
     println!("read {} points from {}", points.len(), input.display());
-
-    let mut config = BirchConfig::with_clusters(k).total_points(points.len() as u64);
-    if let Some(m) = flags.get("metric") {
-        config = config.metric(m.parse().expect("--metric must be D0..D4"));
-    }
-    if let Some(mem) = flags.get("memory-kb") {
-        let kb: usize = mem.parse().expect("--memory-kb must be an integer");
-        config = config.memory(kb * 1024);
-    }
-    if let Some(t) = flags.get("threads") {
-        let t: usize = t.parse().expect("--threads must be a positive integer");
-        if t == 0 {
-            eprintln!("error: --threads must be >= 1");
-            return ExitCode::from(2);
-        }
-        config = config.threads(t);
-    }
-    if is_on(&flags, "out-of-core") {
-        config = config.out_of_core(true);
-    }
-    if let Some(dir) = flags.get("spill-dir") {
-        config = config.spill_dir(dir.clone());
-    }
+    let config = config.total_points(points.len() as u64);
 
     let trace = is_on(&flags, "trace");
     if is_on(&flags, "profile") {

@@ -16,20 +16,22 @@
 //! `--folded <path>` additionally writes inferno-compatible folded
 //! stacks (`path;to;span <self-µs>` per line), ready for
 //! `inferno-flamegraph < spans.folded > flame.svg`; `--json <path>`
-//! writes the full schema-v4 metrics JSON.
+//! writes the full metrics JSON.
 
-use birch::cli::{is_on, parse_flags};
+use birch::cli::{config, is_on, parse_flags, positive, preset_spec};
 use birch::core::obs::span;
 use birch::prelude::*;
 use birch_datagen::csv::read_points;
-use birch_datagen::{presets, Dataset};
+use birch_datagen::Dataset;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let flags = parse_flags(std::env::args().skip(1));
-    let seed: u64 = flags
-        .get("seed")
-        .map_or(42, |s| s.parse().expect("--seed must be an integer"));
+    let k = positive(&flags, "k").unwrap_or(100);
+    let config = config(&flags, k);
+    // Read even when `--input` leaves them unused, so a malformed value
+    // is never silently ignored.
+    let (preset, spec) = preset_spec(&flags, Some(200));
 
     // ---- Input: CSV file, or a generated preset (default ds1, sized
     // down to ~20k points so a report run stays interactive). ----
@@ -42,30 +44,8 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        let preset = flags.get("preset").map_or("ds1", String::as_str);
-        let per: usize = flags.get("per-cluster").map_or(200, |s| {
-            s.parse().expect("--per-cluster must be an integer")
-        });
-        let mut spec = match preset {
-            "ds1" => presets::ds1(seed),
-            "ds2" => presets::ds2(seed),
-            "ds3" => presets::ds3(seed),
-            "ds1o" => presets::ds1o(seed),
-            "ds2o" => presets::ds2o(seed),
-            "ds3o" => presets::ds3o(seed),
-            other => {
-                eprintln!("error: unknown preset {other:?}");
-                return ExitCode::from(2);
-            }
-        };
-        if spec.n_low == spec.n_high {
-            spec.n_low = per;
-            spec.n_high = per;
-        } else {
-            spec.n_high = 2 * per;
-        }
         let ds = Dataset::generate(&spec);
-        let label = format!("{preset} seed={seed} ({} points)", ds.len());
+        let label = format!("{preset} seed={} ({} points)", spec.seed, ds.len());
         (ds.points, label)
     };
     if points.is_empty() {
@@ -73,23 +53,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let k: usize = flags
-        .get("k")
-        .map_or(100, |s| s.parse().expect("--k must be an integer"));
-    let mut config = BirchConfig::with_clusters(k).total_points(points.len() as u64);
-    if let Some(m) = flags.get("metric") {
-        config = config.metric(m.parse().expect("--metric must be D0..D4"));
-    }
-    if let Some(mem) = flags.get("memory-kb") {
-        let kb: usize = mem.parse().expect("--memory-kb must be an integer");
-        config = config.memory(kb * 1024);
-    }
-    if let Some(t) = flags.get("threads") {
-        config = config.threads(t.parse().expect("--threads must be a positive integer"));
-    }
-    if is_on(&flags, "out-of-core") {
-        config = config.out_of_core(true);
-    }
+    let config = config.total_points(points.len() as u64);
 
     // ---- The profiled run. ----
     span::set_enabled(true);
@@ -213,8 +177,8 @@ fn main() -> ExitCode {
         m.rebuilds
     );
     println!(
-        "distance calls: {} performed, {} pruned; io: {}",
-        m.distance_calls, m.distance_calls_pruned, stats.io
+        "distance calls: {} performed; io: {}",
+        m.distance_calls, stats.io
     );
 
     // ---- Optional artifacts. ----

@@ -460,3 +460,60 @@ fn unknown_preset_rejected() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown preset"));
 }
+
+/// Every malformed flag value is a usage error on both binaries: exit
+/// code 2 and an `error: --<flag>` line, never a panic. The flags are
+/// checked before any input is read or generated, so a missing input
+/// file cannot mask them, nor can an `--input` that leaves the preset
+/// flags unused.
+#[test]
+fn malformed_values_exit_2_on_both_binaries() {
+    let nope = "/nonexistent/nope.csv";
+    let cluster = ["cluster", "--input", nope, "--k", "3"];
+    let generate = ["generate", "--out", nope];
+    let bad = [
+        ("--k", "abc"),
+        ("--k", "0"),
+        ("--seed", "x"),
+        ("--per-cluster", "abc"),
+        ("--threads", "x"),
+        ("--threads", "0"),
+        ("--memory-kb", "x"),
+        ("--memory-kb", "0"),
+        ("--memory-kb", "18446744073709551615"),
+        ("--metric", "D9"),
+    ];
+    for (flag, value) in bad {
+        let (base, report_base): (&[&str], &[&str]) = match flag {
+            "--seed" | "--per-cluster" => (&generate, &["--input", nope]),
+            _ => (&cluster, &[]),
+        };
+        let runs = [
+            ("birch-cli", cli().args(base).args([flag, value]).output()),
+            (
+                "birch-report",
+                Command::new(env!("CARGO_BIN_EXE_birch-report"))
+                    .args(report_base)
+                    .args([flag, value])
+                    .output(),
+            ),
+        ];
+        for (name, out) in runs {
+            let out = out.expect("run binary");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{name} {flag} {value}: {stderr}"
+            );
+            assert!(
+                stderr.starts_with(&format!("error: {flag} ")),
+                "{name} {flag} {value}: {stderr}"
+            );
+            assert!(
+                !stderr.contains("panicked"),
+                "{name} {flag} {value}: {stderr}"
+            );
+        }
+    }
+}
