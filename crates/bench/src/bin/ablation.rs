@@ -28,8 +28,8 @@ fn fit_stats(ds: &Dataset, config: BirchConfig) -> (f64, f64, std::time::Duratio
         d,
         ari,
         model.stats().total_time(),
-        model.stats().io.splits,
-        model.stats().io.merge_refinements,
+        model.stats().metrics.splits,
+        model.stats().metrics.merge_refinements,
     )
 }
 

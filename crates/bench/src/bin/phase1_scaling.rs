@@ -125,12 +125,12 @@ fn main() {
                     threads,
                     wall,
                     merge: Duration::ZERO,
-                    rebuilds: out.io.rebuilds,
+                    rebuilds: out.metrics.rebuilds,
                     leaf_entries: out.tree.leaf_entry_count(),
                     shard_walls: Vec::new(),
                     merge_round_walls: Vec::new(),
                     total_cf_n: out.tree.total_cf().n(),
-                    discarded: out.io.outliers_discarded,
+                    discarded: out.metrics.outliers_discarded,
                 }
             } else {
                 let (out, wall) = timed(|| parallel::run(&config, 2, &ds.points, threads));
@@ -138,7 +138,7 @@ fn main() {
                     threads,
                     wall,
                     merge: out.merge_wall,
-                    rebuilds: out.io.rebuilds,
+                    rebuilds: out.metrics.rebuilds,
                     leaf_entries: out.tree.leaf_entry_count(),
                     shard_walls: out.shards.iter().map(|s| s.wall.as_secs_f64()).collect(),
                     merge_round_walls: out
@@ -147,7 +147,7 @@ fn main() {
                         .map(Duration::as_secs_f64)
                         .collect(),
                     total_cf_n: out.tree.total_cf().n(),
-                    discarded: out.io.outliers_discarded,
+                    discarded: out.metrics.outliers_discarded,
                 }
             };
             best = match best {

@@ -30,7 +30,7 @@ fn run(label: &str, ds: &Dataset, config: BirchConfig) -> (f64, std::time::Durat
     (
         weighted_average_diameter(&model_cfs(&model)),
         model.stats().total_time(),
-        model.stats().io.rebuilds,
+        model.stats().metrics.rebuilds,
         model.clusters().len(),
     )
 }
@@ -144,9 +144,9 @@ fn main() {
                 label.to_string(),
                 format!("{:.3}", weighted_average_diameter(&model_cfs(&model))),
                 secs(model.stats().total_time()),
-                model.stats().io.rebuilds.to_string(),
+                model.stats().metrics.rebuilds.to_string(),
                 model.clusters().len().to_string(),
-                model.stats().io.outliers_discarded.to_string(),
+                model.stats().metrics.outliers_discarded.to_string(),
             ],
             &w2,
         );

@@ -27,7 +27,6 @@ use crate::phase3;
 use crate::phase4::{self, Phase4Config};
 use crate::point::Point;
 use crate::tree::TreeHealth;
-use birch_pager::IoStats;
 use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -35,9 +34,9 @@ use std::time::{Duration, Instant};
 /// Version stamp of the metrics JSON emitted by [`RunStats::to_json`].
 /// Bump here (and only here) when the schema changes; tests pin this
 /// constant, not a literal. See DESIGN.md §10 for the migration tables
-/// from v3 → v4 to v7 → v8. v8 drops the `counters` entry that counted
-/// the calls the retired D0 descent prune skipped.
-pub const METRICS_SCHEMA_VERSION: u32 = 8;
+/// from v3 → v4 to v8 → v9. v9 prints every run counter once, inside
+/// `counters`, with the keys of its table ([`crate::obs::counters`]).
+pub const METRICS_SCHEMA_VERSION: u32 = 9;
 
 /// Errors surfaced by the pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,8 +142,6 @@ pub struct RunStats {
     pub phase3_time: Duration,
     /// Phase-4 duration (zero when disabled).
     pub phase4_time: Duration,
-    /// Aggregate I/O & memory counters.
-    pub io: IoStats,
     /// Threshold after each rebuild.
     pub threshold_history: Vec<f64>,
     /// Final tree threshold entering Phase 3.
@@ -155,8 +152,9 @@ pub struct RunStats {
     pub leaf_entries_phase3: usize,
     /// Input records scanned.
     pub points_scanned: u64,
-    /// Aggregated run telemetry (event counters, insertion-depth histogram,
-    /// threshold-vs-points trajectory) collected across all phases.
+    /// Aggregated run telemetry collected across all phases: the run
+    /// counters (`metrics.rebuilds`, `metrics.peak_pages`, …), the
+    /// insertion-depth histogram and the threshold-vs-points trajectory.
     pub metrics: MetricsReport,
     /// Per-shard Phase-1 telemetry (empty for the serial scan). The spread
     /// of `wall` across shards is the skew that bounds parallel speedup.
@@ -190,9 +188,8 @@ impl RunStats {
 
     /// Serializes the run statistics as one line of stable JSON (no serde —
     /// hand-rolled; see the README's "Observability" section for the
-    /// schema). Resource counters (`rebuilds`, `peak_pages`, `splits`, …)
-    /// come from the same [`IoStats`] the CLI prints, so the file and the
-    /// stdout summary always agree.
+    /// schema). The run counters appear once each, in `counters`, read
+    /// from the same store as the CLI's summary line.
     #[must_use]
     pub fn to_json(&self) -> String {
         let m = &self.metrics;
@@ -202,25 +199,17 @@ impl RunStats {
              \"threads\":{},\
              \"phase_times\":{{\"phase1_s\":{},\"merge_s\":{},\"phase2_s\":{},\
              \"phase3_s\":{},\"phase4_s\":{},\"total_s\":{}}},\
-             \"rebuilds\":{},\
-             \"peak_pages\":{},\
-             \"splits\":{},\
-             \"merge_refinements\":{},\
+             \"counters\":{},\
              \"threshold_trajectory\":{},\
              \"final_threshold\":{},\
              \"leaf_entries_phase1\":{},\
              \"leaf_entries_phase3\":{},\
-             \"io\":{{\"disk_writes\":{},\"disk_reads\":{},\"disk_bytes_written\":{},\
-             \"disk_bytes_read\":{},\"disk_write_attempts\":{},\"disk_faults_injected\":{},\
-             \"outliers_discarded\":{},\"page_refs\":{},\"page_faults\":{},\
-             \"page_evictions\":{}}},\
              \"memory\":{},\
              \"tree_health\":{},\
              \"trace\":{},\
              \"spans\":{},\
              \"shards\":{},\
-             \"insert_depth_histogram\":{},\
-             \"counters\":{}}}",
+             \"insert_depth_histogram\":{}}}",
             METRICS_SCHEMA_VERSION,
             self.points_scanned,
             self.threads.max(1),
@@ -230,24 +219,11 @@ impl RunStats {
             json_f64(self.phase3_time.as_secs_f64()),
             json_f64(self.phase4_time.as_secs_f64()),
             json_f64(self.total_time().as_secs_f64()),
-            self.io.rebuilds,
-            self.io.peak_pages,
-            self.io.splits,
-            self.io.merge_refinements,
+            m.counters.to_json(),
             m.trajectory_json(),
             json_f64(self.final_threshold),
             self.leaf_entries_phase1,
             self.leaf_entries_phase3,
-            self.io.disk_writes,
-            self.io.disk_reads,
-            self.io.disk_bytes_written,
-            self.io.disk_bytes_read,
-            self.io.disk_write_attempts,
-            self.io.disk_faults_injected,
-            json_f64(self.io.outliers_discarded),
-            self.io.page_refs,
-            self.io.page_faults,
-            self.io.page_evictions,
             self.memory.to_json(),
             self.tree_health.to_json(),
             self.trace
@@ -258,7 +234,6 @@ impl RunStats {
                 .map_or_else(|| "null".to_string(), SpanReport::to_json),
             shards_json(&self.shards),
             m.histogram_json(),
-            m.counters_json(),
         )
     }
 }
@@ -564,36 +539,27 @@ impl Birch {
         // ---- Phase 1: build the CF-tree (serial scan or sharded). ----
         let t0 = Instant::now();
         let _sp = span::enter("phase1");
-        let (tree, mut estimator, recorder) = if threads > 1 {
+        // Phase 1's report seeds the run's recorder, which phases 2–4
+        // keep recording into (the sink saw Phase 1 live).
+        let (tree, mut estimator, metrics) = if threads > 1 {
             let out = parallel::run_with_sink(&config, dim, points, weights, threads, sink);
-            stats.io = out.io;
             stats.threshold_history = out.threshold_history;
             stats.merge_time = out.merge_wall;
             stats.shards = out.shards;
             stats.memory = out.memory;
-            let mut recorder = MetricsRecorder::new();
-            recorder.absorb_report(&out.metrics);
-            (out.tree, out.estimator, recorder)
+            (out.tree, out.estimator, out.metrics)
         } else {
             let Phase1Output {
                 tree,
-                io,
                 threshold_history,
-                points_scanned: _,
-                outliers,
                 estimator,
                 metrics,
                 memory,
+                ..
             } = phase1::run_points_with_sink(&config, dim, points, weights, &mut *sink);
-            stats.io = io;
             stats.threshold_history = threshold_history;
             stats.memory = memory;
-            drop(outliers); // counters already folded into io by phase 1
-                            // Run-level aggregation: absorb Phase 1's report, then keep
-                            // recording phases 2–4 directly (the sink saw Phase 1 live).
-            let mut recorder = MetricsRecorder::new();
-            recorder.absorb_report(&metrics);
-            (tree, estimator, recorder)
+            (tree, estimator, metrics)
         };
         drop(_sp);
         stats.phase1_time = t0.elapsed();
@@ -606,7 +572,7 @@ impl Birch {
             &mut estimator,
             config,
             stats,
-            recorder,
+            MetricsRecorder::from(metrics),
             sink,
             checkpoint,
         )
@@ -642,6 +608,7 @@ impl Birch {
         let t0 = Instant::now();
         let tree = if config.phase2 && tree.leaf_entry_count() > config.phase2_max_entries {
             let _sp = span::enter("phase2");
+            let counters = recorder.snapshot().counters;
             let mut tee = Tee(&mut recorder, &mut *sink);
             tee.record(&Event::PhaseStarted {
                 phase: Phase::Condense,
@@ -651,7 +618,7 @@ impl Birch {
                 config.phase2_max_entries,
                 estimator,
                 None,
-                &mut stats.io,
+                &counters,
                 &mut tee,
             );
             tee.record(&Event::PhaseFinished {
@@ -736,7 +703,9 @@ impl Birch {
             config.global_method,
         );
         if let Some(hac) = p3.hac {
-            recorder.note_phase3_pairs(hac.pairs_evaluated, hac.pairs_pruned);
+            let c = recorder.counters_mut();
+            c.phase3_pairs_evaluated += hac.pairs_evaluated;
+            c.phase3_pairs_pruned += hac.pairs_pruned;
         }
         stats.phase3_time = t0.elapsed();
         drop(sp3);
@@ -774,7 +743,6 @@ impl Birch {
                         .map(|(_, w)| w)
                         .sum()
                 });
-                stats.io.outliers_discarded += points;
                 tee.record(&Event::OutlierDiscarded { points });
             }
             tee.record(&Event::PhaseFinished {
@@ -890,7 +858,7 @@ mod tests {
         .fit(&pts)
         .unwrap();
         assert_eq!(model.clusters().len(), 4);
-        assert!(model.stats().io.rebuilds > 0);
+        assert!(model.stats().metrics.rebuilds > 0);
         // Weighted average radius stays close to the generated spread.
         for c in model.clusters() {
             assert!(c.radius < 5.0, "radius {}", c.radius);
@@ -1194,10 +1162,10 @@ mod tests {
             s.threshold_history
         );
         // The Phase-1 residency bound itself is asserted at the phase
-        // boundary in phase1's unit tests; `io.peak_pages` here is a
+        // boundary in phase1's unit tests; `metrics.peak_pages` here is a
         // whole-run counter and Phases 2–4 run fully resident by design.
-        assert!(s.io.page_evictions > 0, "tree never spilled");
-        assert!(s.io.page_faults > 0, "nothing faulted back");
+        assert!(s.metrics.page_evictions > 0, "tree never spilled");
+        assert!(s.metrics.page_faults > 0, "nothing faulted back");
         let json = s.to_json();
         assert!(json.contains("\"page_refs\":"), "{json}");
         assert!(json.contains("\"page_spill\":{"), "{json}");

@@ -72,7 +72,8 @@ pub use obs::mem::MemoryGauge;
 pub use obs::prom::prometheus_exposition;
 pub use obs::span::{SpanNode, SpanReport};
 pub use obs::{
-    Event, EventSink, MetricsRecorder, MetricsReport, NoopSink, ShardReport, TraceLog, TraceStats,
+    Counters, Event, EventSink, MetricsRecorder, MetricsReport, NoopSink, ShardReport, TraceLog,
+    TraceStats,
 };
 pub use parallel::ParallelPhase1Output;
 pub use point::Point;

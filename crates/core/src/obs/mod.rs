@@ -10,10 +10,13 @@
 //! * [`EventSink`] — the receiver trait. The pipeline is generic over the
 //!   sink, and the default [`NoopSink`] compiles to nothing, so an
 //!   uninstrumented run pays zero cost.
-//! * [`MetricsRecorder`] — a built-in sink that aggregates counters,
+//! * [`Counters`] — every scalar run counter, declared once as a row of
+//!   the table in [`counters`]; the store, its merge, the JSON object, the
+//!   Prometheus samples and the report text all come from that table.
+//! * [`MetricsRecorder`] — a built-in sink that aggregates the counters,
 //!   per-phase wall time, the insertion-depth histogram, and the full
 //!   threshold-vs-points trajectory; [`Phase1Builder`] always carries one,
-//!   and `IoStats`' event-derived counters are populated from it.
+//!   and it is the run's one accumulator of the counters.
 //! * [`TraceLog`] — a built-in ring-buffer sink keeping the last `N`
 //!   events verbatim for post-mortem inspection (`birch-cli --trace`).
 //! * [`MetricsReport`] — the recorder's frozen output, exportable as
@@ -26,11 +29,15 @@
 //! gauge against the paper's M), and [`prom`] (Prometheus text
 //! exposition of a run's stats).
 
+pub mod counters;
 pub mod mem;
 pub mod prom;
 pub mod span;
 
+pub use counters::Counters;
+
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::time::Duration;
 
 /// The four pipeline phases, as telemetry labels.
@@ -390,35 +397,13 @@ impl MetricsRecorder {
         &self.report
     }
 
-    /// Merges a frozen report into this recorder — used to fold the
-    /// per-worker Phase-1 reports of a parallel fit into one run total.
-    pub fn absorb_report(&mut self, other: &MetricsReport) {
-        self.report.absorb(other);
-    }
-
-    /// Copies a [`TraceLog`]'s ring statistics (capacity, drop count)
-    /// into the report so [`MetricsRecorder::one_line`] and the metrics
-    /// JSON can say how lossy the trace was.
-    pub fn note_trace(&mut self, trace: &TraceLog) {
-        let stats = trace.stats();
-        self.report.trace_capacity = self.report.trace_capacity.max(stats.capacity);
-        self.report.trace_dropped += stats.dropped;
-    }
-
-    /// Records the Phase 3 agglomerator's candidate-pair work (performed
-    /// and prune-skipped distance evaluations) into the report. Called by
-    /// the pipeline after the global clustering step; pair counts are
-    /// deliberately kept separate from Phase 1's `distance_calls` so the
-    /// two phases' work stays independently measurable.
-    pub fn note_phase3_pairs(&mut self, evaluated: u64, pruned: u64) {
-        self.report.phase3_pairs_evaluated += evaluated;
-        self.report.phase3_pairs_pruned += pruned;
+    /// The run counters, for banking the ones no event carries.
+    pub fn counters_mut(&mut self) -> &mut Counters {
+        &mut self.report.counters
     }
 
     /// One-line summary for periodic progress printing, e.g.
-    /// `inserts=1200 rebuilds=3 splits=57 peak_pages=9 T=0.81`. When a
-    /// trace ring was attached (via [`MetricsRecorder::note_trace`]) the
-    /// line also reports its loss, e.g. `trace_dropped=241/cap512`.
+    /// `inserts=1200 rebuilds=3 splits=57 peak_pages=9 T=0.81`.
     #[must_use]
     pub fn one_line(&self) -> String {
         let r = &self.report;
@@ -426,115 +411,49 @@ impl MetricsRecorder {
             .threshold_trajectory
             .last()
             .map_or_else(|| "T0".to_string(), |p| format!("{:.3}", p.threshold));
-        let mut line = format!(
+        format!(
             "inserts={} rebuilds={} splits={} refinements={} spilled={} peak_pages={} T={t}",
             r.inserts, r.rebuilds, r.splits, r.merge_refinements, r.outliers_spilled, r.peak_pages
-        );
-        if r.trace_capacity > 0 {
-            line.push_str(&format!(
-                " trace_dropped={}/cap{}",
-                r.trace_dropped, r.trace_capacity
-            ));
-        }
-        line
+        )
+    }
+}
+
+/// A recorder that carries on from `report` (Phase 1's, say).
+impl From<MetricsReport> for MetricsRecorder {
+    fn from(report: MetricsReport) -> Self {
+        Self { report }
     }
 }
 
 impl EventSink for MetricsRecorder {
     fn record(&mut self, event: &Event) {
         let r = &mut self.report;
-        r.events += 1;
+        r.counters.record(event);
         match *event {
-            Event::PhaseStarted { .. } => {}
             Event::PhaseFinished { phase, wall } => r.phase_wall[phase.index()] += wall,
             Event::InsertDescend { depth } => {
-                r.inserts += 1;
                 if r.insert_depth_histogram.len() <= depth {
                     r.insert_depth_histogram.resize(depth + 1, 0);
                 }
                 r.insert_depth_histogram[depth] += 1;
             }
-            Event::SplitPerformed { count } => r.splits += count,
-            Event::MergeRefinement { count } => r.merge_refinements += count,
             Event::ThresholdRaised {
                 new, points_seen, ..
-            } => {
-                r.thresholds_raised += 1;
-                r.threshold_trajectory.push(ThresholdPoint {
-                    points_seen,
-                    threshold: new,
-                });
-            }
-            Event::RebuildTriggered { pages, .. } => {
-                r.rebuilds += 1;
-                r.peak_pages = r.peak_pages.max(pages);
-            }
-            Event::OutlierSpilled { count } => r.outliers_spilled += count,
-            Event::OutlierReabsorbed {
-                absorbed,
-                reinserted,
-                folded_back,
-            } => {
-                r.outliers_reabsorbed += absorbed;
-                r.outliers_reinserted += reinserted;
-                r.outliers_folded_back += folded_back;
-            }
-            Event::OutlierDiscarded { points } => r.outliers_discarded += points,
-            Event::PagesHighWater { pages } => r.peak_pages = r.peak_pages.max(pages),
+            } => r.threshold_trajectory.push(ThresholdPoint {
+                points_seen,
+                threshold: new,
+            }),
+            _ => {}
         }
     }
 }
 
-/// Frozen aggregates of one run (the [`MetricsRecorder`]'s output).
+/// Frozen aggregates of one run (the [`MetricsRecorder`]'s output). It
+/// derefs to its [`Counters`], so `report.splits` reads the counter.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
-    /// Full tree insertions (each one `InsertDescend` event).
-    pub inserts: u64,
-    /// Node splits (leaf + interior).
-    pub splits: u64,
-    /// Merging refinements (§4.3).
-    pub merge_refinements: u64,
-    /// Tree rebuilds.
-    pub rebuilds: u64,
-    /// Threshold raises (usually equals `rebuilds`).
-    pub thresholds_raised: u64,
-    /// Entries spilled to the outlier disk.
-    pub outliers_spilled: u64,
-    /// Outlier entries truly re-absorbed: merged into an existing leaf
-    /// entry without growing the tree (§5.1.3). Entries that came back
-    /// another way are counted separately below.
-    pub outliers_reabsorbed: u64,
-    /// Outlier entries re-inserted as regular data after outgrowing
-    /// outlierhood.
-    pub outliers_reinserted: u64,
-    /// Outlier entries folded into the tree on a refused disk
-    /// write-back (fault paths).
-    pub outliers_folded_back: u64,
-    /// Points discarded as outliers: the summed N (weight) of the entries
-    /// dropped at the end of a scan and of the points refinement rejects.
-    pub outliers_discarded: f64,
-    /// Page high-water mark observed via events.
-    pub peak_pages: usize,
-    /// Distance evaluations performed by the insert hot path (descent
-    /// closest-child scans plus closest-leaf-entry scans) — populated from
-    /// [`TreeStats`] by the Phase-1 driver rather than from events, since
-    /// one counter bump per distance would drown the event stream.
-    ///
-    /// [`TreeStats`]: crate::tree::TreeStats
-    pub distance_calls: u64,
-    /// Phase 3 candidate-pair distances actually evaluated by the
-    /// agglomerator (schema v5). Set via
-    /// [`MetricsRecorder::note_phase3_pairs`], not from events.
-    pub phase3_pairs_evaluated: u64,
-    /// Phase 3 candidate pairs skipped by the cached-statistic lower
-    /// bound (`pair_lower_bound`); 0 on the heap path or with the prune
-    /// off. Same provenance as [`MetricsReport::phase3_pairs_evaluated`].
-    pub phase3_pairs_pruned: u64,
-    /// Capacity of the trace ring attached to the run (0 = no trace).
-    /// Set via [`MetricsRecorder::note_trace`], not from events.
-    pub trace_capacity: usize,
-    /// Events the attached trace ring evicted (see [`TraceLog::dropped`]).
-    pub trace_dropped: u64,
+    /// The run counters.
+    pub counters: Counters,
     /// `insert_depth_histogram[d]` = insertions that descended `d`
     /// interior levels.
     pub insert_depth_histogram: Vec<u64>,
@@ -544,30 +463,22 @@ pub struct MetricsReport {
     pub threshold_trajectory: Vec<ThresholdPoint>,
     /// Wall time per phase, indexed by [`Phase::index`].
     pub phase_wall: [Duration; 4],
-    /// Total events received.
-    pub events: u64,
+}
+
+impl Deref for MetricsReport {
+    type Target = Counters;
+
+    fn deref(&self) -> &Counters {
+        &self.counters
+    }
 }
 
 impl MetricsReport {
-    /// Component-wise merge (sum counters, max peaks, concatenate the
-    /// trajectory, sum phase times).
+    /// Merges another stage's or shard's report: the counters by their
+    /// table's rules, the histograms and phase times summed, the
+    /// trajectory concatenated.
     pub fn absorb(&mut self, other: &MetricsReport) {
-        self.inserts += other.inserts;
-        self.splits += other.splits;
-        self.merge_refinements += other.merge_refinements;
-        self.rebuilds += other.rebuilds;
-        self.thresholds_raised += other.thresholds_raised;
-        self.outliers_spilled += other.outliers_spilled;
-        self.outliers_reabsorbed += other.outliers_reabsorbed;
-        self.outliers_reinserted += other.outliers_reinserted;
-        self.outliers_folded_back += other.outliers_folded_back;
-        self.outliers_discarded += other.outliers_discarded;
-        self.peak_pages = self.peak_pages.max(other.peak_pages);
-        self.distance_calls += other.distance_calls;
-        self.phase3_pairs_evaluated += other.phase3_pairs_evaluated;
-        self.phase3_pairs_pruned += other.phase3_pairs_pruned;
-        self.trace_capacity = self.trace_capacity.max(other.trace_capacity);
-        self.trace_dropped += other.trace_dropped;
+        self.counters.absorb(&other.counters);
         if self.insert_depth_histogram.len() < other.insert_depth_histogram.len() {
             self.insert_depth_histogram
                 .resize(other.insert_depth_histogram.len(), 0);
@@ -580,37 +491,6 @@ impl MetricsReport {
         for (mine, theirs) in self.phase_wall.iter_mut().zip(&other.phase_wall) {
             *mine += *theirs;
         }
-        self.events += other.events;
-    }
-
-    /// The event-derived counters as a JSON object fragment (used by
-    /// [`RunStats::to_json`]).
-    ///
-    /// [`RunStats::to_json`]: crate::birch::RunStats::to_json
-    #[must_use]
-    pub fn counters_json(&self) -> String {
-        format!(
-            "{{\"inserts\":{},\"splits\":{},\"merge_refinements\":{},\"rebuilds\":{},\
-             \"thresholds_raised\":{},\"outliers_spilled\":{},\"outliers_reabsorbed\":{},\
-             \"outliers_reinserted\":{},\"outliers_folded_back\":{},\
-             \"outliers_discarded\":{},\"distance_calls\":{},\
-             \"phase3_pairs_evaluated\":{},\"phase3_pairs_pruned\":{},\
-             \"events\":{}}}",
-            self.inserts,
-            self.splits,
-            self.merge_refinements,
-            self.rebuilds,
-            self.thresholds_raised,
-            self.outliers_spilled,
-            self.outliers_reabsorbed,
-            self.outliers_reinserted,
-            self.outliers_folded_back,
-            json_f64(self.outliers_discarded),
-            self.distance_calls,
-            self.phase3_pairs_evaluated,
-            self.phase3_pairs_pruned,
-            self.events
-        )
     }
 
     /// The threshold trajectory as a JSON array of
@@ -814,6 +694,10 @@ mod tests {
 
     #[test]
     fn recorder_peak_pages_maxes() {
+        // The mark follows `PagesHighWater` alone: whoever raises the
+        // peak reports it (Phase 1 reports each rebuild's transient, which
+        // covers the old tree's pages), so a rebuild's own page count
+        // does not move it.
         let mut rec = MetricsRecorder::new();
         rec.record(&Event::PagesHighWater { pages: 4 });
         rec.record(&Event::RebuildTriggered {
@@ -823,7 +707,8 @@ mod tests {
             pages: 9,
         });
         rec.record(&Event::PagesHighWater { pages: 7 });
-        assert_eq!(rec.report().peak_pages, 9);
+        rec.record(&Event::PagesHighWater { pages: 5 });
+        assert_eq!(rec.report().peak_pages, 7);
     }
 
     #[test]
@@ -907,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_stats_surface_in_one_line() {
+    fn trace_stats_count_ring_loss() {
         let mut log = TraceLog::new(2);
         for d in 0..5 {
             log.record(&Event::InsertDescend { depth: d });
@@ -919,19 +804,6 @@ mod tests {
         assert_eq!(
             stats.to_json(),
             "{\"capacity\":2,\"retained\":2,\"dropped\":3}"
-        );
-
-        let mut rec = MetricsRecorder::new();
-        assert!(
-            !rec.one_line().contains("trace_dropped"),
-            "no trace attached: {}",
-            rec.one_line()
-        );
-        rec.note_trace(&log);
-        assert!(
-            rec.one_line().contains("trace_dropped=3/cap2"),
-            "{}",
-            rec.one_line()
         );
     }
 

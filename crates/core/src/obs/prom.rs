@@ -5,14 +5,17 @@
 //! speaks it) ingests — `# TYPE` headers, `snake_case` metric names
 //! under a `birch_` prefix, labels for enumerable dimensions (phase,
 //! I/O op, memory component, tree level, span path). The CLI writes it
-//! via `--metrics-prom <path>`; the same numbers appear in the schema-v4
-//! JSON, so the two exports never disagree.
+//! via `--metrics-prom <path>`. The run counters' samples come from the
+//! same table as the metrics JSON's `counters` object
+//! ([`crate::obs::counters`]), one sample per row, so the two exports
+//! never disagree.
 //!
 //! This is a *snapshot* exposition (counters since the start of the
 //! run), not a long-lived registry: BIRCH runs are batch jobs, and the
 //! natural scrape is "read the file the run left behind".
 
 use crate::birch::RunStats;
+use crate::obs::counters::Value;
 use crate::obs::span::SpanNode;
 use std::fmt::Write as _;
 
@@ -97,95 +100,30 @@ pub fn prometheus_exposition(stats: &RunStats) -> String {
         );
     }
 
-    header(
-        &mut out,
-        "birch_tree_ops_total",
-        "counter",
-        "Tree mutations over the run (inserts, splits, refinements, rebuilds).",
-    );
-    for (op, v) in [
-        ("inserts", m.inserts),
-        ("splits", m.splits),
-        ("merge_refinements", m.merge_refinements),
-        ("rebuilds", m.rebuilds),
-        ("thresholds_raised", m.thresholds_raised),
-    ] {
-        let _ = writeln!(out, "birch_tree_ops_total{{op=\"{op}\"}} {v}");
+    // The run counters: one family per run of adjacent table rows, one
+    // sample per row; a family's help lists its rows' helps by label.
+    let rows: Vec<_> = m.counters.rows().collect();
+    for family in rows.chunk_by(|(a, _), (b, _)| a.family == b.family) {
+        let (first, _) = family[0];
+        let help: Vec<String> = family
+            .iter()
+            .map(|(row, _)| match row.label {
+                Some((_, value)) => format!("{value}: {}", row.help),
+                None => row.help.to_string(),
+            })
+            .collect();
+        header(&mut out, first.family, first.kind.name(), &help.join(" "));
+        for (row, value) in family {
+            let labels = row
+                .label
+                .map_or_else(String::new, |(name, v)| format!("{{{name}=\"{v}\"}}"));
+            let value = match *value {
+                Value::Int(v) => v.to_string(),
+                Value::Real(x) => num(x),
+            };
+            let _ = writeln!(out, "{}{labels} {value}", row.family);
+        }
     }
-
-    header(
-        &mut out,
-        "birch_distance_calls_total",
-        "counter",
-        "Distance evaluations in the insert hot path.",
-    );
-    let _ = writeln!(
-        out,
-        "birch_distance_calls_total{{kind=\"performed\"}} {}",
-        m.distance_calls
-    );
-
-    header(
-        &mut out,
-        "birch_phase3_pairs_total",
-        "counter",
-        "Phase 3 agglomerator candidate pairs (pruned = skipped by the CF-statistic bound).",
-    );
-    let _ = writeln!(
-        out,
-        "birch_phase3_pairs_total{{kind=\"evaluated\"}} {}",
-        m.phase3_pairs_evaluated
-    );
-    let _ = writeln!(
-        out,
-        "birch_phase3_pairs_total{{kind=\"pruned\"}} {}",
-        m.phase3_pairs_pruned
-    );
-
-    header(
-        &mut out,
-        "birch_outliers_total",
-        "counter",
-        "Outlier dispositions: spilled, reabsorbed, reinserted and folded back count entries; discarded counts points (the dropped entries' summed N).",
-    );
-    for (op, v) in [
-        ("spilled", m.outliers_spilled),
-        ("reabsorbed", m.outliers_reabsorbed),
-        ("reinserted", m.outliers_reinserted),
-        ("folded_back", m.outliers_folded_back),
-    ] {
-        let _ = writeln!(out, "birch_outliers_total{{disposition=\"{op}\"}} {v}");
-    }
-    let _ = writeln!(
-        out,
-        "birch_outliers_total{{disposition=\"discarded\"}} {}",
-        num(m.outliers_discarded)
-    );
-
-    header(
-        &mut out,
-        "birch_io_total",
-        "counter",
-        "Simulated-disk traffic; attempts - writes = rejections, faults_injected of those were injected.",
-    );
-    for (op, v) in [
-        ("disk_writes", stats.io.disk_writes),
-        ("disk_reads", stats.io.disk_reads),
-        ("disk_bytes_written", stats.io.disk_bytes_written),
-        ("disk_bytes_read", stats.io.disk_bytes_read),
-        ("disk_write_attempts", stats.io.disk_write_attempts),
-        ("disk_faults_injected", stats.io.disk_faults_injected),
-    ] {
-        let _ = writeln!(out, "birch_io_total{{op=\"{op}\"}} {v}");
-    }
-
-    header(
-        &mut out,
-        "birch_peak_pages",
-        "gauge",
-        "Page high-water mark (concurrent peak for sharded runs).",
-    );
-    let _ = writeln!(out, "birch_peak_pages {}", stats.io.peak_pages);
 
     header(
         &mut out,
@@ -386,16 +324,9 @@ mod tests {
             points_scanned: 1000,
             ..RunStats::default()
         };
-        s.io.disk_writes = 7;
-        s.io.disk_write_attempts = 9;
-        s.io.disk_faults_injected = 2;
         s.memory.budget_bytes = 4096;
         s.memory.pager_pages.record(2048);
-        s.metrics.inserts = 900;
-        s.metrics.splits = 12;
-        s.metrics.distance_calls = 55;
-        s.metrics.phase3_pairs_evaluated = 77;
-        s.metrics.phase3_pairs_pruned = 33;
+        s.metrics.counters.splits = 12;
         s
     }
 
@@ -413,30 +344,6 @@ mod tests {
         );
         assert!(
             text.contains("birch_tree_ops_total{op=\"splits\"} 12"),
-            "{text}"
-        );
-        assert!(
-            text.contains("birch_io_total{op=\"disk_write_attempts\"} 9"),
-            "{text}"
-        );
-        assert!(
-            text.contains("birch_io_total{op=\"disk_faults_injected\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("birch_distance_calls_total{kind=\"performed\"} 55"),
-            "{text}"
-        );
-        assert!(
-            !text.contains("birch_distance_calls_total{kind=\"pruned\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("birch_phase3_pairs_total{kind=\"evaluated\"} 77"),
-            "{text}"
-        );
-        assert!(
-            text.contains("birch_phase3_pairs_total{kind=\"pruned\"} 33"),
             "{text}"
         );
         assert!(text.contains("birch_mem_budget_bytes 4096"), "{text}");

@@ -14,8 +14,13 @@
 //! Profiling is off by default. Each thread carries one flag
 //! (a `thread_local!` [`Cell`]); a disabled [`enter`] is a single
 //! thread-local load and branch — no clock read, no allocation, no guard
-//! state beyond a `None`. Hot paths (per-point insert/descend) stay at
-//! memory speed, which is what the `insert_kernel` bench pins down.
+//! state beyond a `None`. An enabled one reads the clock twice and scans
+//! its parent's children. So no span opens once per point: the
+//! per-point work is counted instead (the `inserts` and `distance_calls`
+//! run counters), and spans mark the seams that run per split, rebuild,
+//! outlier-disk access, merge or phase. A profiled fit opens about the
+//! same number of spans at any input size, and its Phase 1 takes about
+//! as long as an unprofiled one.
 //!
 //! # Threading
 //!
@@ -87,20 +92,14 @@ impl Profiler {
     /// Finds or creates the child named `name` under the innermost open
     /// span (or among the roots) and pushes it on the stack.
     fn open(&mut self, name: &'static str) {
-        let siblings_of = |slots: &[Slot], stack: &[usize]| match stack.last() {
-            Some(&parent) => slots[parent].children.clone(),
-            None => Vec::new(),
+        let siblings = match self.stack.last() {
+            Some(&parent) => &self.slots[parent].children,
+            None => &self.roots,
         };
-        let existing = if self.stack.is_empty() {
-            self.roots
-                .iter()
-                .copied()
-                .find(|&i| self.slots[i].name == name)
-        } else {
-            siblings_of(&self.slots, &self.stack)
-                .into_iter()
-                .find(|&i| self.slots[i].name == name)
-        };
+        let existing = siblings
+            .iter()
+            .copied()
+            .find(|&i| self.slots[i].name == name);
         let idx = existing.unwrap_or_else(|| {
             let idx = self.slots.len();
             self.slots.push(Slot {

@@ -50,12 +50,11 @@ use crate::cf::Cf;
 use crate::config::BirchConfig;
 use crate::obs::mem::MemoryGauge;
 use crate::obs::span::{self, SpanReport};
-use crate::obs::{EventSink, MetricsReport, NoopSink, ShardReport};
+use crate::obs::{Counters, EventSink, MetricsReport, NoopSink, ShardReport};
 use crate::phase1::{Phase1Builder, Phase1Output};
 use crate::point::Point;
 use crate::threshold::ThresholdEstimator;
 use crate::tree::CfTree;
-use birch_pager::IoStats;
 use std::time::{Duration, Instant};
 
 /// Everything the parallel Phase 1 produces — the serial
@@ -64,11 +63,11 @@ use std::time::{Duration, Instant};
 pub struct ParallelPhase1Output {
     /// The final merged CF-tree (fits the full memory budget).
     pub tree: CfTree,
-    /// Aggregate resource counters. Counter fields are summed across
-    /// shards and merge; `peak_pages` is the *concurrent* peak — the sum
-    /// of the shard peaks (the shards run at the same time), maxed with
-    /// the merge stage's peak.
-    pub io: IoStats,
+    /// The build's run counters: a copy of `metrics.counters`. Counts
+    /// are summed across shards and merge; `peak_pages` is the
+    /// *concurrent* peak — the sum of the shard peaks (the shards run at
+    /// the same time), maxed with the merge stage's peak.
+    pub io: Counters,
     /// Merge-stage threshold raises (the run-level `T` sequence; the
     /// per-shard sequences live in [`ParallelPhase1Output::shards`]).
     pub threshold_history: Vec<f64>,
@@ -286,7 +285,6 @@ fn merge_shards<S: EventSink>(
         }
     }
 
-    let mut io = IoStats::default();
     let mut metrics = MetricsReport::default();
     let mut shards = Vec::with_capacity(shard_runs.len());
     let mut shard_peak_sum = 0usize;
@@ -299,16 +297,15 @@ fn merge_shards<S: EventSink>(
             shard: i,
             points: out.points_scanned,
             wall,
-            rebuilds: out.io.rebuilds,
+            rebuilds: out.metrics.rebuilds,
             final_threshold: out.tree.threshold(),
             leaf_entries: out.tree.leaf_entry_count(),
-            peak_pages: out.io.peak_pages,
-            splits: out.io.splits,
+            peak_pages: out.metrics.peak_pages,
+            splits: out.metrics.splits,
             outliers_carried: carried.len() as u64,
             threshold_trajectory: out.metrics.threshold_trajectory.clone(),
         });
-        shard_peak_sum += out.io.peak_pages;
-        io.absorb(&out.io);
+        shard_peak_sum += out.metrics.peak_pages;
         metrics.absorb(&out.metrics);
         memory.absorb_concurrent(&out.memory);
         items.push(MergeItem {
@@ -367,8 +364,7 @@ fn merge_shards<S: EventSink>(
             if let Some(r) = &spans {
                 span::merge_report(r);
             }
-            round_peak_sum += out.io.peak_pages;
-            io.absorb(&out.io);
+            round_peak_sum += out.metrics.peak_pages;
             metrics.absorb(&out.metrics);
             round_mem.absorb_concurrent(&out.memory);
             next.push(MergeItem {
@@ -413,17 +409,15 @@ fn merge_shards<S: EventSink>(
     drop(sp_merge);
     let merge_wall = merge_started.elapsed();
 
-    io.absorb(&merged.io);
     metrics.absorb(&merged.metrics);
     memory.absorb_sequential(&merged.memory);
     // Honest in-memory peak: concurrent stages sum (shards; pairs within
     // a round), sequential stages max — whichever stage peaked highest.
-    io.peak_pages = peak_pages_floor.max(merged.io.peak_pages);
-    metrics.peak_pages = io.peak_pages;
+    metrics.counters.peak_pages = peak_pages_floor.max(merged.metrics.peak_pages);
 
     ParallelPhase1Output {
         tree: merged.tree,
-        io,
+        io: metrics.counters,
         threshold_history: merged.threshold_history,
         points_scanned: total_points,
         estimator: merged.estimator,

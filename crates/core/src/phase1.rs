@@ -15,12 +15,14 @@ use crate::cf::Cf;
 use crate::config::BirchConfig;
 use crate::obs::mem::MemoryGauge;
 use crate::obs::span;
-use crate::obs::{Event, EventSink, MetricsRecorder, MetricsReport, NoopSink, Phase, Tee};
+use crate::obs::{
+    Counters, Event, EventSink, MetricsRecorder, MetricsReport, NoopSink, Phase, Tee,
+};
 use crate::outlier::{DelaySplitBuffer, OutlierConfig, OutlierStore};
 use crate::rebuild::rebuild_observed;
 use crate::threshold::ThresholdEstimator;
 use crate::tree::{CfTree, TreeParams};
-use birch_pager::{IoStats, PageLayout};
+use birch_pager::PageLayout;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -35,8 +37,9 @@ const MAX_REBUILDS: u64 = 10_000;
 pub struct Phase1Output {
     /// The final CF-tree (fits the memory budget).
     pub tree: CfTree,
-    /// Resource counters for the run.
-    pub io: IoStats,
+    /// The scan's run counters: a copy of `metrics.counters`, taken when
+    /// the scan finished.
+    pub io: Counters,
     /// The threshold after each rebuild, `T1, T2, …` (empty if no rebuild
     /// was needed).
     pub threshold_history: Vec<f64>,
@@ -48,8 +51,8 @@ pub struct Phase1Output {
     /// The threshold estimator, carrying its r–N history forward so Phase 2
     /// can continue the same sequence.
     pub estimator: ThresholdEstimator,
-    /// Aggregated telemetry of the scan (counters, depth histogram,
-    /// threshold trajectory) — the source of `io`'s event-derived fields.
+    /// Aggregated telemetry of the scan: the run counters, the depth
+    /// histogram and the threshold trajectory.
     pub metrics: MetricsReport,
     /// Live/high-water byte accounting against the budget `M`: pager
     /// pages (the paper's unit), node arena, SoA blocks, outlier disk.
@@ -77,7 +80,6 @@ pub struct Phase1Builder<S: EventSink = NoopSink> {
     outliers: Option<OutlierStore>,
     delay: Option<DelaySplitBuffer>,
     delay_mode: bool,
-    io: IoStats,
     threshold_history: Vec<f64>,
     points_scanned: u64,
     /// Total weight (N) of every CF fed in, including outlier candidates —
@@ -92,9 +94,9 @@ pub struct Phase1Builder<S: EventSink = NoopSink> {
     /// live tree's [`TreeStats`](crate::tree::TreeStats) reset on every
     /// swap, so lifetime totals are `retired + tree.stats()`.
     retired_distance_calls: u64,
-    /// Always-on aggregator: `finish()` fills `io`'s event-derived
-    /// counters from it, so the tree, the rebuild machinery, and the
-    /// builder never keep parallel tallies of the same mutations.
+    /// Always-on aggregator and the scan's one store of run counters:
+    /// the tree, the rebuild machinery and the outlier disk report into
+    /// it through events, and `finish()` banks the rest into it.
     recorder: MetricsRecorder,
     /// Caller-supplied sink, receiving the same event stream.
     sink: S,
@@ -226,7 +228,6 @@ fn builder<S: EventSink>(config: &BirchConfig, dim: usize, sink: S) -> Phase1Bui
         outliers,
         delay,
         delay_mode: false,
-        io: IoStats::default(),
         threshold_history: Vec::new(),
         points_scanned: 0,
         fed_n: 0.0,
@@ -305,8 +306,7 @@ impl<S: EventSink> Phase1Builder<S> {
         self.memory
             .pager_pages
             .record(pages as u64 * self.page_bytes as u64);
-        if pages > self.io.peak_pages {
-            self.io.peak_pages = pages;
+        if pages > self.recorder.snapshot().peak_pages {
             self.emit(Event::PagesHighWater { pages });
         }
     }
@@ -355,12 +355,6 @@ impl<S: EventSink> Phase1Builder<S> {
     #[must_use]
     pub fn points_scanned(&self) -> u64 {
         self.points_scanned
-    }
-
-    /// Resource counters so far.
-    #[must_use]
-    pub fn io(&self) -> &IoStats {
-        &self.io
     }
 
     /// Clones everything currently parked on the simulated disk — the
@@ -593,7 +587,7 @@ impl<S: EventSink> Phase1Builder<S> {
         }
         while self.tree.node_count() > self.max_pages {
             assert!(
-                self.io.rebuilds < MAX_REBUILDS,
+                self.recorder.snapshot().rebuilds < MAX_REBUILDS,
                 "rebuild did not converge after {MAX_REBUILDS} attempts"
             );
             let t_next = self
@@ -617,7 +611,6 @@ impl<S: EventSink> Phase1Builder<S> {
                 self.outliers.as_mut(),
                 &mut Tee(&mut self.recorder, &mut self.sink),
             );
-            self.io.rebuilds += 1;
             self.note_pages(report.peak_pages);
             self.threshold_history.push(t_next);
             self.retire_tree_counters();
@@ -672,7 +665,6 @@ impl<S: EventSink> Phase1Builder<S> {
             self.outliers.as_mut(),
             &mut Tee(&mut self.recorder, &mut self.sink),
         );
-        self.io.rebuilds += 1;
         self.note_pages(report.peak_pages);
         self.threshold_history.push(t);
         self.retire_tree_counters();
@@ -766,9 +758,10 @@ impl<S: EventSink> Phase1Builder<S> {
         // spill file is deleted with the page store.
         if self.tree.is_paged() {
             if let Some(ps) = self.tree.page_stats() {
-                self.io.page_refs = ps.refs;
-                self.io.page_faults = ps.faults;
-                self.io.page_evictions = ps.evictions;
+                let c = self.recorder.counters_mut();
+                c.page_refs = ps.refs;
+                c.page_faults = ps.faults;
+                c.page_evictions = ps.evictions;
                 self.note_pages(ps.resident_nodes);
             }
             self.sample_memory();
@@ -783,39 +776,31 @@ impl<S: EventSink> Phase1Builder<S> {
             wall: self.started.elapsed(),
         });
 
-        // Assemble counters: event-derived fields come from the recorder —
-        // the single source the tree, rebuilds, and outlier machinery all
-        // report into — so nothing is tallied twice.
-        {
-            let m = self.recorder.snapshot();
-            self.io.rebuilds = m.rebuilds;
-            self.io.splits = m.splits;
-            self.io.merge_refinements = m.merge_refinements;
-            self.io.outliers_discarded = m.outliers_discarded;
-            self.io.peak_pages = self.io.peak_pages.max(m.peak_pages);
-        }
+        // Bank the counters no event carries: the disks' traffic and the
+        // trees' distance calls.
+        let c = self.recorder.counters_mut();
         if let Some(store) = &self.outliers {
-            self.io.disk_writes += store.writes();
-            self.io.disk_reads += store.reads();
-            self.io.disk_bytes_written += store.bytes_written();
-            self.io.disk_bytes_read += store.bytes_read();
-            self.io.disk_write_attempts += store.write_attempts();
-            self.io.disk_faults_injected += store.faults_injected();
+            c.disk_writes += store.writes();
+            c.disk_reads += store.reads();
+            c.disk_bytes_written += store.bytes_written();
+            c.disk_bytes_read += store.bytes_read();
+            c.disk_write_attempts += store.write_attempts();
+            c.disk_faults_injected += store.faults_injected();
         }
         if let Some(buf) = &self.delay {
-            self.io.disk_writes += buf.writes();
-            self.io.disk_reads += buf.reads();
-            self.io.disk_bytes_written += buf.bytes_written();
-            self.io.disk_bytes_read += buf.bytes_read();
-            self.io.disk_write_attempts += buf.write_attempts();
-            self.io.disk_faults_injected += buf.faults_injected();
+            c.disk_writes += buf.writes();
+            c.disk_reads += buf.reads();
+            c.disk_bytes_written += buf.bytes_written();
+            c.disk_bytes_read += buf.bytes_read();
+            c.disk_write_attempts += buf.write_attempts();
+            c.disk_faults_injected += buf.faults_injected();
         }
+        c.distance_calls = self.retired_distance_calls + self.tree.stats().distance_calls;
 
-        let mut metrics = self.recorder.report();
-        metrics.distance_calls = self.retired_distance_calls + self.tree.stats().distance_calls;
+        let metrics = self.recorder.report();
         let out = Phase1Output {
             tree: self.tree,
-            io: self.io,
+            io: metrics.counters,
             threshold_history: self.threshold_history,
             points_scanned: self.points_scanned,
             outliers: self.outliers,

@@ -11,13 +11,12 @@
 //! estimator sequence, so the r–N regression history carries over) and
 //! rebuilding until the leaf-entry count drops to the configured target.
 
-use crate::obs::{Event, EventSink, NoopSink};
+use crate::obs::{Counters, Event, EventSink, NoopSink};
 use crate::outlier::OutlierStore;
 use crate::phase1::mean_entry_n;
 use crate::rebuild::rebuild_observed;
 use crate::threshold::ThresholdEstimator;
 use crate::tree::CfTree;
-use birch_pager::IoStats;
 
 /// Hard cap mirroring Phase 1's: condensation must converge because the
 /// threshold grows strictly each round.
@@ -27,8 +26,12 @@ const MAX_ROUNDS: u64 = 10_000;
 ///
 /// Threshold growth uses the entry-count-targeted estimator (see
 /// [`ThresholdEstimator::next_threshold_for_target`]); `outliers`
-/// optionally continues spilling low-density entries; counters accumulate
-/// into `io`.
+/// optionally continues spilling low-density entries. `io` holds the
+/// run's counters so far: Phase 2 reports a page high-water mark only
+/// above `io.peak_pages`. What Phase 2 counts reaches the run's counters
+/// as events, so [`condense`] counts nothing; use
+/// [`condense_with_sink`] with a [`crate::obs::MetricsRecorder`] to
+/// count.
 ///
 /// # Panics
 ///
@@ -39,7 +42,7 @@ pub fn condense(
     max_entries: usize,
     estimator: &mut ThresholdEstimator,
     outliers: Option<&mut OutlierStore>,
-    io: &mut IoStats,
+    io: &Counters,
 ) -> CfTree {
     condense_with_sink(tree, max_entries, estimator, outliers, io, &mut NoopSink)
 }
@@ -56,11 +59,12 @@ pub fn condense_with_sink<S: EventSink>(
     max_entries: usize,
     estimator: &mut ThresholdEstimator,
     mut outliers: Option<&mut OutlierStore>,
-    io: &mut IoStats,
+    io: &Counters,
     sink: &mut S,
 ) -> CfTree {
     assert!(max_entries >= 2, "phase 2 target must be >= 2 entries");
     let mut rounds = 0u64;
+    let mut peak_pages = io.peak_pages;
     while tree.leaf_entry_count() > max_entries {
         assert!(
             rounds < MAX_ROUNDS,
@@ -80,15 +84,10 @@ pub fn condense_with_sink<S: EventSink>(
             pages: tree.node_count(),
         });
         let (new_tree, report) = rebuild_observed(&tree, t_next, outliers.as_deref_mut(), sink);
-        io.rebuilds += 1;
-        if report.peak_pages > io.peak_pages {
-            io.peak_pages = report.peak_pages;
-            sink.record(&Event::PagesHighWater {
-                pages: report.peak_pages,
-            });
+        if report.peak_pages > peak_pages {
+            peak_pages = report.peak_pages;
+            sink.record(&Event::PagesHighWater { pages: peak_pages });
         }
-        io.splits += new_tree.stats().splits;
-        io.merge_refinements += new_tree.stats().merge_refinements;
         tree = new_tree;
 
         if let Some(store) = outliers.as_deref_mut() {
@@ -106,7 +105,7 @@ pub fn condense_with_sink<S: EventSink>(
             let mean = mean_entry_n(&tree);
             store.reabsorb_observed(&mut tree, mean, sink);
         }
-        io.outliers_discarded += store.finalize_observed(&mut tree, sink);
+        store.finalize_observed(&mut tree, sink);
     }
     tree.strict_audit("condense");
     tree
@@ -115,8 +114,22 @@ pub fn condense_with_sink<S: EventSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::MetricsRecorder;
     use crate::point::Point;
     use crate::tree::TreeParams;
+
+    /// Condenses with a recorder attached, returning its counters too.
+    fn counted(
+        tree: CfTree,
+        max_entries: usize,
+        est: &mut ThresholdEstimator,
+        outliers: Option<&mut OutlierStore>,
+    ) -> (CfTree, Counters) {
+        let mut rec = MetricsRecorder::new();
+        let io = Counters::default();
+        let out = condense_with_sink(tree, max_entries, est, outliers, &io, &mut rec);
+        (out, rec.snapshot().counters)
+    }
 
     fn scatter_tree(n: usize) -> CfTree {
         let mut t = CfTree::new(TreeParams::for_dim(2));
@@ -135,8 +148,7 @@ mod tests {
         let tree = scatter_tree(3000);
         assert!(tree.leaf_entry_count() > 200);
         let mut est = ThresholdEstimator::new(Some(3000));
-        let mut io = IoStats::default();
-        let condensed = condense(tree, 200, &mut est, None, &mut io);
+        let (condensed, io) = counted(tree, 200, &mut est, None);
         assert!(condensed.leaf_entry_count() <= 200);
         assert!(io.rebuilds >= 1);
         condensed.check_invariants().unwrap();
@@ -150,8 +162,7 @@ mod tests {
             t.insert_point(&Point::xy(f64::from(i) * 10.0, 0.0));
         }
         let mut est = ThresholdEstimator::new(None);
-        let mut io = IoStats::default();
-        let out = condense(t, 100, &mut est, None, &mut io);
+        let (out, io) = counted(t, 100, &mut est, None);
         assert_eq!(out.leaf_entry_count(), 5);
         assert_eq!(io.rebuilds, 0);
     }
@@ -175,9 +186,8 @@ mod tests {
             ));
         }
         let mut est = ThresholdEstimator::new(Some(600));
-        let mut io = IoStats::default();
         let mut store = OutlierStore::new(64 * 1024, 32, OutlierConfig::default());
-        let out = condense(t, 20, &mut est, Some(&mut store), &mut io);
+        let (out, io) = counted(t, 20, &mut est, Some(&mut store));
         assert!(out.leaf_entry_count() <= 20);
         assert!(io.outliers_discarded > 0.0, "io={io:?}");
     }
@@ -186,8 +196,7 @@ mod tests {
     fn condense_tiny_target() {
         let tree = scatter_tree(500);
         let mut est = ThresholdEstimator::new(Some(500));
-        let mut io = IoStats::default();
-        let out = condense(tree, 2, &mut est, None, &mut io);
+        let out = condense(tree, 2, &mut est, None, &Counters::default());
         assert!(out.leaf_entry_count() <= 2);
         let total: f64 = out.leaf_entries().map(|e| e.n()).sum();
         assert!((total - 500.0).abs() < 1e-6);
@@ -203,8 +212,7 @@ mod tests {
         let pages_before = tree.node_count();
         let entries_before = tree.leaf_entry_count();
         let mut est = ThresholdEstimator::new(Some(2000));
-        let mut io = IoStats::default();
-        let out = condense(tree, 64, &mut est, None, &mut io);
+        let out = condense(tree, 64, &mut est, None, &Counters::default());
         assert!(out.leaf_entry_count() <= 64);
         assert!(
             out.node_count() <= pages_before,
@@ -223,8 +231,7 @@ mod tests {
         let tree = scatter_tree(1500);
         let before = tree.total_cf().clone();
         let mut est = ThresholdEstimator::new(Some(1500));
-        let mut io = IoStats::default();
-        let out = condense(tree, 50, &mut est, None, &mut io);
+        let out = condense(tree, 50, &mut est, None, &Counters::default());
         let after = out.total_cf();
         assert!((before.n() - after.n()).abs() < 1e-9);
         for (x, y) in before.mean().iter().zip(after.mean()) {
@@ -237,8 +244,7 @@ mod tests {
     fn condense_output_passes_full_audit() {
         let tree = scatter_tree(1200);
         let mut est = ThresholdEstimator::new(Some(1200));
-        let mut io = IoStats::default();
-        let out = condense(tree, 100, &mut est, None, &mut io);
+        let out = condense(tree, 100, &mut est, None, &Counters::default());
         let report = crate::audit::audit(&out).unwrap();
         assert_eq!(report.leaf_entries, out.leaf_entry_count());
         assert!(report.root_drift.max() <= 1e-6);
@@ -262,7 +268,6 @@ mod tests {
             ));
         }
         let mut est = ThresholdEstimator::new(Some(450));
-        let mut io = IoStats::default();
         // Fold-back-at-end configuration: condense finalizes the store by
         // re-inserting every still-parked entry, so the output tree must
         // hold every point — conservation is exact, not approximate.
@@ -271,7 +276,7 @@ mod tests {
             ..OutlierConfig::default()
         };
         let mut store = OutlierStore::new(64 * 1024, 32, cfg);
-        let out = condense(t, 10, &mut est, Some(&mut store), &mut io);
+        let (out, io) = counted(t, 10, &mut est, Some(&mut store));
         assert_eq!(io.outliers_discarded, 0.0);
         assert!(store.is_empty());
         assert!(

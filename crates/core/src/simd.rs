@@ -510,7 +510,6 @@ pub(crate) fn closest_among(
     ent: &Cf,
     block: &CfBlock,
 ) -> Option<(usize, f64)> {
-    let _sp = crate::obs::span::enter("simd_kernel");
     let (probe, rows) = (Operand::probe(ent), Rows::of(block));
     compiled!(metric, block.dim(), closest_among_in(&probe, &rows))
 }
@@ -528,7 +527,6 @@ fn closest_among_in<const M: u8, const D: usize>(
 /// taken unconditionally, as in the scalar form.
 #[inline]
 pub(crate) fn closest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
-    let _sp = crate::obs::span::enter("simd_kernel");
     if block.len() < 2 {
         return None;
     }
@@ -559,7 +557,6 @@ pub(crate) fn farthest_pair(
     if block.len() < 2 {
         return None;
     }
-    let _sp = crate::obs::span::enter("simd_kernel");
     let rows = Rows::of(block);
     compiled!(metric, block.dim(), farthest_pair_in(&rows))
 }

@@ -609,7 +609,6 @@ impl CfTree {
     ///
     /// Panics if `ent` is empty or of the wrong dimension.
     pub fn insert_cf_observed(&mut self, ent: &Cf, sink: &mut impl EventSink) -> InsertOutcome {
-        let _sp = crate::obs::span::enter("insert");
         assert!(!ent.is_empty(), "cannot insert an empty CF");
         assert_eq!(ent.dim(), self.params.dim, "dimension mismatch");
         let before = self.stats;
@@ -738,7 +737,6 @@ impl CfTree {
     /// interior path in the tree's reused path buffer, which
     /// [`CfTree::add_to_path`] and [`CfTree::propagate_split`] read.
     fn descend(&mut self, ent: &Cf) -> NodeId {
-        let _sp = crate::obs::span::enter("descend");
         let metric = self.params.metric;
         let mut path = std::mem::take(&mut self.scratch.path);
         path.clear();
@@ -2013,33 +2011,6 @@ mod tests {
 
     /// See `distance_call_counter_is_pinned_on_fixed_workload`.
     const DISTANCE_CALLS_PIN: u64 = 7419;
-
-    #[test]
-    fn simd_kernel_span_nests_under_descend_and_split() {
-        // The lane scans open a "simd_kernel" span, so a profiled run
-        // must show it nested under the insert paths that reach them:
-        // descend (closest_among) and split (farthest-pair seeding).
-        // Own thread: the profiler state is thread-local and must not
-        // leak into other tests sharing a cargo test worker.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                crate::obs::span::set_enabled(true);
-                walk_tree(small_params(0.5));
-                let report = crate::obs::span::take_report();
-                crate::obs::span::set_enabled(false);
-                let descend = report
-                    .get("insert/descend/simd_kernel")
-                    .expect("simd_kernel span under descend");
-                assert!(descend.calls > 0);
-                let split = report
-                    .get("insert/split/simd_kernel")
-                    .expect("simd_kernel span under split");
-                assert!(split.calls > 0);
-            })
-            .join()
-            .expect("span test thread");
-        });
-    }
 
     #[test]
     #[should_panic(expected = "cannot insert an empty CF")]

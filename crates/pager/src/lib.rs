@@ -14,11 +14,13 @@
 //! * [`MemoryBudget`] — tracks page allocation against the budget `M` and
 //!   reports when a rebuild is required,
 //! * [`SimDisk`] — an append-only simulated disk with byte/page-granularity
-//!   I/O counters, used for outlier entries and delay-split buffers,
-//! * [`IoStats`] — the counters the paper's evaluation section reports
-//!   (pages read/written, rebuild count, peak memory use).
+//!   I/O counters, used for outlier entries and delay-split buffers.
 //!
-//! Accounting ([`MemoryBudget`], [`SimDisk`], [`IoStats`]) reproduces the
+//! The run counters the paper's evaluation section reports (rebuilds,
+//! peak pages, disk traffic) are kept by `birch_core::obs::Counters`,
+//! which banks these components' counters when a scan finishes.
+//!
+//! Accounting ([`MemoryBudget`], [`SimDisk`]) reproduces the
 //! paper's *cost model* faithfully (see DESIGN.md, substitution 3) so the
 //! benchmark harness can report the same columns. On top of that, the crate
 //! provides real durability:
@@ -40,7 +42,6 @@ pub mod disk;
 pub mod layout;
 pub mod page;
 pub mod snapshot;
-pub mod stats;
 pub mod store;
 
 pub use budget::{BudgetError, MemoryBudget};
@@ -53,5 +54,4 @@ pub use page::{
 pub use snapshot::{
     SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC,
 };
-pub use stats::IoStats;
 pub use store::{ClockCache, PageStore, StoreStats};

@@ -50,7 +50,7 @@ fn main() {
             "  centroid displacement {:.3}, size error {:.1}%, rebuilds {}",
             report.mean_centroid_distance,
             report.mean_size_rel_error * 100.0,
-            model.stats().io.rebuilds
+            model.stats().metrics.rebuilds
         );
         println!();
     }

@@ -87,7 +87,7 @@ fn main() {
         final_clusters.len(),
         out.points_scanned,
         out.tree.node_count(),
-        out.io.rebuilds,
+        out.metrics.rebuilds,
         out.threshold_history
             .iter()
             .map(|t| (t * 100.0).round() / 100.0)

@@ -146,11 +146,7 @@ fn cluster(flags: HashMap<String, String>) -> ExitCode {
     if trace {
         // Attach the ring's stats so the JSON/Prometheus exports carry
         // the drop count alongside the printed events.
-        let ts = tracer.0.stats();
-        let stats = model.stats_mut();
-        stats.metrics.trace_capacity = ts.capacity;
-        stats.metrics.trace_dropped = ts.dropped;
-        stats.trace = Some(ts);
+        model.stats_mut().trace = Some(tracer.0.stats());
     }
 
     if trace {
@@ -174,19 +170,20 @@ fn cluster(flags: HashMap<String, String>) -> ExitCode {
             stats.merge_time.as_secs_f64()
         );
     }
-    if stats.io.page_refs > 0 {
-        let hit_rate = 100.0 * (1.0 - stats.io.page_faults as f64 / stats.io.page_refs as f64);
+    let m = &stats.metrics;
+    if m.page_refs > 0 {
+        let hit_rate = 100.0 * (1.0 - m.page_faults as f64 / m.page_refs as f64);
         println!(
             "page cache: {} refs, {} faults, {} evictions (hit rate {hit_rate:.1}%)",
-            stats.io.page_refs, stats.io.page_faults, stats.io.page_evictions
+            m.page_refs, m.page_faults, m.page_evictions
         );
     }
     println!(
         "found {} clusters in {:.3}s ({} rebuilds, peak {} pages):",
         model.clusters().len(),
-        model.stats().total_time().as_secs_f64(),
-        model.stats().io.rebuilds,
-        model.stats().io.peak_pages
+        stats.total_time().as_secs_f64(),
+        m.rebuilds,
+        m.peak_pages
     );
     for (i, c) in model.clusters().iter().enumerate().take(20) {
         println!(

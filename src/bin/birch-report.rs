@@ -11,7 +11,8 @@
 //! preset or a CSV file and prints everything the observability layer
 //! collects: the hierarchical span tree with self-times, the span totals
 //! cross-checked against the per-phase wall clocks, the memory gauge
-//! against budget M, tree-health gauges, and the headline counters.
+//! against budget M, tree-health gauges, and every run counter with its
+//! help text.
 //!
 //! `--folded <path>` additionally writes inferno-compatible folded
 //! stacks (`path;to;span <self-µs>` per line), ready for
@@ -116,24 +117,6 @@ fn main() -> ExitCode {
     print!("{}", stats.memory.render());
     println!();
 
-    // ---- Page cache (only meaningful for out-of-core runs). ----
-    if stats.io.page_refs > 0 || stats.io.page_evictions > 0 {
-        let refs = stats.io.page_refs.max(1);
-        let hit = 100.0 * (1.0 - stats.io.page_faults as f64 / refs as f64);
-        println!("== page cache (out-of-core) ==");
-        println!(
-            "refs                 {:>12}\n\
-             faults               {:>12} (hit rate {hit:.1}%)\n\
-             evictions            {:>12}\n\
-             spill peak           {:>12} bytes",
-            stats.io.page_refs,
-            stats.io.page_faults,
-            stats.io.page_evictions,
-            stats.memory.page_spill.peak_bytes,
-        );
-        println!();
-    }
-
     // ---- Tree health. ----
     let h = &stats.tree_health;
     println!("== tree health (entering phase 3) ==");
@@ -164,22 +147,14 @@ fn main() -> ExitCode {
     );
     println!();
 
-    // ---- Headline counters. ----
-    let m = &stats.metrics;
+    // ---- Run counters. ----
     println!("== counters ==");
     println!(
-        "{} clusters in {:.3}s; {} inserts, {} splits, {} refinements, {} rebuilds",
+        "{} clusters in {:.3}s",
         model.clusters().len(),
-        stats.total_time().as_secs_f64(),
-        m.inserts,
-        m.splits,
-        m.merge_refinements,
-        m.rebuilds
+        stats.total_time().as_secs_f64()
     );
-    println!(
-        "distance calls: {} performed; io: {}",
-        m.distance_calls, stats.io
-    );
+    print!("{}", stats.metrics.counters.render());
 
     // ---- Optional artifacts. ----
     if let Some(path) = flags.get("folded") {

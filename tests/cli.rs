@@ -275,7 +275,7 @@ fn metrics_prom_and_profile_export() {
     );
 
     // BIRCH_THREADS is scrubbed so the span paths are the serial ones
-    // (`phase1/insert`, not `phase1/shard/insert`) even under the CI
+    // (`phase1/split`, not `phase1/shard/split`) even under the CI
     // matrix that exports it.
     let out = cli()
         .env_remove("BIRCH_THREADS")
@@ -309,7 +309,7 @@ fn metrics_prom_and_profile_export() {
         "birch_mem_highwater_bytes",
         "birch_tree_height",
         "birch_span_seconds{path=\"phase1\"}",
-        "birch_span_calls_total{path=\"phase1/insert\"}",
+        "birch_span_calls_total{path=\"phase1/split\"}",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }

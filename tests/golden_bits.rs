@@ -12,8 +12,8 @@
 //! format. Every configuration sets `.threads(1)`, so the `BIRCH_THREADS`
 //! override cannot move them.
 
-use birch::pager::{crc32, IoStats};
-use birch_core::{phase1, Birch, BirchConfig, NoopSink, Point};
+use birch::pager::crc32;
+use birch_core::{phase1, Birch, BirchConfig, Counters, NoopSink, Point};
 use birch_datagen::rng::normal;
 use birch_datagen::{presets, Dataset};
 use rand::rngs::StdRng;
@@ -38,7 +38,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// Runs the serial Phase 1 and the full fit of `points` under `config`
 /// and returns their three checksums, with Phase 1's I/O counters so a
 /// case can check it reached the path it is meant to cover.
-fn pins(config: BirchConfig, points: &[Point], tag: &str) -> (Pins, IoStats) {
+fn pins(config: BirchConfig, points: &[Point], tag: &str) -> (Pins, Counters) {
     let config = config.threads(1).total_points(points.len() as u64);
     let dim = points[0].dim();
 
