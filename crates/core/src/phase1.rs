@@ -46,7 +46,8 @@ pub struct Phase1Output {
     /// Input records scanned.
     pub points_scanned: u64,
     /// The outlier store (already finalized — empty unless
-    /// `discard_at_end` was off), kept for its disk counters.
+    /// `discard_at_end` was off); its disk counters are banked in
+    /// `metrics`.
     pub outliers: Option<OutlierStore>,
     /// The threshold estimator, carrying its r–N history forward so Phase 2
     /// can continue the same sequence.
