@@ -351,6 +351,16 @@ mod tests {
                 families.push(row.family);
             }
         }
+        // No sample outside the table lands in a table family (a retired
+        // row's line, say): each family has one sample line per row.
+        for family in families {
+            let rows = Counters::ROWS.iter().filter(|r| r.family == family);
+            let samples = prom.lines().filter(|l| {
+                l.strip_prefix(family)
+                    .is_some_and(|rest| rest.starts_with(['{', ' ']))
+            });
+            assert_eq!(samples.count(), rows.count(), "{family}: {prom}");
+        }
         // Non-integral rows keep their fraction in both exports.
         assert!(json.contains("\"outliers_discarded\":1014.25"), "{json}");
 

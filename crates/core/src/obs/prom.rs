@@ -346,6 +346,10 @@ mod tests {
             text.contains("birch_tree_ops_total{op=\"splits\"} 12"),
             "{text}"
         );
+        assert!(
+            !text.contains("birch_distance_calls_total{kind=\"pruned\"}"),
+            "{text}"
+        );
         assert!(text.contains("birch_mem_budget_bytes 4096"), "{text}");
         assert!(text.contains("birch_mem_highwater_bytes 2048"), "{text}");
         assert!(text.contains("birch_mem_headroom_bytes 2048"), "{text}");

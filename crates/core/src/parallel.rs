@@ -534,8 +534,8 @@ mod tests {
             .page_size(1024);
         let out = run(&cfg, 2, &pts, 4);
         let sum: usize = out.shards.iter().map(|s| s.peak_pages).sum();
-        assert!(out.io.peak_pages >= sum.min(out.io.peak_pages));
-        assert!(out.io.peak_pages >= out.tree.node_count());
+        assert!(out.metrics.peak_pages >= sum.min(out.metrics.peak_pages));
+        assert!(out.metrics.peak_pages >= out.tree.node_count());
     }
 
     #[test]
@@ -557,7 +557,7 @@ mod tests {
             .page_size(1024);
         let out = run(&cfg, 2, &pts, 4);
         let kept = out.tree.total_cf().n();
-        let discarded = out.io.outliers_discarded;
+        let discarded = out.metrics.outliers_discarded;
         assert!(discarded >= 2.0, "no pair was discarded: {discarded}");
         assert_eq!(
             kept + discarded,

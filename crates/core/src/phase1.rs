@@ -853,7 +853,7 @@ mod tests {
         let cfg = BirchConfig::with_clusters(2);
         let out = run(&cfg, 2, blobs(100, 2));
         assert_eq!(out.points_scanned, 100);
-        assert_eq!(out.io.rebuilds, 0);
+        assert_eq!(out.metrics.rebuilds, 0);
         assert!(out.threshold_history.is_empty());
         out.tree.check_invariants().unwrap();
         assert!((out.tree.total_cf().n() - 100.0).abs() < 1e-9);
@@ -863,7 +863,11 @@ mod tests {
     fn memory_pressure_triggers_rebuilds_and_fits_budget() {
         let cfg = tiny_config();
         let out = run(&cfg, 2, blobs(20_000, 4));
-        assert!(out.io.rebuilds >= 1, "expected rebuilds, io={:?}", out.io);
+        assert!(
+            out.metrics.rebuilds >= 1,
+            "expected rebuilds: {:?}",
+            out.metrics.counters
+        );
         let max_pages = cfg.memory_bytes / cfg.page_bytes;
         assert!(
             out.tree.node_count() <= max_pages,
@@ -899,20 +903,20 @@ mod tests {
         // Paged mode replaces rebuilds with eviction: the threshold never
         // rose, the tree grew past the page budget on disk, and the
         // resident high-water mark stayed within it.
-        assert_eq!(out.io.rebuilds, 0, "paging must replace rebuilds");
+        assert_eq!(out.metrics.rebuilds, 0, "paging must replace rebuilds");
         assert!(
             out.tree.node_count() > max_pages,
             "test premise: tree must outgrow the budget ({} nodes <= {max_pages} pages)",
             out.tree.node_count()
         );
         assert!(
-            out.io.peak_pages <= max_pages,
+            out.metrics.peak_pages <= max_pages,
             "resident peak {} pages exceeds budget {max_pages}",
-            out.io.peak_pages
+            out.metrics.peak_pages
         );
-        assert!(out.io.page_evictions > 0, "nothing was ever spilled");
-        assert!(out.io.page_faults > 0, "nothing was ever faulted back");
-        assert!(out.io.page_refs >= out.io.page_faults);
+        assert!(out.metrics.page_evictions > 0, "nothing was ever spilled");
+        assert!(out.metrics.page_faults > 0, "nothing was ever faulted back");
+        assert!(out.metrics.page_refs >= out.metrics.page_faults);
         assert!(
             out.memory.page_spill.peak_bytes > 0,
             "spill file never sampled"
@@ -962,7 +966,7 @@ mod tests {
         let n = 5000;
         let out = run(&cfg, 2, blobs(n, 4));
         assert!((out.tree.total_cf().n() - n as f64).abs() < 1e-6);
-        assert_eq!(out.io.outliers_discarded, 0.0);
+        assert_eq!(out.metrics.outliers_discarded, 0.0);
     }
 
     #[test]
@@ -970,10 +974,10 @@ mod tests {
         let with = run(&tiny_config().delay_split(true), 2, blobs(20_000, 4));
         let without = run(&tiny_config().delay_split(false), 2, blobs(20_000, 4));
         assert!(
-            with.io.rebuilds <= without.io.rebuilds,
+            with.metrics.rebuilds <= without.metrics.rebuilds,
             "delay-split should not increase rebuilds: {} vs {}",
-            with.io.rebuilds,
-            without.io.rebuilds
+            with.metrics.rebuilds,
+            without.metrics.rebuilds
         );
         // Both keep all the data (outlier handling may shave some off; use
         // totals net of discards).
@@ -996,9 +1000,9 @@ mod tests {
         let cfg = tiny_config();
         let out = run(&cfg, 2, input);
         assert!(
-            out.io.outliers_discarded > 0.0,
-            "expected discarded outliers, io={:?}",
-            out.io
+            out.metrics.outliers_discarded > 0.0,
+            "expected discarded outliers: {:?}",
+            out.metrics.counters
         );
         // The blobs themselves survive.
         assert!(out.tree.total_cf().n() >= 10_000.0 - 1.0);
@@ -1009,7 +1013,7 @@ mod tests {
         let out = run(&tiny_config(), 2, blobs(20_000, 4));
         // With both options on and rebuilds happening, the simulated disk
         // must see traffic.
-        assert!(out.io.disk_writes > 0, "io={:?}", out.io);
+        assert!(out.metrics.disk_writes > 0, "{:?}", out.metrics.counters);
     }
 
     #[test]
@@ -1034,8 +1038,8 @@ mod tests {
     #[test]
     fn peak_pages_recorded() {
         let out = run(&tiny_config(), 2, blobs(20_000, 4));
-        assert!(out.io.peak_pages > 0);
-        assert!(out.io.peak_pages >= out.tree.node_count());
+        assert!(out.metrics.peak_pages > 0);
+        assert!(out.metrics.peak_pages >= out.tree.node_count());
     }
 
     #[test]
@@ -1048,9 +1052,9 @@ mod tests {
         let budget_pages = cfg.memory_bytes / cfg.page_bytes;
         let slack = out.tree.height() + 1;
         assert!(
-            out.io.peak_pages <= budget_pages + slack,
+            out.metrics.peak_pages <= budget_pages + slack,
             "peak {} > budget {} + slack {}",
-            out.io.peak_pages,
+            out.metrics.peak_pages,
             budget_pages,
             slack
         );
