@@ -142,8 +142,6 @@ pub struct RunStats {
     pub phase3_time: Duration,
     /// Phase-4 duration (zero when disabled).
     pub phase4_time: Duration,
-    /// Threshold after each rebuild.
-    pub threshold_history: Vec<f64>,
     /// Final tree threshold entering Phase 3.
     pub final_threshold: f64,
     /// Leaf entries after Phase 1.
@@ -543,7 +541,6 @@ impl Birch {
         // keep recording into (the sink saw Phase 1 live).
         let (tree, mut estimator, metrics) = if threads > 1 {
             let out = parallel::run_with_sink(&config, dim, points, weights, threads, sink);
-            stats.threshold_history = out.threshold_history;
             stats.merge_time = out.merge_wall;
             stats.shards = out.shards;
             stats.memory = out.memory;
@@ -551,13 +548,11 @@ impl Birch {
         } else {
             let Phase1Output {
                 tree,
-                threshold_history,
                 estimator,
                 metrics,
                 memory,
                 ..
             } = phase1::run_points_with_sink(&config, dim, points, weights, &mut *sink);
-            stats.threshold_history = threshold_history;
             stats.memory = memory;
             (tree, estimator, metrics)
         };
@@ -1151,15 +1146,35 @@ mod tests {
             .page_size(1024)
             .threads(1)
             .out_of_core(true);
-        let model = Birch::new(cfg).fit(&pts).unwrap();
+        // Counts the threshold raises recorded before Phase 1 finished.
+        #[derive(Default)]
+        struct Phase1Raises {
+            finished: bool,
+            raises: usize,
+        }
+        impl EventSink for Phase1Raises {
+            fn record(&mut self, event: &Event) {
+                match event {
+                    Event::ThresholdRaised { .. } if !self.finished => self.raises += 1,
+                    Event::PhaseFinished {
+                        phase: Phase::Load, ..
+                    } => self.finished = true,
+                    _ => {}
+                }
+            }
+        }
+        let mut phase1 = Phase1Raises::default();
+        let model = Birch::new(cfg).fit_with_sink(&pts, &mut phase1).unwrap();
         assert_eq!(model.clusters().len(), 4);
         let s = model.stats();
         // Phase 1 pages instead of rebuilding (Phase 2 may still rebuild
-        // to condense for the global phase — that is its job).
-        assert!(
-            s.threshold_history.is_empty(),
+        // to condense for the global phase — that is its job). Its raises
+        // would lead the run's trajectory.
+        assert!(phase1.finished);
+        assert_eq!(
+            phase1.raises, 0,
             "Phase 1 raised the threshold: {:?}",
-            s.threshold_history
+            s.metrics.threshold_trajectory
         );
         // The Phase-1 residency bound itself is asserted at the phase
         // boundary in phase1's unit tests; `metrics.peak_pages` here is a

@@ -410,7 +410,12 @@ impl Cf {
     /// patterns), appending to `out`. Layout: `n, mean[0..d], mean_c[0..d],
     /// sse, sse_c`.
     pub fn to_words(&self, out: &mut Vec<u64>) {
-        put_words(self.n, &self.mean, &self.mean_c, self.sse_pair(), out);
+        let (sse, sse_c) = self.sse_pair();
+        out.push(self.n.to_bits());
+        out.extend(self.mean.iter().map(|m| m.to_bits()));
+        out.extend(self.mean_c.iter().map(|c| c.to_bits()));
+        out.push(sse.to_bits());
+        out.push(sse_c.to_bits());
     }
 
     /// Rebuilds a CF from [`Cf::to_words`] output. Bit-identical to the
@@ -424,8 +429,14 @@ impl Cf {
     #[must_use]
     pub fn from_words(words: &[u64], dim: usize) -> Self {
         assert!(dim > 0, "dimensionality must be positive");
-        let mut row = CfBlock::with_capacity(dim, 1);
-        row.push_words(words, dim);
+        assert_eq!(
+            words.len(),
+            Cf::words_per_entry(dim),
+            "CF word count mismatch for dim {dim}"
+        );
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut row = CfBlock::new();
+        row.fill_from_records(&bytes, bytes.len(), dim);
         row.row_cf(0)
     }
 
@@ -487,21 +498,6 @@ pub(crate) fn diameter_of(n: f64, sse: f64) -> f64 {
         return 0.0;
     }
     (2.0 * sse.max(0.0) / (n - 1.0)).sqrt()
-}
-
-/// Appends one CF's word layout ([`Cf::to_words`]) from its fields.
-pub(crate) fn put_words(
-    n: f64,
-    mean: &[f64],
-    mean_c: &[f64],
-    (sse, sse_c): (f64, f64),
-    out: &mut Vec<u64>,
-) {
-    out.push(n.to_bits());
-    out.extend(mean.iter().map(|m| m.to_bits()));
-    out.extend(mean_c.iter().map(|c| c.to_bits()));
-    out.push(sse.to_bits());
-    out.push(sse_c.to_bits());
 }
 
 /// Mutable borrows of one CF's fields: a [`Cf`]'s own, or one row of a

@@ -425,39 +425,125 @@ impl CfBlock {
         self.vec_c.extend_from_slice(&src.vec_c[i * s..(i + 1) * s]);
     }
 
-    /// Appends a row decoded from one CF's words ([`Cf::to_words`]
-    /// layout). The `‖μ‖²` memo is not stored in the words; it is
-    /// recomputed by the same exact `dot` every mutation uses.
+    /// Writes each row's words ([`Cf::to_words`] layout) as little-endian
+    /// bytes at the front of one `record`-byte record of `out`, as a page
+    /// payload carries them (an interior node's child id fills the rest
+    /// of its record).
     ///
     /// # Panics
     ///
-    /// Panics if `words` is not [`Cf::words_per_entry`] long for `dim`, or
-    /// on dimension mismatch.
-    pub(crate) fn push_words(&mut self, words: &[u64], dim: usize) {
-        assert_eq!(
-            words.len(),
-            Cf::words_per_entry(dim),
-            "CF word count mismatch for dim {dim}"
+    /// Panics if `out` does not hold one record per row, or a record is
+    /// shorter than one CF's words.
+    pub(crate) fn write_records(&self, out: &mut [u8], record: usize) {
+        assert!(
+            out.len() == record * self.len() && record >= 8 * Cf::words_per_entry(self.dim),
+            "{} bytes are not one {record}-byte record per row",
+            out.len()
         );
-        self.fix_dim(dim);
-        let padded = (self.n.len() + 1) * self.stride();
-        self.n.push(f64::from_bits(words[0]));
-        self.vec
-            .extend(words[1..=dim].iter().map(|&x| f64::from_bits(x)));
-        self.vec.resize(padded, 0.0);
-        self.vec_c
-            .extend(words[1 + dim..=2 * dim].iter().map(|&x| f64::from_bits(x)));
-        self.vec_c.resize(padded, 0.0);
-        self.sse.push(f64::from_bits(words[1 + 2 * dim]));
-        self.sse_c.push(f64::from_bits(words[2 + 2 * dim]));
-        let mean = self.row_vec(self.n.len() - 1);
-        self.vec_sq.push(dot(mean, mean));
+        let (s, dim) = (self.stride(), self.dim);
+        // Word k of a record: N at 0, the mean at 1.., its carry at
+        // 1 + dim.., then SSE and its carry.
+        let put = |r: &mut [u8], k: usize, x: f64| {
+            r[8 * k..8 * k + 8].copy_from_slice(&x.to_bits().to_le_bytes());
+        };
+        for (i, r) in out.chunks_exact_mut(record).enumerate() {
+            put(r, 0, self.n[i]);
+            for j in 0..dim {
+                put(r, 1 + j, self.vec[i * s + j]);
+                put(r, 1 + dim + j, self.vec_c[i * s + j]);
+            }
+            put(r, 1 + 2 * dim, self.sse[i]);
+            put(r, 2 + 2 * dim, self.sse_c[i]);
+        }
     }
 
-    /// Appends row `i`'s words ([`Cf::to_words`] layout) to `out`.
-    pub(crate) fn row_words(&self, i: usize, out: &mut Vec<u64>) {
-        let sse = (self.sse[i], self.sse_c[i]);
-        crate::cf::put_words(self.n[i], self.row_vec(i), self.row_vec_c(i), sse, out);
+    /// Replaces the rows with the CFs of `payload`'s records, the form
+    /// [`CfBlock::write_records`] writes: `record` bytes each, starting
+    /// with one CF's words of width `dim`. The block keeps its
+    /// allocations: one already large enough refills without allocating,
+    /// and an empty one grows to exactly the records' count. Each slab is
+    /// filled in one pass over the records. The `‖μ‖²` memo is not stored
+    /// in the words; it is recomputed by the same exact `dot` every
+    /// mutation uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record is shorter than one CF's words, or `payload`
+    /// is not a whole number of records.
+    pub(crate) fn fill_from_records(&mut self, payload: &[u8], record: usize, dim: usize) {
+        assert!(
+            record >= 8 * Cf::words_per_entry(dim) && payload.len().is_multiple_of(record),
+            "{} bytes are not records of {record} bytes holding {dim}-d CFs",
+            payload.len()
+        );
+        let rows = payload.len() / record;
+        self.dim = dim;
+        let s = self.stride();
+        for v in [
+            &mut self.n,
+            &mut self.sse,
+            &mut self.sse_c,
+            &mut self.vec_sq,
+        ] {
+            v.clear();
+            v.reserve_exact(rows);
+        }
+        for v in [&mut self.vec, &mut self.vec_c] {
+            v.clear();
+            v.reserve_exact(rows * s);
+            v.resize(rows * s, 0.0);
+        }
+        let word = |r: &[u8], k: usize| {
+            f64::from_le_bytes(r[8 * k..8 * k + 8].try_into().expect("8 bytes"))
+        };
+        let records = payload.chunks_exact(record);
+        self.n.extend(records.clone().map(|r| word(r, 0)));
+        self.sse
+            .extend(records.clone().map(|r| word(r, 1 + 2 * dim)));
+        self.sse_c
+            .extend(records.clone().map(|r| word(r, 2 + 2 * dim)));
+        let means = self
+            .vec
+            .chunks_exact_mut(s)
+            .zip(self.vec_c.chunks_exact_mut(s));
+        for ((mean, carry), r) in means.zip(records) {
+            for j in 0..dim {
+                mean[j] = word(r, 1 + j);
+                carry[j] = word(r, 1 + dim + j);
+            }
+        }
+        let means = self.vec.chunks_exact(s).map(|m| &m[..dim]);
+        self.vec_sq.extend(means.map(|m| dot(m, m)));
+    }
+
+    /// Releases every slab's spare capacity, so that it holds exactly
+    /// its rows ([`CfBlock::heap_bytes`] then counts no slack).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for v in [
+            &mut self.n,
+            &mut self.sse,
+            &mut self.sse_c,
+            &mut self.vec_sq,
+            &mut self.vec,
+            &mut self.vec_c,
+        ] {
+            v.shrink_to_fit();
+        }
+    }
+
+    /// Whether every slab's capacity equals its length.
+    #[cfg(test)]
+    pub(crate) fn is_exact(&self) -> bool {
+        [
+            &self.n,
+            &self.sse,
+            &self.sse_c,
+            &self.vec_sq,
+            &self.vec,
+            &self.vec_c,
+        ]
+        .iter()
+        .all(|v| v.capacity() == v.len())
     }
 
     /// Overwrites row `i` with `cf`.
@@ -1200,25 +1286,33 @@ mod tests {
             );
             let b = CfBlock::from_cfs(&cfs);
             let mut copy = CfBlock::new();
-            let mut words = Vec::new();
             for (i, cf) in cfs.iter().enumerate() {
                 // PartialEq covers the carries and the memo.
                 assert!(b.row_cf(i) == *cf, "dim {dim} row {i}");
                 assert_eq!(b.row_cf(i).mean_sq().to_bits(), cf.mean_sq().to_bits());
                 assert_eq!(b.row_scalar(i).to_bits(), cf.sse().to_bits());
                 copy.push_row_from(&b, i);
-                b.row_words(i, &mut words);
             }
             assert_eq!(copy, b);
+            // Records one word wider than the CF, as an interior page's
+            // are: the writer leaves the last word alone.
+            let record = 8 * (Cf::words_per_entry(dim) + 1);
+            let mut bytes = vec![0xEE; record * cfs.len()];
+            b.write_records(&mut bytes, record);
             let mut want = Vec::new();
             for cf in &cfs {
                 cf.to_words(&mut want);
+                want.push(0xEEEE_EEEE_EEEE_EEEE);
             }
+            let words: Vec<u64> = bytes
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                .collect();
             assert_eq!(words, want);
-            let mut decoded = CfBlock::new();
-            for w in words.chunks_exact(Cf::words_per_entry(dim)) {
-                decoded.push_words(w, dim);
-            }
+            // Refilled over a wider block holding other rows, the slabs
+            // come back equal.
+            let mut decoded = CfBlock::from_cfs(&carried_fixture(dim + 1));
+            decoded.fill_from_records(&bytes, record, dim);
             assert_eq!(decoded, b);
         }
     }

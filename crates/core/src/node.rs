@@ -20,7 +20,7 @@
 
 use crate::cf::Cf;
 use crate::distance::CfBlock;
-use birch_pager::{DecodedPage, PageKind, NO_NEIGHBOR};
+use birch_pager::{begin_page, seal_page, PageKind, PageView, NO_NEIGHBOR};
 
 /// Index of a node in the tree's arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,7 +35,7 @@ impl NodeId {
 }
 
 /// What a node holds besides its CF rows.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeKind {
     /// A leaf node: its position in the doubly linked leaf chain. Its rows
     /// are subclusters obeying the threshold condition.
@@ -319,12 +319,14 @@ impl Node {
         }
     }
 
-    /// Serializes this node into page-codec inputs: `(kind, count, prev,
-    /// next, words)` for [`birch_pager::encode_page`], written straight
-    /// from the rows. Leaf chain links map `None` to [`NO_NEIGHBOR`];
-    /// interior nodes carry no neighbours.
-    #[must_use]
-    pub fn to_page_words(&self) -> (PageKind, u32, u64, u64, Vec<u64>) {
+    /// Appends this node to `out` as a tight page: the header, then one
+    /// record per row written straight from the slab (the CF words, plus
+    /// the child id for an interior node), then the CRC. The bytes are
+    /// what [`birch_pager::encode_page`] returns at size
+    /// `PAGE_HEADER_BYTES + 8 × words`. Leaf chain links map `None` to
+    /// [`NO_NEIGHBOR`]; interior nodes carry no neighbours. Whatever `out`
+    /// held before stays in front of the page.
+    pub fn write_page(&self, out: &mut Vec<u8>) {
         let link = |l: &Option<NodeId>| l.map_or(NO_NEIGHBOR, |id| u64::from(id.0));
         let (kind, prev, next, children) = match &self.kind {
             NodeKind::Leaf { prev, next } => (PageKind::Leaf, link(prev), link(next), None),
@@ -333,32 +335,39 @@ impl Node {
             }
         };
         let rows = self.entry_count();
-        let mut words = Vec::with_capacity(rows * Self::words_per_entry(kind, self.block.dim()));
-        for i in 0..rows {
-            self.block.row_words(i, &mut words);
-            if let Some(children) = children {
-                words.push(u64::from(children[i].0));
+        let record = 8 * Self::words_per_entry(kind, self.block.dim());
+        let start = out.len();
+        begin_page(out, kind, rows as u32, prev, next);
+        let payload = out.len();
+        out.resize(payload + rows * record, 0);
+        self.block.write_records(&mut out[payload..], record);
+        if let Some(children) = children {
+            for (r, child) in out[payload..].chunks_exact_mut(record).zip(children) {
+                r[record - 8..].copy_from_slice(&u64::from(child.0).to_le_bytes());
             }
         }
-        (kind, rows as u32, prev, next, words)
+        seal_page(&mut out[start..]);
     }
 
-    /// Rebuilds a node from a decoded page, filling the slab straight from
-    /// the page words. The arena id is *not* stored on the page — the
-    /// caller (the tree) stamps it. The `‖μ‖²` memos are recomputed under
-    /// their exact contract, so the rebuilt node is bit-identical to the
-    /// one serialized. The slab is sized from the page's count up front,
-    /// so filling it never reallocates.
+    /// Replaces this node's rows and links or children with a verified
+    /// page's, filling the slab straight from the page's payload. The
+    /// node may have been of the other kind: its slab and child-id
+    /// allocations are kept when they are large enough, so refilling a
+    /// recycled node allocates nothing. The arena id is *not* stored on
+    /// the page — the caller (the tree) stamps it. The `‖μ‖²` memos are
+    /// recomputed under their exact contract, so the refilled node is
+    /// bit-identical to the one written.
     ///
     /// Ids are only range-checked here; whether they name live nodes of
     /// the right kind is the tree's to check.
     ///
     /// # Errors
     ///
-    /// A description of the defect when the page's word count is not its
-    /// entry count times the entry width, or a chain link or child pointer
-    /// does not fit a node id.
-    pub fn from_decoded_page(page: &DecodedPage, dim: usize) -> Result<Self, String> {
+    /// A description of the defect when the payload is not the page's
+    /// entry count times the entry width for `dim`, or a chain link or
+    /// child pointer does not fit a node id. The node's contents are then
+    /// unspecified.
+    pub fn fill_from_page(&mut self, page: &PageView<'_>, dim: usize) -> Result<(), String> {
         let id_of = |w: u64, what: &str| {
             u32::try_from(w)
                 .map(NodeId)
@@ -369,32 +378,46 @@ impl Node {
                 .then(|| id_of(w, "leaf chain link"))
                 .transpose()
         };
-        let per = Self::words_per_entry(page.kind, dim);
         let rows = page.count as usize;
-        if page.words.len() != rows * per {
+        let per = Self::words_per_entry(page.kind, dim);
+        if page.payload().len() != rows * per * 8 {
             return Err(format!(
                 "page holds {} words, not {rows} entries of {per} words",
-                page.words.len()
+                page.payload().len() / 8
             ));
         }
-        let mut node = Self::with_kind(match page.kind {
+        let mut children = match &mut self.kind {
+            NodeKind::Interior { children } => std::mem::take(children),
+            NodeKind::Leaf { .. } => Vec::new(),
+        };
+        self.kind = match page.kind {
             PageKind::Leaf => NodeKind::Leaf {
                 prev: link(page.prev)?,
                 next: link(page.next)?,
             },
-            PageKind::Interior => NodeKind::Interior {
-                children: Vec::with_capacity(rows),
-            },
-        });
-        node.block = CfBlock::with_capacity(dim, rows);
-        let cf_words = Cf::words_per_entry(dim);
-        for row in page.words.chunks_exact(per) {
-            node.block.push_words(&row[..cf_words], dim);
-            if let NodeKind::Interior { children } = &mut node.kind {
-                children.push(id_of(row[cf_words], "child pointer")?);
+            PageKind::Interior => {
+                children.clear();
+                children.reserve_exact(rows);
+                NodeKind::Interior { children }
+            }
+        };
+        self.block.fill_from_records(page.payload(), 8 * per, dim);
+        if let NodeKind::Interior { children } = &mut self.kind {
+            for r in page.payload().chunks_exact(8 * per) {
+                let w = u64::from_le_bytes(r[8 * per - 8..].try_into().expect("8 bytes"));
+                children.push(id_of(w, "child pointer")?);
             }
         }
-        Ok(node)
+        Ok(())
+    }
+
+    /// Releases the spare capacity of the slab and of an interior node's
+    /// child ids.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.block.shrink_to_fit();
+        if let NodeKind::Interior { children } = &mut self.kind {
+            children.shrink_to_fit();
+        }
     }
 
     /// Exact CF summary of this node: the sum of its rows.
@@ -412,6 +435,7 @@ impl Node {
 mod tests {
     use super::*;
     use crate::point::Point;
+    use birch_pager::PAGE_HEADER_BYTES;
 
     fn rows(n: &Node) -> Vec<Cf> {
         (0..n.entry_count()).map(|i| n.block().row_cf(i)).collect()
@@ -477,8 +501,59 @@ mod tests {
         assert_eq!(n.entry_count(), 5);
     }
 
+    /// The reference form of a node's page: its rows' words (and child
+    /// ids) handed to `encode_page` at the tight size.
+    fn encode_page_tight(n: &Node) -> Vec<u8> {
+        let mut words = Vec::new();
+        for i in 0..n.entry_count() {
+            n.block().row_cf(i).to_words(&mut words);
+            if !n.is_leaf() {
+                words.push(u64::from(n.children()[i].0));
+            }
+        }
+        let (kind, prev, next) = match n.kind {
+            NodeKind::Leaf { prev, next } => {
+                let link = |l: Option<NodeId>| l.map_or(NO_NEIGHBOR, |id| u64::from(id.0));
+                (PageKind::Leaf, link(prev), link(next))
+            }
+            NodeKind::Interior { .. } => (PageKind::Interior, NO_NEIGHBOR, NO_NEIGHBOR),
+        };
+        let tight = PAGE_HEADER_BYTES + 8 * words.len();
+        let count = n.entry_count() as u32;
+        birch_pager::encode_page(tight, kind, count, prev, next, &words).unwrap()
+    }
+
+    /// Decodes `page` into a fresh node, checking the borrowing decoder
+    /// against the owning one on the way.
+    fn read_page(page: &[u8], dim: usize) -> Result<Node, String> {
+        let kind = birch_pager::peek_kind(page).unwrap();
+        let per = Node::words_per_entry(kind, dim);
+        let view = birch_pager::view_page(page, per).unwrap();
+        let owned = birch_pager::decode_page(page, per).unwrap();
+        assert_eq!(
+            (view.kind, view.count, view.prev, view.next),
+            (owned.kind, owned.count, owned.prev, owned.next)
+        );
+        assert_eq!(view.words().collect::<Vec<_>>(), owned.words);
+        let mut node = Node::new_leaf();
+        node.fill_from_page(&view, dim)?;
+        Ok(node)
+    }
+
+    /// Rows, `‖μ‖²` memos (the slab's `PartialEq` covers them), links
+    /// and children. An empty slab's width is not compared: a node that
+    /// never held a row has none yet, and a page fixes it.
+    fn same_node(a: &Node, b: &Node) -> bool {
+        let rows_equal = if a.entry_count() == 0 {
+            b.entry_count() == 0
+        } else {
+            a.block() == b.block()
+        };
+        rows_equal && a.kind == b.kind
+    }
+
     #[test]
-    fn leaf_round_trips_through_page_words_bitwise() {
+    fn leaf_round_trips_through_its_page_bitwise() {
         let mut n = Node::new_leaf();
         n.push_entry(&Cf::from_points(&[
             Point::xy(1e8, 1e8 + 1e-3),
@@ -489,32 +564,21 @@ mod tests {
             *prev = Some(NodeId(11));
             *next = None;
         }
-        let (kind, count, prev, next, words) = n.to_page_words();
-        assert_eq!(kind, PageKind::Leaf);
-        assert_eq!(count, 2);
-        assert_eq!(prev, 11);
-        assert_eq!(next, NO_NEIGHBOR);
-        let buf = birch_pager::encode_page(4096, kind, count, prev, next, &words).unwrap();
-        let decoded = birch_pager::decode_page(&buf, Cf::words_per_entry(2)).unwrap();
-        let back = Node::from_decoded_page(&decoded, 2).unwrap();
+        let mut page = Vec::new();
+        n.write_page(&mut page);
+        assert_eq!(page, encode_page_tight(&n));
+        let back = read_page(&page, 2).unwrap();
         assert_eq!(back.entry_count(), 2);
         // PartialEq compares every field, carries and the memo included.
         assert!(
             rows(&back) == rows(&n),
             "leaf CF changed across the page round-trip"
         );
-        assert_eq!(back.block(), n.block());
-        match (&back.kind, &n.kind) {
-            (NodeKind::Leaf { prev: bp, next: bn }, NodeKind::Leaf { prev: ap, next: an }) => {
-                assert_eq!(bp, ap);
-                assert_eq!(bn, an);
-            }
-            _ => unreachable!(),
-        }
+        assert!(same_node(&back, &n));
     }
 
     #[test]
-    fn interior_round_trips_through_page_words_bitwise() {
+    fn interior_round_trips_through_its_page_bitwise() {
         let mut n = Node::new_interior();
         for i in 0..3u32 {
             n.push_child(
@@ -522,28 +586,130 @@ mod tests {
                 NodeId(i * 7 + 1),
             );
         }
-        let (kind, count, prev, next, words) = n.to_page_words();
-        assert_eq!(kind, PageKind::Interior);
-        assert_eq!(count, 3);
-        let buf = birch_pager::encode_page(4096, kind, count, prev, next, &words).unwrap();
-        let decoded =
-            birch_pager::decode_page(&buf, Node::words_per_entry(PageKind::Interior, 2)).unwrap();
-        let back = Node::from_decoded_page(&decoded, 2).unwrap();
-        assert_eq!(back.entry_count(), 3);
+        let mut page = Vec::new();
+        n.write_page(&mut page);
+        assert_eq!(page, encode_page_tight(&n));
+        let back = read_page(&page, 2).unwrap();
         assert_eq!(back.children(), n.children());
         assert!(rows(&back) == rows(&n));
+        assert!(same_node(&back, &n));
     }
 
     #[test]
     fn decoding_an_oversized_child_pointer_is_an_error() {
-        let mut n = Node::new_interior();
-        n.push_child(&Cf::from_point(&Point::xy(0.0, 0.0)), NodeId(3));
-        let (kind, count, prev, next, mut words) = n.to_page_words();
-        *words.last_mut().unwrap() = 1 << 40;
-        let buf = birch_pager::encode_page(4096, kind, count, prev, next, &words).unwrap();
-        let decoded = birch_pager::decode_page(&buf, Node::words_per_entry(kind, 2)).unwrap();
-        let err = Node::from_decoded_page(&decoded, 2).unwrap_err();
+        let mut words = Vec::new();
+        Cf::from_point(&Point::xy(0.0, 0.0)).to_words(&mut words);
+        words.push(1 << 40);
+        let tight = PAGE_HEADER_BYTES + 8 * words.len();
+        let page = birch_pager::encode_page(
+            tight,
+            PageKind::Interior,
+            1,
+            NO_NEIGHBOR,
+            NO_NEIGHBOR,
+            &words,
+        )
+        .unwrap();
+        let err = read_page(&page, 2).unwrap_err();
         assert!(err.contains("child pointer"), "{err}");
+    }
+
+    #[test]
+    fn a_payload_of_the_wrong_width_is_an_error() {
+        let n = {
+            let mut n = Node::new_leaf();
+            n.push_entry(&Cf::from_point(&Point::xy(1.0, 2.0)));
+            n
+        };
+        let mut page = Vec::new();
+        n.write_page(&mut page);
+        // Read as 3-d rows, the page's one 2-d row is too short.
+        let view = birch_pager::view_page(&page, Node::words_per_entry(PageKind::Leaf, 2)).unwrap();
+        let err = Node::new_leaf().fill_from_page(&view, 3).unwrap_err();
+        assert!(err.contains("not 1 entries of 9 words"), "{err}");
+    }
+
+    /// A node of `rows` rows at `dim`, with values drawn from `seed`:
+    /// weights above 1, a large offset so the means carry, and for an
+    /// interior node child ids up to the arena's range.
+    fn random_node(interior: bool, dim: usize, rows: usize, seed: u64) -> Node {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let mut n = if interior {
+            Node::new_interior()
+        } else {
+            Node::new_leaf()
+        };
+        for _ in 0..rows {
+            let pts: Vec<Point> = (0..1 + (unit() * 4.0) as usize)
+                .map(|_| Point::new((0..dim).map(|_| 1e8 + unit() * 10.0 - 5.0).collect()))
+                .collect();
+            let cf = Cf::from_points(&pts);
+            if interior {
+                let child = if unit() < 0.1 {
+                    u32::MAX - 1
+                } else {
+                    (unit() * 1e4) as u32
+                };
+                n.push_child(&cf, NodeId(child));
+            } else {
+                n.push_entry(&cf);
+            }
+        }
+        if let NodeKind::Leaf { prev, next } = &mut n.kind {
+            *prev = (unit() < 0.7).then(|| NodeId((unit() * 1e4) as u32));
+            *next = (unit() < 0.7).then_some(NodeId(u32::MAX - 1));
+        }
+        n
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// The one codec: the tight encoder writes `encode_page`'s bytes,
+        /// the borrowing decoder returns `decode_page`'s fields, and a
+        /// recycled node of the other kind and a larger capacity refills
+        /// to the node a fresh one decodes to — at every dimension class
+        /// the kernels compile, from an empty node to one row past
+        /// capacity.
+        #[test]
+        fn tight_pages_round_trip_through_fresh_and_recycled_nodes(
+            dim in proptest::prelude::prop::sample::select(&[1usize, 2, 3, 4, 5, 16]),
+            interior in proptest::prelude::prop::bool::ANY,
+            pick in proptest::prelude::any::<u64>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let layout = birch_pager::PageLayout::new(1024, dim);
+            let cap = if interior {
+                layout.branching_factor()
+            } else {
+                layout.leaf_capacity()
+            };
+            let rows = (pick % (cap as u64 + 2)) as usize;
+            let n = random_node(interior, dim, rows, seed);
+            let mut page = vec![0xA5; 3];
+            n.write_page(&mut page);
+            let page = page.split_off(3);
+            proptest::prop_assert_eq!(&page, &encode_page_tight(&n));
+
+            let fresh = read_page(&page, dim).unwrap();
+            proptest::prop_assert!(same_node(&fresh, &n));
+
+            let mut recycled = random_node(!interior, dim, cap + 1, !seed);
+            let held = recycled.block().heap_bytes();
+            let kind = if interior { PageKind::Interior } else { PageKind::Leaf };
+            let per = Node::words_per_entry(kind, dim);
+            let view = birch_pager::view_page(&page, per).unwrap();
+            recycled.fill_from_page(&view, dim).unwrap();
+            proptest::prop_assert!(same_node(&recycled, &fresh));
+            proptest::prop_assert_eq!(recycled.block().heap_bytes(), held);
+        }
     }
 
     #[test]

@@ -68,9 +68,6 @@ pub struct ParallelPhase1Output {
     /// *concurrent* peak — the sum of the shard peaks (the shards run at
     /// the same time), maxed with the merge stage's peak.
     pub io: Counters,
-    /// Merge-stage threshold raises (the run-level `T` sequence; the
-    /// per-shard sequences live in [`ParallelPhase1Output::shards`]).
-    pub threshold_history: Vec<f64>,
     /// Input records scanned across all shards.
     pub points_scanned: u64,
     /// The merge stage's threshold estimator, carrying its r–N history
@@ -418,7 +415,6 @@ fn merge_shards<S: EventSink>(
     ParallelPhase1Output {
         tree: merged.tree,
         io: metrics.counters,
-        threshold_history: merged.threshold_history,
         points_scanned: total_points,
         estimator: merged.estimator,
         metrics,

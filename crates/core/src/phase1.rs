@@ -40,9 +40,6 @@ pub struct Phase1Output {
     /// The scan's run counters: a copy of `metrics.counters`, taken when
     /// the scan finished.
     pub io: Counters,
-    /// The threshold after each rebuild, `T1, T2, …` (empty if no rebuild
-    /// was needed).
-    pub threshold_history: Vec<f64>,
     /// Input records scanned.
     pub points_scanned: u64,
     /// The outlier store (already finalized — empty unless
@@ -81,7 +78,6 @@ pub struct Phase1Builder<S: EventSink = NoopSink> {
     outliers: Option<OutlierStore>,
     delay: Option<DelaySplitBuffer>,
     delay_mode: bool,
-    threshold_history: Vec<f64>,
     points_scanned: u64,
     /// Total weight (N) of every CF fed in, including outlier candidates —
     /// the auditor's end-to-end conservation baseline: until `finish`,
@@ -229,7 +225,6 @@ fn builder<S: EventSink>(config: &BirchConfig, dim: usize, sink: S) -> Phase1Bui
         outliers,
         delay,
         delay_mode: false,
-        threshold_history: Vec::new(),
         points_scanned: 0,
         fed_n: 0.0,
         scratch: None,
@@ -613,7 +608,6 @@ impl<S: EventSink> Phase1Builder<S> {
                 &mut Tee(&mut self.recorder, &mut self.sink),
             );
             self.note_pages(report.peak_pages);
-            self.threshold_history.push(t_next);
             self.retire_tree_counters();
             self.tree = new_tree;
 
@@ -667,7 +661,6 @@ impl<S: EventSink> Phase1Builder<S> {
             &mut Tee(&mut self.recorder, &mut self.sink),
         );
         self.note_pages(report.peak_pages);
-        self.threshold_history.push(t);
         self.retire_tree_counters();
         self.tree = new_tree;
         self.sample_memory();
@@ -802,7 +795,6 @@ impl<S: EventSink> Phase1Builder<S> {
         let out = Phase1Output {
             tree: self.tree,
             io: metrics.counters,
-            threshold_history: self.threshold_history,
             points_scanned: self.points_scanned,
             outliers: self.outliers,
             estimator: self.estimator,
@@ -854,7 +846,7 @@ mod tests {
         let out = run(&cfg, 2, blobs(100, 2));
         assert_eq!(out.points_scanned, 100);
         assert_eq!(out.metrics.rebuilds, 0);
-        assert!(out.threshold_history.is_empty());
+        assert!(out.metrics.threshold_trajectory.is_empty());
         out.tree.check_invariants().unwrap();
         assert!((out.tree.total_cf().n() - 100.0).abs() < 1e-9);
     }
@@ -877,11 +869,11 @@ mod tests {
         );
         out.tree.check_invariants().unwrap();
         // Thresholds strictly increase.
-        for w in out.threshold_history.windows(2) {
+        let raised = &out.metrics.threshold_trajectory;
+        for w in raised.windows(2) {
             assert!(
-                w[1] > w[0],
-                "thresholds not increasing: {:?}",
-                out.threshold_history
+                w[1].threshold > w[0].threshold,
+                "thresholds not increasing: {raised:?}"
             );
         }
     }

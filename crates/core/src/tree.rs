@@ -33,8 +33,8 @@ use crate::distance::{
 use crate::node::{Node, NodeId, NodeKind};
 use crate::obs::{Event, EventSink, NoopSink};
 use birch_pager::{
-    decode_page, encode_page, peek_kind, ClockCache, PageStore, SnapshotError, SnapshotReader,
-    SnapshotWriter, PAGE_HEADER_BYTES,
+    peek_kind, view_page, ClockCache, PageStore, SnapshotError, SnapshotReader, SnapshotWriter,
+    PAGE_HEADER_BYTES,
 };
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -122,9 +122,11 @@ pub struct TreeStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeFootprint {
     /// The node arena (`Vec<Node>` capacity) plus every interior node's
-    /// child-id `Vec` capacity.
+    /// child-id `Vec` capacity, the out-of-core pager's spare node
+    /// included.
     pub arena_bytes: u64,
     /// Every node's [`CfBlock`] slabs: the only store of the tree's CFs.
+    /// Out of core, the spare node's slab too.
     pub block_bytes: u64,
 }
 
@@ -250,11 +252,12 @@ pub struct PageCacheStats {
     pub resident_nodes: usize,
     /// Live nodes currently spilled to disk.
     pub evicted_nodes: usize,
-    /// Bytes the spill file occupies (slots × page size).
+    /// Bytes the spill file's slots span (slots × page size).
     pub spill_file_bytes: u64,
-    /// Bytes ever written to the spill file.
+    /// Bytes ever written to the spill file: each eviction's tight page,
+    /// its header and rows, not the whole slot.
     pub spill_bytes_written: u64,
-    /// Bytes ever read back from the spill file.
+    /// Bytes ever read back from the spill file: each fault's tight page.
     pub spill_bytes_read: u64,
 }
 
@@ -279,6 +282,13 @@ impl PageCacheStats {
 /// boundaries ([`CfTree::insert_cf`] and friends call `evict_to_cap` after
 /// the tree is back within its B/L capacities), so an evicted node is
 /// always within capacity and fits the physical page slot.
+///
+/// Each page crosses one buffer both ways: an eviction encodes the
+/// victim's rows into it as a tight page and writes those bytes, and a
+/// fault reads the page back into it and refills a node straight from
+/// it. The node a fault refills is the one evicted last, whose slab and
+/// child ids are kept as the spare, so a fault that follows an eviction
+/// allocates nothing.
 #[derive(Debug)]
 struct TreePager {
     store: PageStore,
@@ -290,6 +300,10 @@ struct TreePager {
     refs: u64,
     faults: u64,
     evictions: u64,
+    /// The one page buffer every eviction and fault goes through.
+    buf: Vec<u8>,
+    /// The last evicted node's allocations, until a fault reuses them.
+    spare: Option<Node>,
 }
 
 /// A height-balanced tree of Clustering Features.
@@ -448,9 +462,11 @@ impl CfTree {
     pub fn memory_footprint(&self) -> TreeFootprint {
         let mut arena = self.nodes.capacity() * std::mem::size_of::<Node>();
         let mut blocks = 0usize;
-        // Free-listed nodes keep their allocations until reused, so they
-        // are counted too: the bytes are genuinely held.
-        for n in &self.nodes {
+        // Free-listed nodes keep their allocations until reused, and so
+        // does the pager's spare node, so they are counted too: the bytes
+        // are genuinely held.
+        let spare = self.pager.as_ref().and_then(|p| p.spare.as_ref());
+        for n in self.nodes.iter().chain(spare) {
             if let NodeKind::Interior { children } = &n.kind {
                 arena += children.capacity() * std::mem::size_of::<NodeId>();
             }
@@ -1116,6 +1132,8 @@ impl CfTree {
             refs: 0,
             faults: 0,
             evictions: 0,
+            buf: Vec::with_capacity(page_bytes),
+            spare: None,
         }));
         self.evict_to_cap();
         Ok(())
@@ -1123,7 +1141,20 @@ impl CfTree {
 
     /// Leaves out-of-core mode: faults every spilled node back in and
     /// deletes the spill file. No-op when paging is off.
+    ///
+    /// Recycled slabs keep the capacity of whichever node they held
+    /// before, so the resident nodes are first trimmed to exact capacity
+    /// (an evicted node's placeholder holds nothing to trim) and the
+    /// spare is dropped; the nodes faulted in after are sized exactly.
+    /// The tree that stays resident holds no slack.
     pub fn disable_paging(&mut self) {
+        let Some(pager) = self.pager.as_mut() else {
+            return;
+        };
+        pager.spare = None;
+        for node in &mut self.nodes {
+            node.shrink_to_fit();
+        }
         self.fault_all();
         self.pager = None;
     }
@@ -1195,17 +1226,24 @@ impl CfTree {
             return;
         };
         pager.faults += 1;
-        let buf = pager.store.read_slot(slot).expect("spill file read failed");
+        pager
+            .store
+            .read_slot_into(slot, &mut pager.buf)
+            .expect("spill file read failed");
         pager.store.free(slot);
-        let kind = peek_kind(&buf).expect("spill page header corrupt");
-        let page = decode_page(&buf, Node::words_per_entry(kind, dim)).expect("spill page corrupt");
-        let mut node = Node::from_decoded_page(&page, dim).expect("spill page malformed");
+        let kind = peek_kind(&pager.buf).expect("spill page header corrupt");
+        let page =
+            view_page(&pager.buf, Node::words_per_entry(kind, dim)).expect("spill page corrupt");
+        let mut node = pager.spare.take().unwrap_or_else(Node::new_leaf);
+        node.fill_from_page(&page, dim)
+            .expect("spill page malformed");
         node.id = id;
         self.nodes[id.index()] = node;
     }
 
-    /// Spills the clock's victim to the spill file, replacing its arena
-    /// entry with a hollow placeholder. Returns `false` when nothing is
+    /// Spills the clock's victim to the spill file as a tight page,
+    /// replacing its arena entry with a hollow placeholder and keeping
+    /// its allocations as the spare. Returns `false` when nothing is
     /// evictable.
     fn evict_one(&mut self) -> bool {
         let Some(pager) = self.pager.as_mut() else {
@@ -1215,20 +1253,19 @@ impl CfTree {
             return false;
         };
         let id = NodeId(u32::try_from(key).expect("cache keys are node ids"));
-        let (kind, count, prev, next, words) = self.nodes[id.index()].to_page_words();
-        let pager = self.pager.as_mut().expect("pager checked above");
-        let buf = encode_page(pager.store.page_bytes(), kind, count, prev, next, &words)
-            .expect("node exceeds its physical page slot");
+        let mut hollow = Node::new_leaf();
+        hollow.id = id;
+        let victim = std::mem::replace(&mut self.nodes[id.index()], hollow);
+        pager.buf.clear();
+        victim.write_page(&mut pager.buf);
         let slot = pager.store.alloc();
         pager
             .store
-            .write_slot(slot, &buf)
+            .write_slot(slot, &pager.buf)
             .expect("spill file write failed");
         pager.slot_of.insert(id.0, slot);
         pager.evictions += 1;
-        let mut hollow = Node::new_leaf();
-        hollow.id = id;
-        self.nodes[id.index()] = hollow;
+        pager.spare = Some(victim);
         true
     }
 
@@ -1264,15 +1301,10 @@ impl CfTree {
             if free.contains(&id) {
                 continue;
             }
-            let (kind, count, prev, next, words) = node.to_page_words();
-            // Snapshot pages are tight (header + payload), not padded to
-            // the physical slot size: node id first, page bytes after.
-            let page_bytes = PAGE_HEADER_BYTES + words.len() * 8;
-            let page = encode_page(page_bytes, kind, count, prev, next, &words)
-                .expect("tight page cannot overflow");
-            let mut payload = Vec::with_capacity(4 + page.len());
-            payload.extend_from_slice(&id.to_le_bytes());
-            payload.extend_from_slice(&page);
+            // Snapshot pages are tight (header + payload), as spill pages
+            // are: node id first, page bytes after.
+            let mut payload = id.to_le_bytes().to_vec();
+            node.write_page(&mut payload);
             w.add_section(*b"NODE", payload);
         }
         w.finish(path)?;
@@ -1436,9 +1468,10 @@ impl CfTree {
             }
             let page_buf = &payload[4..];
             let kind = peek_kind(page_buf).map_err(|e| malformed(format!("node {id}: {e}")))?;
-            let page = decode_page(page_buf, Node::words_per_entry(kind, dim))
+            let page = view_page(page_buf, Node::words_per_entry(kind, dim))
                 .map_err(|e| malformed(format!("node {id}: {e}")))?;
-            let mut node = Node::from_decoded_page(&page, dim)
+            let mut node = Node::new_leaf();
+            node.fill_from_page(&page, dim)
                 .map_err(|e| malformed(format!("node {id}: {e}")))?;
             node.id = NodeId(id);
             if slots[id as usize].replace(node).is_some() {
@@ -2093,6 +2126,112 @@ mod tests {
     /// `(refs, faults, evictions)` of the walk in
     /// `paged_build_bounds_residency_and_matches_unpaged`.
     const PAGED_WALK_PIN: (u64, u64, u64) = (3518, 2716, 3117);
+
+    /// The 500-point walk under a 4-page budget, so most nodes are on
+    /// disk when it ends.
+    fn spilled_walk(tag: &str) -> (CfTree, std::path::PathBuf) {
+        let spill = temp_file(tag);
+        let mut t = CfTree::new(small_params(0.5));
+        t.enable_paging(&spill, 4).unwrap();
+        let mut x = 0.0f64;
+        let mut y = 0.0f64;
+        for i in 0..500 {
+            x = (x * 1.3 + f64::from(i) * 0.7).rem_euclid(50.0);
+            y = (y * 1.7 + f64::from(i) * 0.3).rem_euclid(50.0);
+            t.insert_point(&Point::xy(x, y));
+        }
+        (t, spill)
+    }
+
+    #[test]
+    fn spill_pages_are_tight_and_the_spare_is_counted() {
+        let (mut t, spill) = spilled_walk("tight.pages");
+        let p = t.pager.as_ref().unwrap();
+        let s = t.page_stats().unwrap();
+        // Every page written was tight: shorter than its slot, and a
+        // whole number of 8-byte words past the header.
+        let slot = p.store.page_bytes() as u64;
+        assert!(s.spill_bytes_written < s.evictions * slot);
+        assert_eq!((s.spill_bytes_written - s.evictions * 32) % 8, 0);
+        // The eviction that ended the last insert left its victim's
+        // allocations as the spare, and the footprint holds them.
+        let spare = p.spare.as_ref().expect("an eviction leaves a spare");
+        let blocks: usize = t.nodes.iter().map(|n| n.block().heap_bytes()).sum();
+        assert!(spare.block().heap_bytes() > 0);
+        assert_eq!(
+            t.memory_footprint().block_bytes,
+            (blocks + spare.block().heap_bytes()) as u64
+        );
+
+        // Leaving paging trims every slab, resident or faulted in, to
+        // exactly its rows.
+        t.disable_paging();
+        assert!(!spill.exists());
+        for n in &t.nodes {
+            assert!(n.block().is_exact(), "{} holds slack", n.describe());
+            if let NodeKind::Interior { children } = &n.kind {
+                assert_eq!(children.capacity(), children.len());
+            }
+        }
+        t.audit().unwrap();
+    }
+
+    /// Damages the spill file of a fresh [`spilled_walk`] with `damage`,
+    /// given the byte offset and length of the page in the highest slot
+    /// any evicted node holds, then faults that node in. Returns the
+    /// panic message; the node must not be handed back.
+    fn fault_after(tag: &str, damage: impl FnOnce(&std::fs::File, u64, u64)) -> String {
+        let (mut t, spill) = spilled_walk(tag);
+        let p = t.pager.as_ref().unwrap();
+        let (&id, &slot) = p.slot_of.iter().max_by_key(|(_, &slot)| slot).unwrap();
+        let at = u64::from(slot) * p.store.page_bytes() as u64;
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&spill)
+            .unwrap();
+        let mut header = [0u8; 32];
+        std::os::unix::fs::FileExt::read_exact_at(&file, &mut header, at).unwrap();
+        let kind = peek_kind(&header).unwrap();
+        let count = u64::from(u32::from_le_bytes(header[8..12].try_into().unwrap()));
+        let len = 32 + 8 * count * Node::words_per_entry(kind, 2) as u64;
+        damage(&file, at, len);
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.fault_in(NodeId(id));
+        }));
+        let err = got.expect_err("a damaged spill page was faulted in");
+        assert_eq!(
+            t.nodes[id as usize].entry_count(),
+            0,
+            "n{id} was handed back"
+        );
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|m| (*m).to_string()))
+            .unwrap()
+    }
+
+    fn flip(file: &std::fs::File, at: u64) {
+        let mut b = [0u8];
+        std::os::unix::fs::FileExt::read_exact_at(file, &mut b, at).unwrap();
+        b[0] ^= 0x10;
+        std::os::unix::fs::FileExt::write_all_at(file, &b, at).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_spill_page_panics_on_its_next_fault() {
+        let damaged = |what: &str, damage: &dyn Fn(&std::fs::File, u64, u64)| {
+            let msg = fault_after(&format!("damaged-{what}.pages"), damage);
+            assert!(msg.starts_with("spill page"), "{what}: {msg}");
+        };
+        damaged("payload", &|f, at, len| flip(f, at + len - 3));
+        damaged("count", &|f, at, _| flip(f, at + 8));
+        damaged("crc", &|f, at, _| flip(f, at + 13));
+        damaged("cut-payload", &|f, at, len| {
+            f.set_len(at + len - 8).unwrap()
+        });
+        damaged("cut-header", &|f, at, _| f.set_len(at + 20).unwrap());
+    }
 
     #[test]
     fn checkpoint_reopen_is_bit_identical_and_continues_equally() {

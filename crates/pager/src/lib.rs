@@ -48,8 +48,8 @@ pub use budget::{BudgetError, MemoryBudget};
 pub use disk::{DiskError, FaultPlan, SimDisk};
 pub use layout::PageLayout;
 pub use page::{
-    crc32, decode_page, encode_page, peek_kind, DecodedPage, PageError, PageKind, NO_NEIGHBOR,
-    PAGE_FORMAT_VERSION, PAGE_HEADER_BYTES,
+    begin_page, crc32, decode_page, encode_page, peek_kind, seal_page, view_page, DecodedPage,
+    PageError, PageKind, PageView, NO_NEIGHBOR, PAGE_FORMAT_VERSION, PAGE_HEADER_BYTES,
 };
 pub use snapshot::{
     SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC,

@@ -31,6 +31,13 @@
 //! version, kind, and the CRC before handing any word back, so a torn or
 //! corrupted page surfaces as a typed [`PageError`], never as garbage CF
 //! statistics.
+//!
+//! A page padded to a fixed size ([`encode_page`] at `page_bytes`) carries
+//! a CRC over its padding too. A *tight* page is just the header and the
+//! payload; the CF-tree writes its spill pages and snapshot pages tight,
+//! building them in place with [`begin_page`] and [`seal_page`], and reads
+//! them back with [`view_page`], which borrows the payload from the
+//! buffer instead of copying it into words.
 
 use std::fmt;
 
@@ -150,14 +157,14 @@ pub struct DecodedPage {
 /// The reflected IEEE 802.3 CRC-32 polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// Slicing-by-8 tables: `CRC32_TABLES[0]` is the classic byte table, and
+/// Slicing-by-16 tables: `CRC32_TABLES[0]` is the classic byte table, and
 /// `CRC32_TABLES[k][b]` is the CRC register after byte `b` is followed by
-/// `k` zero bytes, so eight table lookups advance the register by eight
-/// input bytes at once.
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+/// `k` zero bytes, so sixteen table lookups advance the register by
+/// sixteen input bytes at once.
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -176,7 +183,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut i = 0;
     while i < 256 {
         let mut k = 1;
-        while k < 8 {
+        while k < 16 {
             let prev = t[k - 1][i];
             t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             k += 1;
@@ -188,7 +195,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
 /// Hand-rolled rather than a dependency: the workspace builds offline
-/// (`shims/README.md`), and 8 KiB of tables is all a checksum this
+/// (`shims/README.md`), and 16 KiB of tables is all a checksum this
 /// simple needs.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -200,31 +207,63 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// and snapshot codecs checksum a message held in pieces without
 /// concatenating them.
 ///
-/// Slicing-by-8: each 8-byte chunk costs eight independent table lookups
-/// instead of eight dependent byte steps; the tail (fewer than eight
-/// bytes) runs bytewise. Alignment does not matter: chunks are read with
-/// `from_le_bytes`.
+/// Slicing-by-16: each 16-byte chunk costs sixteen independent table
+/// lookups instead of sixteen dependent byte steps; the tail (fewer than
+/// sixteen bytes) runs bytewise. Alignment does not matter: chunks are
+/// read with `from_le_bytes`.
 #[must_use]
 pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let lookup = |k: usize, w: u32| {
+        t[k + 3][(w & 0xFF) as usize]
+            ^ t[k + 2][((w >> 8) & 0xFF) as usize]
+            ^ t[k + 1][((w >> 16) & 0xFF) as usize]
+            ^ t[k][(w >> 24) as usize]
+    };
     let mut c = !crc;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(16);
     for chunk in &mut chunks {
-        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        c = lookup(12, c ^ word(&chunk[0..4]))
+            ^ lookup(8, word(&chunk[4..8]))
+            ^ lookup(4, word(&chunk[8..12]))
+            ^ lookup(0, word(&chunk[12..16]));
     }
     for &b in chunks.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
+}
+
+/// Appends a page header to `out`: magic, version, `kind`, `count`,
+/// `prev` and `next`, with the CRC field zero. The caller appends the
+/// payload words after it and then seals the page with [`seal_page`].
+/// [`encode_page`] builds its pages this way, and so does the CF-tree's
+/// node encoder, which writes a node's rows straight into a reused
+/// buffer.
+pub fn begin_page(out: &mut Vec<u8>, kind: PageKind, count: u32, prev: u64, next: u64) {
+    out.extend_from_slice(&PAGE_MAGIC);
+    out.extend_from_slice(&PAGE_FORMAT_VERSION.to_le_bytes());
+    out.push(kind.to_byte());
+    out.push(0);
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // the CRC, set by `seal_page`
+    out.extend_from_slice(&prev.to_le_bytes());
+    out.extend_from_slice(&next.to_le_bytes());
+}
+
+/// Stores the CRC of `page` — every byte of it, with the CRC field read
+/// as zero — in the CRC field. `page` is one whole page that
+/// [`begin_page`] started, its CRC field still zero.
+///
+/// # Panics
+///
+/// Panics if `page` is shorter than the header.
+pub fn seal_page(page: &mut [u8]) {
+    assert!(page.len() >= PAGE_HEADER_BYTES, "a page holds its header");
+    debug_assert_eq!(page[12..16], [0; 4], "page sealed twice");
+    let crc = crc32(page);
+    page[12..16].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Encodes one node into a fixed-size page buffer of `page_bytes`.
@@ -233,7 +272,9 @@ pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
 /// is the semantic entry count the decoder hands back. The buffer is
 /// zero-padded past the payload, and the header CRC covers the entire
 /// page (checksum field zeroed during computation) so padding corruption
-/// is detected too.
+/// is detected too. At `page_bytes = PAGE_HEADER_BYTES + 8 × words.len()`
+/// the page is *tight*: no padding, the form the CF-tree spills and
+/// snapshots.
 ///
 /// # Errors
 ///
@@ -250,27 +291,19 @@ pub fn encode_page(
     if needed > page_bytes {
         return Err(PageError::Overflow { needed, page_bytes });
     }
-    let mut buf = vec![0u8; page_bytes];
-    buf[0..4].copy_from_slice(&PAGE_MAGIC);
-    buf[4..6].copy_from_slice(&PAGE_FORMAT_VERSION.to_le_bytes());
-    buf[6] = kind.to_byte();
-    buf[7] = 0;
-    buf[8..12].copy_from_slice(&count.to_le_bytes());
-    // buf[12..16] is the CRC, zero for now.
-    buf[16..24].copy_from_slice(&prev.to_le_bytes());
-    buf[24..32].copy_from_slice(&next.to_le_bytes());
-    for (i, w) in words.iter().enumerate() {
-        let at = PAGE_HEADER_BYTES + i * 8;
-        buf[at..at + 8].copy_from_slice(&w.to_le_bytes());
+    let mut buf = Vec::with_capacity(page_bytes);
+    begin_page(&mut buf, kind, count, prev, next);
+    for w in words {
+        buf.extend_from_slice(&w.to_le_bytes());
     }
-    let crc = crc32(&buf);
-    buf[12..16].copy_from_slice(&crc.to_le_bytes());
+    buf.resize(page_bytes, 0);
+    seal_page(&mut buf);
     Ok(buf)
 }
 
 /// Reads just the kind byte from a page header, without verifying the
 /// checksum. Callers use this to learn the per-entry word width (which
-/// differs between leaf and interior rows) before calling [`decode_page`],
+/// differs between leaf and interior rows) before calling [`view_page`],
 /// which still performs full verification.
 ///
 /// # Errors
@@ -290,7 +323,47 @@ pub fn peek_kind(buf: &[u8]) -> Result<PageKind, PageError> {
     PageKind::from_byte(buf[6]).ok_or(PageError::BadKind(buf[6]))
 }
 
-/// Decodes and verifies a page buffer produced by [`encode_page`].
+/// A verified page, borrowed from the buffer it was read into: the header
+/// fields, and the payload bytes of its `count` entries. Only
+/// [`view_page`] makes one, so holding one means the checks passed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageView<'a> {
+    /// Leaf or interior.
+    pub kind: PageKind,
+    /// Semantic entry count.
+    pub count: u32,
+    /// Leaf-chain predecessor ([`NO_NEIGHBOR`] = none).
+    pub prev: u64,
+    /// Leaf-chain successor ([`NO_NEIGHBOR`] = none).
+    pub next: u64,
+    /// Exactly `count × words_per_entry` little-endian u64 words.
+    payload: &'a [u8],
+}
+
+impl<'a> PageView<'a> {
+    /// The payload: `count` entries of `words_per_entry` little-endian
+    /// u64 words each, in encoder order.
+    #[must_use]
+    pub fn payload(&self) -> &'a [u8] {
+        self.payload
+    }
+
+    /// The payload words, decoded.
+    pub fn words(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.payload.chunks_exact(8).map(le_word)
+    }
+}
+
+/// The little-endian u64 in the first eight bytes of `b`.
+fn le_word(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// Verifies `buf` as one whole page and borrows its fields, copying
+/// nothing. It checks the magic, version and kind, the CRC over every
+/// byte of `buf` (padding too), and that the entry count fits the
+/// buffer. A tight page is exactly its header and payload, so there the
+/// CRC covers every byte the caller will read.
 ///
 /// `words_per_entry` tells the decoder how many payload words each of the
 /// `count` entries occupies (the caller's row layout), so it can return
@@ -301,7 +374,7 @@ pub fn peek_kind(buf: &[u8]) -> Result<PageKind, PageError> {
 ///
 /// Any [`PageError`] variant: bad magic/version/kind, checksum mismatch,
 /// or truncation.
-pub fn decode_page(buf: &[u8], words_per_entry: usize) -> Result<DecodedPage, PageError> {
+pub fn view_page(buf: &[u8], words_per_entry: usize) -> Result<PageView<'_>, PageError> {
     if buf.len() < PAGE_HEADER_BYTES {
         return Err(PageError::Truncated {
             needed: PAGE_HEADER_BYTES,
@@ -324,26 +397,40 @@ pub fn decode_page(buf: &[u8], words_per_entry: usize) -> Result<DecodedPage, Pa
     if stored != computed {
         return Err(PageError::ChecksumMismatch { stored, computed });
     }
-    let prev = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
-    let next = u64::from_le_bytes(buf[24..32].try_into().expect("8 bytes"));
-    let n_words = count as usize * words_per_entry;
-    let needed = PAGE_HEADER_BYTES + n_words * 8;
+    let needed = (count as usize)
+        .saturating_mul(words_per_entry)
+        .saturating_mul(8)
+        .saturating_add(PAGE_HEADER_BYTES);
     if buf.len() < needed {
         return Err(PageError::Truncated {
             needed,
             got: buf.len(),
         });
     }
-    let words = buf[PAGE_HEADER_BYTES..needed]
-        .chunks_exact(8)
-        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
-        .collect();
-    Ok(DecodedPage {
+    Ok(PageView {
         kind,
         count,
-        prev,
-        next,
-        words,
+        prev: le_word(&buf[16..24]),
+        next: le_word(&buf[24..32]),
+        payload: &buf[PAGE_HEADER_BYTES..needed],
+    })
+}
+
+/// Decodes and verifies a page buffer produced by [`encode_page`]: the
+/// owning form of [`view_page`], with the same checks.
+///
+/// # Errors
+///
+/// Any [`PageError`] variant: bad magic/version/kind, checksum mismatch,
+/// or truncation.
+pub fn decode_page(buf: &[u8], words_per_entry: usize) -> Result<DecodedPage, PageError> {
+    let page = view_page(buf, words_per_entry)?;
+    Ok(DecodedPage {
+        kind: page.kind,
+        count: page.count,
+        prev: page.prev,
+        next: page.next,
+        words: page.words().collect(),
     })
 }
 
@@ -392,11 +479,12 @@ mod tests {
 
     #[test]
     fn sliced_crc_matches_oracle_on_every_short_slice() {
-        // Every length up to a few chunks, from every start offset mod 8,
-        // split at every point: covers each chunk/tail boundary exactly.
-        let buf: Vec<u8> = (0..80u32).map(|i| (i * 151 + 7) as u8).collect();
-        for start in 0..8 {
-            for len in 0..=72 {
+        // Every length up to five 16-byte chunks, from every start offset
+        // mod 16, split at every point: covers each chunk/tail boundary
+        // exactly.
+        let buf: Vec<u8> = (0..96u32).map(|i| (i * 151 + 7) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=80 {
                 let msg = &buf[start..start + len];
                 let want = crc32_bytewise(msg);
                 assert_eq!(crc32(msg), want, "start {start} len {len}");
@@ -412,12 +500,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Sliced and streaming CRCs equal the bytewise oracle for any
-        /// bytes of length 0..4096, from any start offset mod 8, and
+        /// bytes of length 0..4096, from any start offset mod 16, and
         /// for the streaming form at any split point.
         #[test]
         fn sliced_crc_matches_bytewise_oracle(
-            bytes in prop::collection::vec(any::<u8>(), 0..4104),
-            start in 0usize..8,
+            bytes in prop::collection::vec(any::<u8>(), 0..4112),
+            start in 0usize..16,
             split in any::<usize>(),
         ) {
             let msg = &bytes[start.min(bytes.len())..];
@@ -455,6 +543,36 @@ mod tests {
         let page = decode_page(&buf, 4).unwrap();
         assert_eq!(page.kind, PageKind::Interior);
         assert_eq!(page.words, words, "f64 bit patterns survive verbatim");
+    }
+
+    #[test]
+    fn tight_page_built_in_place_equals_encode_page_and_views_borrow_it() {
+        let words: Vec<u64> = (0..9).map(|i| 0xBEEF_0000 + i * 3).collect();
+        let tight = PAGE_HEADER_BYTES + 8 * words.len();
+        let want = encode_page(tight, PageKind::Interior, 3, NO_NEIGHBOR, 5, &words).unwrap();
+        // Built after other bytes in the same buffer, as a snapshot
+        // section's node id precedes its page.
+        let mut out = vec![0xAA; 4];
+        begin_page(&mut out, PageKind::Interior, 3, NO_NEIGHBOR, 5);
+        for w in &words {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        seal_page(&mut out[4..]);
+        assert_eq!(out[4..], want[..]);
+
+        for buf in [
+            want.clone(),
+            encode_page(512, PageKind::Leaf, 3, 2, NO_NEIGHBOR, &words).unwrap(),
+        ] {
+            let view = view_page(&buf, 3).unwrap();
+            let owned = decode_page(&buf, 3).unwrap();
+            assert_eq!(
+                (view.kind, view.count, view.prev, view.next),
+                (owned.kind, owned.count, owned.prev, owned.next)
+            );
+            assert_eq!(view.words().collect::<Vec<_>>(), owned.words);
+            assert_eq!(view.payload(), &buf[PAGE_HEADER_BYTES..tight]);
+        }
     }
 
     #[test]

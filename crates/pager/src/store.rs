@@ -8,8 +8,11 @@
 //!
 //! Slots are recycled through a free list, slot `s` lives at byte offset
 //! `s × page_bytes`, and every operation bumps the counters the run
-//! report surfaces (`page cache` section of `birch-report`). Each page
-//! read or write is one positioned system call (`pread`/`pwrite` through
+//! report surfaces (`page cache` section of `birch-report`). A page may
+//! be shorter than its slot (the CF-tree writes tight pages): the store
+//! writes only the page's bytes, remembers how many, and reads back
+//! exactly those, so the slot's tail is never touched. Each page read or
+//! write is one positioned system call (`pread`/`pwrite` through
 //! [`std::os::unix::fs::FileExt`]), with no seek before it. No `mmap`, no
 //! unsafe: the crate stays `#![forbid(unsafe_code)]`.
 
@@ -39,6 +42,8 @@ pub struct PageStore {
     page_bytes: usize,
     /// Slots ever allocated (the file's logical length in pages).
     slots: u32,
+    /// Bytes of the page last written to each slot.
+    lens: Vec<u32>,
     free: Vec<u32>,
     stats: StoreStats,
     delete_on_drop: bool,
@@ -68,6 +73,7 @@ impl PageStore {
             path: path.to_path_buf(),
             page_bytes,
             slots: 0,
+            lens: Vec::new(),
             free: Vec::new(),
             stats: StoreStats::default(),
             delete_on_drop: true,
@@ -105,6 +111,7 @@ impl PageStore {
         }
         let slot = self.slots;
         self.slots += 1;
+        self.lens.push(0);
         slot
     }
 
@@ -115,7 +122,8 @@ impl PageStore {
         self.free.push(slot);
     }
 
-    /// Writes one full page into `slot`.
+    /// Writes one page of at most one slot into `slot`: only `buf`'s
+    /// bytes, however short of the slot it ends.
     ///
     /// # Errors
     ///
@@ -123,27 +131,48 @@ impl PageStore {
     ///
     /// # Panics
     ///
-    /// Panics if `buf` is not exactly one page.
+    /// Panics if `buf` is longer than one slot.
     pub fn write_slot(&mut self, slot: u32, buf: &[u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), self.page_bytes, "page buffer size mismatch");
+        assert!(
+            buf.len() <= self.page_bytes,
+            "page of {} bytes exceeds the {}-byte slot",
+            buf.len(),
+            self.page_bytes
+        );
         self.file.write_all_at(buf, self.offset(slot))?;
+        self.lens[slot as usize] = u32::try_from(buf.len()).expect("slot size fits u32");
         self.stats.page_writes += 1;
         self.stats.bytes_written += buf.len() as u64;
         Ok(())
     }
 
-    /// Reads one full page from `slot`.
+    /// Reads the page last written to `slot` into `buf`, replacing its
+    /// contents and reusing its allocation. A file that ends inside the
+    /// page (truncated under the store) is a short read, not an error:
+    /// `buf` then holds the bytes that were there, and the page decoder
+    /// rejects it as truncated or by its CRC.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors (including short reads of never-written
-    /// slots).
-    pub fn read_slot(&mut self, slot: u32) -> io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; self.page_bytes];
-        self.file.read_exact_at(&mut buf, self.offset(slot))?;
+    /// Propagates I/O errors other than end of file.
+    pub fn read_slot_into(&mut self, slot: u32, buf: &mut Vec<u8>) -> io::Result<()> {
+        let len = self.lens[slot as usize] as usize;
+        let at = self.offset(slot);
+        // Stale bytes are read over or cut off below: only growth zeroes.
+        buf.resize(len, 0);
+        let mut got = 0;
+        while got < len {
+            match self.file.read_at(&mut buf[got..], at + got as u64) {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        buf.truncate(got);
         self.stats.page_reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        Ok(buf)
+        self.stats.bytes_read += got as u64;
+        Ok(())
     }
 
     /// Byte offset of `slot` in the backing file.
@@ -287,10 +316,13 @@ mod tests {
         store.write_slot(a, &page_a).unwrap();
         store.write_slot(b, &page_b).unwrap();
 
-        let got_a = decode_page(&store.read_slot(a).unwrap(), 2).unwrap();
+        let mut buf = Vec::new();
+        store.read_slot_into(a, &mut buf).unwrap();
+        let got_a = decode_page(&buf, 2).unwrap();
         assert_eq!(got_a.kind, PageKind::Leaf);
         assert_eq!(got_a.words, vec![1, 2, 3, 4]);
-        let got_b = decode_page(&store.read_slot(b).unwrap(), 2).unwrap();
+        store.read_slot_into(b, &mut buf).unwrap();
+        let got_b = decode_page(&buf, 2).unwrap();
         assert_eq!(got_b.kind, PageKind::Interior);
         assert_eq!(got_b.words, vec![9, 8]);
 
@@ -302,6 +334,53 @@ mod tests {
 
         drop(store);
         assert!(!path.exists(), "spill file must be deleted on drop");
+    }
+
+    #[test]
+    fn tight_pages_read_back_exactly_and_a_cut_file_reads_short() {
+        let path = temp_path("tight");
+        let mut store = PageStore::create(&path, 256).unwrap();
+        let words = [7u64, 8, 9];
+        let tight = encode_page(56, PageKind::Leaf, 1, NO_NEIGHBOR, NO_NEIGHBOR, &words).unwrap();
+        let full = encode_page(256, PageKind::Leaf, 1, NO_NEIGHBOR, NO_NEIGHBOR, &words).unwrap();
+        let (a, b) = (store.alloc(), store.alloc());
+        store.write_slot(a, &full).unwrap();
+        // The last slot holds a tight page: the file ends inside it.
+        store.write_slot(b, &tight).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 256 + 56);
+        let mut buf = vec![0xFF; 300];
+        store.read_slot_into(b, &mut buf).unwrap();
+        assert_eq!(buf, tight);
+        assert_eq!(decode_page(&buf, 3).unwrap().words, words);
+        // A shorter page over a longer one reads back as itself.
+        store.write_slot(a, &tight).unwrap();
+        store.read_slot_into(a, &mut buf).unwrap();
+        assert_eq!(buf, tight);
+        let s = store.stats();
+        assert_eq!(s.bytes_written, 256 + 56 + 56);
+        assert_eq!(s.bytes_read, 56 + 56);
+
+        // Cut inside the last page: the read comes back short, and the
+        // decoder, not the store, rejects what is left.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(256 + 40)
+            .unwrap();
+        store.read_slot_into(b, &mut buf).unwrap();
+        assert_eq!(buf, tight[..40]);
+        assert!(decode_page(&buf, 3).is_err());
+        assert_eq!(store.stats().bytes_read, 56 + 56 + 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64-byte slot")]
+    fn a_page_longer_than_its_slot_panics() {
+        let path = temp_path("overlong");
+        let mut store = PageStore::create(&path, 64).unwrap();
+        let slot = store.alloc();
+        let _ = store.write_slot(slot, &[0; 65]);
     }
 
     #[test]

@@ -88,9 +88,10 @@ fn main() {
         out.points_scanned,
         out.tree.node_count(),
         out.metrics.rebuilds,
-        out.threshold_history
+        out.metrics
+            .threshold_trajectory
             .iter()
-            .map(|t| (t * 100.0).round() / 100.0)
+            .map(|p| (p.threshold * 100.0).round() / 100.0)
             .collect::<Vec<_>>()
     );
     println!("the stream itself was never stored: only CF summaries survive");
