@@ -92,10 +92,13 @@ pub struct BirchConfig {
     /// The threshold stays at `T0` — this trades rebuild CPU for page
     /// I/O, the classic paging trade.
     pub out_of_core: bool,
-    /// Directory for out-of-core spill files (page store and outlier
-    /// journal). `None` (the default) uses the system temp directory.
-    /// Files are uniquely named per process/run and removed when the
-    /// owning store drops.
+    /// Directory for spill files: the out-of-core tree's page file, and
+    /// in every run, in core too, the spill logs of the parked outlier
+    /// and delay-split entries (a log creates its file on its first
+    /// write). `None` (the default) uses the system temp directory. Files
+    /// are uniquely named per process/run and removed when the owning
+    /// store or log drops. A directory that cannot take a log's file
+    /// makes that log report itself full, so its entries stay in the tree.
     pub spill_dir: Option<PathBuf>,
 }
 

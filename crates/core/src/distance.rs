@@ -284,8 +284,10 @@ pub const LANE_WIDTH: usize = 4;
 ///
 /// The dimensionality is fixed lazily by the first row pushed, so an empty
 /// block is dimension-agnostic (a fresh tree node can own one before any
-/// entry exists).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// entry exists). Equality follows: blocks are equal when their rows are
+/// equal field by field, so two empty blocks are equal whatever width
+/// either has fixed.
+#[derive(Debug, Clone, Default)]
 pub struct CfBlock {
     /// Row width; 0 until the first push fixes it.
     dim: usize,
@@ -303,6 +305,18 @@ pub struct CfBlock {
     /// Row-major Neumaier carry slab for the mean (same striding as
     /// `vec`) — the deviation kernels need it for the compensated Δμ.
     vec_c: Vec<f64>,
+}
+
+impl PartialEq for CfBlock {
+    fn eq(&self, other: &Self) -> bool {
+        (self.dim == other.dim || self.is_empty() && other.is_empty())
+            && self.n == other.n
+            && self.sse == other.sse
+            && self.sse_c == other.sse_c
+            && self.vec_sq == other.vec_sq
+            && self.vec == other.vec
+            && self.vec_c == other.vec_c
+    }
 }
 
 impl CfBlock {

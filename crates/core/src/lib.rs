@@ -59,6 +59,7 @@ pub mod point;
 pub mod quad;
 pub mod rebuild;
 mod simd;
+pub mod spill;
 pub mod stream;
 pub mod threshold;
 pub mod tree;

@@ -541,15 +541,25 @@ mod tests {
     }
 
     /// Rows, `‖μ‖²` memos (the slab's `PartialEq` covers them), links
-    /// and children. An empty slab's width is not compared: a node that
-    /// never held a row has none yet, and a page fixes it.
+    /// and children.
     fn same_node(a: &Node, b: &Node) -> bool {
-        let rows_equal = if a.entry_count() == 0 {
-            b.entry_count() == 0
-        } else {
-            a.block() == b.block()
-        };
-        rows_equal && a.kind == b.kind
+        a.block() == b.block() && a.kind == b.kind
+    }
+
+    #[test]
+    fn an_empty_leaf_equals_its_round_trip() {
+        // A node that never held a row has no width yet; its page fixes
+        // one. The blocks still compare equal: no rows, nothing differs.
+        let mut n = Node::new_leaf();
+        if let NodeKind::Leaf { prev, .. } = &mut n.kind {
+            *prev = Some(NodeId(3));
+        }
+        let mut page = Vec::new();
+        n.write_page(&mut page);
+        let back = read_page(&page, 2).unwrap();
+        assert_eq!((n.block().dim(), back.block().dim()), (0, 2));
+        assert!(back.block() == n.block());
+        assert!(same_node(&back, &n));
     }
 
     #[test]

@@ -210,13 +210,13 @@ counter_table! {
     outliers_discarded: f64, Counter "birch_outliers_total" { disposition = "discarded" }, Sum,
         "Points discarded as outliers: the summed N of dropped entries and rejected points.";
     disk_writes: u64, Counter "birch_io_total" { op = "disk_writes" }, Sum,
-        "Records written to the simulated disk (outlier entries, delayed points).";
+        "Entries written to the spill logs (outlier entries, delayed points).";
     disk_reads: u64, Counter "birch_io_total" { op = "disk_reads" }, Sum,
-        "Records read back from the simulated disk.";
+        "Entries read back from the spill logs.";
     disk_bytes_written: u64, Counter "birch_io_total" { op = "disk_bytes_written" }, Sum,
-        "Bytes written to the simulated disk.";
+        "Bytes written to the spill logs, under the per-entry cost model.";
     disk_bytes_read: u64, Counter "birch_io_total" { op = "disk_bytes_read" }, Sum,
-        "Bytes read from the simulated disk.";
+        "Bytes read from the spill logs, under the per-entry cost model.";
     disk_write_attempts: u64, Counter "birch_io_total" { op = "disk_write_attempts" }, Sum,
         "Disk write attempts, landed or refused: attempts minus writes are rejections.";
     disk_faults_injected: u64, Counter "birch_io_total" { op = "disk_faults_injected" }, Sum,

@@ -17,9 +17,11 @@
 //! * `cf_blocks` — every node's [`CfBlock`](crate::distance::CfBlock)
 //!   slabs, the one place the tree stores its CFs. `node_arena +
 //!   cf_blocks` is what the tree really occupies.
-//! * `outlier_disk` — bytes parked on the simulated outlier/delay disks
-//!   (budgeted separately by `disk_bytes`, reported here for the full
-//!   picture).
+//! * `outlier_disk` — bytes parked on the outlier and delay-split spill
+//!   logs under the paper's per-entry cost model (budgeted separately by
+//!   `disk_bytes`, reported here for the full picture). The entries are
+//!   on disk, not heap: each log holds at most the one page it is
+//!   filling in RAM.
 //! * `page_spill` — bytes of evicted CF-tree nodes in the out-of-core
 //!   spill file (zero unless `out_of_core` is on). Spilled pages are
 //!   exactly what does *not* count against M: in paged runs the budgeted
@@ -75,7 +77,8 @@ pub struct MemoryGauge {
     ///
     /// [`CfBlock`]: crate::distance::CfBlock
     pub cf_blocks: MemComponent,
-    /// Bytes parked on the simulated outlier/delay disks.
+    /// Bytes parked on the outlier and delay-split spill logs, under the
+    /// per-entry cost model (on disk, not heap).
     pub outlier_disk: MemComponent,
     /// Bytes of evicted tree nodes in the out-of-core page spill file
     /// (zero for in-core runs).

@@ -18,13 +18,13 @@ use crate::obs::span;
 use crate::obs::{
     Counters, Event, EventSink, MetricsRecorder, MetricsReport, NoopSink, Phase, Tee,
 };
-use crate::outlier::{DelaySplitBuffer, OutlierConfig, OutlierStore};
+use crate::outlier::{OutlierConfig, OutlierStore};
 use crate::rebuild::rebuild_observed;
+use crate::spill::{spill_file, SpillLog};
 use crate::threshold::ThresholdEstimator;
 use crate::tree::{CfTree, TreeParams};
 use birch_pager::PageLayout;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Hard cap on rebuilds per run: the threshold grows strictly every
@@ -42,9 +42,8 @@ pub struct Phase1Output {
     pub io: Counters,
     /// Input records scanned.
     pub points_scanned: u64,
-    /// The outlier store (already finalized — empty unless
-    /// `discard_at_end` was off); its disk counters are banked in
-    /// `metrics`.
+    /// The outlier store (already finalized, so empty); its disk
+    /// counters are banked in `metrics`.
     pub outliers: Option<OutlierStore>,
     /// The threshold estimator, carrying its r–N history forward so Phase 2
     /// can continue the same sequence.
@@ -76,7 +75,8 @@ pub struct Phase1Builder<S: EventSink = NoopSink> {
     tree: CfTree,
     estimator: ThresholdEstimator,
     outliers: Option<OutlierStore>,
-    delay: Option<DelaySplitBuffer>,
+    /// The delay-split disk (§5.1.4).
+    delay: Option<SpillLog>,
     delay_mode: bool,
     points_scanned: u64,
     /// Total weight (N) of every CF fed in, including outlier candidates —
@@ -178,7 +178,7 @@ fn builder<S: EventSink>(config: &BirchConfig, dim: usize, sink: S) -> Phase1Bui
     config.validate();
     let layout = PageLayout::new(config.page_bytes, dim);
     let max_pages = layout.pages_in_budget(config.memory_bytes).max(1);
-    let entry_bytes = layout.cf_entry_bytes();
+    let dir = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
 
     let both = config.outlier_handling && config.delay_split;
     let outliers = config.outlier_handling.then(|| {
@@ -188,8 +188,7 @@ fn builder<S: EventSink>(config: &BirchConfig, dim: usize, sink: S) -> Phase1Bui
             config.disk_bytes
         };
         OutlierStore::new(
-            bytes,
-            entry_bytes,
+            SpillLog::new(spill_file(&dir, "outliers"), bytes, &layout),
             OutlierConfig {
                 enabled: true,
                 factor: config.outlier_factor,
@@ -203,7 +202,7 @@ fn builder<S: EventSink>(config: &BirchConfig, dim: usize, sink: S) -> Phase1Bui
         } else {
             config.disk_bytes
         };
-        DelaySplitBuffer::new(bytes, entry_bytes)
+        SpillLog::new(spill_file(&dir, "delay"), bytes, &layout)
     });
 
     let params = TreeParams {
@@ -236,29 +235,14 @@ fn builder<S: EventSink>(config: &BirchConfig, dim: usize, sink: S) -> Phase1Bui
         memory: MemoryGauge::with_budget(config.memory_bytes as u64),
     };
     if config.out_of_core {
-        let dir = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
         let path = spill_file(&dir, "pages");
         b.tree
             .enable_paging(&path, b.resident_cap())
             .expect("create page spill file");
         b.spill_path = Some(path);
-        if let Some(store) = b.outliers.as_mut() {
-            store
-                .back_with_file(&spill_file(&dir, "journal"))
-                .expect("create outlier journal file");
-        }
     }
     b.emit(Event::PhaseStarted { phase: Phase::Load });
     b
-}
-
-/// Process-wide spill-file sequence, so concurrent builders (parallel
-/// shards, test threads) never collide on a path.
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn spill_file(dir: &std::path::Path, ext: &str) -> PathBuf {
-    let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("birch-spill-{}-{seq}.{ext}", std::process::id()))
 }
 
 impl Phase1Builder {
@@ -319,8 +303,7 @@ impl<S: EventSink> Phase1Builder<S> {
     /// the budgeted component follows the *resident* page count and the
     /// spill file is accounted separately.
     fn sample_memory(&mut self) {
-        let outlier = self.outliers.as_ref().map_or(0, |s| s.used_bytes() as u64)
-            + self.delay.as_ref().map_or(0, |b| b.used_bytes() as u64);
+        let outlier = self.logs().map(|l| l.used_bytes() as u64).sum();
         match self.tree.page_stats() {
             Some(ps) => self.memory.sample_paged_tree(
                 &self.tree,
@@ -353,33 +336,38 @@ impl<S: EventSink> Phase1Builder<S> {
         self.points_scanned
     }
 
-    /// Clones everything currently parked on the simulated disk — the
-    /// delay-split buffer and the potential-outlier store (counts the disk
-    /// reads). Streaming snapshots fold these in so the anytime clustering
-    /// covers every point seen and not yet discarded.
+    /// Reads back everything currently parked on disk — the delay-split
+    /// log, then the potential-outlier log (counts the disk reads).
+    /// Streaming snapshots fold these in so the anytime clustering covers
+    /// every point seen and not yet discarded.
     #[must_use]
     pub fn parked_cfs(&mut self) -> Vec<Cf> {
-        let mut out: Vec<Cf> = self
-            .delay
-            .as_mut()
-            .map_or_else(Vec::new, |b| b.scan().to_vec());
+        let mut out = self.delay.as_mut().map_or_else(Vec::new, SpillLog::scan);
         if let Some(store) = self.outliers.as_mut() {
-            out.extend_from_slice(store.scan());
+            out.extend(store.log_mut().scan());
         }
         out
     }
 
-    /// Mutable access to the outlier store (if outlier handling is on) —
-    /// lets tests and soak harnesses install a
-    /// [`birch_pager::FaultPlan`] on its disk mid-run.
-    pub fn outliers_mut(&mut self) -> Option<&mut OutlierStore> {
-        self.outliers.as_mut()
+    /// The potential-outlier disk (if outlier handling is on) — lets
+    /// tests and soak harnesses install a [`birch_pager::FaultPlan`] on it
+    /// mid-run.
+    pub fn outlier_log_mut(&mut self) -> Option<&mut SpillLog> {
+        self.outliers.as_mut().map(OutlierStore::log_mut)
     }
 
-    /// Mutable access to the delay-split buffer (if delay-split is on),
-    /// for the same fault-injection purpose.
-    pub fn delay_mut(&mut self) -> Option<&mut DelaySplitBuffer> {
+    /// The delay-split disk (if delay-split is on), for the same
+    /// fault-injection purpose.
+    pub fn delay_log_mut(&mut self) -> Option<&mut SpillLog> {
         self.delay.as_mut()
+    }
+
+    /// The spill logs: the outlier disk, then the delay-split disk.
+    fn logs(&self) -> impl Iterator<Item = &SpillLog> {
+        self.outliers
+            .iter()
+            .map(OutlierStore::log)
+            .chain(&self.delay)
     }
 
     /// Audits the live tree with run-level cross-checks layered on top of
@@ -403,8 +391,7 @@ impl<S: EventSink> Phase1Builder<S> {
     /// Panics in out-of-core mode if the pager let residency exceed the
     /// page budget — that is a pager bug, not a data-dependent condition.
     pub fn audit(&mut self) -> Result<crate::audit::AuditReport, crate::audit::AuditViolation> {
-        let parked = self.outliers.as_ref().map_or(0.0, OutlierStore::parked_n)
-            + self.delay.as_ref().map_or(0.0, DelaySplitBuffer::parked_n);
+        let parked = self.logs().map(SpillLog::parked_n).sum::<f64>();
         let max_pages = if let Some(ps) = self.tree.page_stats() {
             assert!(
                 ps.resident_nodes <= self.resident_cap(),
@@ -475,8 +462,8 @@ impl<S: EventSink> Phase1Builder<S> {
     }
 
     /// The feed path behind [`Phase1Builder::feed`] and the point feeds.
-    /// Clones `cf` only when it must outlive the call, parked on the
-    /// delay-split disk; the tree copies a new leaf entry into its slab.
+    /// Never clones `cf`: the tree copies a new leaf entry into its slab,
+    /// and the delay-split log a parked point into its page.
     fn feed_ref(&mut self, cf: &Cf) {
         self.points_scanned += 1;
         self.fed_n += cf.n();
@@ -489,12 +476,12 @@ impl<S: EventSink> Phase1Builder<S> {
             let parked = self
                 .delay
                 .as_mut()
-                .expect("delay_mode implies a delay buffer")
-                .park(cf.clone());
-            if let Err(cf) = parked {
-                // Buffer full: time to actually rebuild, then insert.
+                .expect("delay_mode implies a delay log")
+                .write(cf);
+            if parked.is_err() {
+                // Log full: time to actually rebuild, then insert.
                 self.rebuild_cycle();
-                self.insert_checked(&cf);
+                self.insert_checked(cf);
             }
         } else {
             self.insert_checked(cf);
@@ -523,7 +510,7 @@ impl<S: EventSink> Phase1Builder<S> {
         }
         self.note_pages(self.tree.node_count());
         if self.tree.node_count() > self.max_pages {
-            let can_delay = self.delay.as_ref().is_some_and(DelaySplitBuffer::has_space);
+            let can_delay = self.delay.as_ref().is_some_and(SpillLog::has_space);
             if can_delay {
                 self.delay_mode = true;
             } else {
@@ -545,10 +532,7 @@ impl<S: EventSink> Phase1Builder<S> {
     fn rebuild_cycle(&mut self) {
         self.rebuild_until_fits();
         self.delay_mode = false;
-        let parked = match self.delay.as_mut() {
-            Some(buf) => buf.drain(),
-            None => Vec::new(),
-        };
+        let parked = self.delay.as_mut().map_or_else(Vec::new, SpillLog::drain);
         for cf in parked {
             self.tree
                 .insert_cf_observed(&cf, &mut Tee(&mut self.recorder, &mut self.sink));
@@ -613,9 +597,9 @@ impl<S: EventSink> Phase1Builder<S> {
 
             // Outlier disk full? Scan it for re-absorption (§5.1.3).
             if let Some(store) = self.outliers.as_mut() {
-                if !store.has_space() && !store.is_empty() {
+                if !store.log().has_space() && !store.log().is_empty() {
                     let mean = mean_entry_n(&self.tree);
-                    store.reabsorb_observed(
+                    store.reabsorb(
                         &mut self.tree,
                         mean,
                         &mut Tee(&mut self.recorder, &mut self.sink),
@@ -687,14 +671,14 @@ impl<S: EventSink> Phase1Builder<S> {
         if self.tree.try_absorb(&cf) {
             return;
         }
-        let cf = match self.outliers.as_mut() {
-            Some(store) => match store.spill(cf) {
-                Ok(()) => return,
-                Err(cf) => cf, // disk full: fold into the tree instead
-            },
-            None => cf,
-        };
-        self.insert_checked(&cf);
+        let parked = self
+            .outliers
+            .as_mut()
+            .is_some_and(|store| store.log_mut().write(&cf).is_ok());
+        if !parked {
+            // No outlier disk, or a full one: fold into the tree instead.
+            self.insert_checked(&cf);
+        }
     }
 
     /// Ends the scan: flushes parked delay-split points, runs the final
@@ -727,22 +711,20 @@ impl<S: EventSink> Phase1Builder<S> {
         // remainder back for a later merge stage to re-judge.
         let mut carried = Vec::new();
         if let Some(store) = self.outliers.as_mut() {
-            if !store.is_empty() {
+            if !store.log().is_empty() {
                 let mean = mean_entry_n(&self.tree);
-                store.reabsorb_observed(
+                store.reabsorb(
                     &mut self.tree,
                     mean,
                     &mut Tee(&mut self.recorder, &mut self.sink),
                 );
             }
             if keep_outliers {
-                carried = store.take_remaining();
+                // Undecided: a later merge stage re-judges them.
+                carried = store.log_mut().drain();
             } else {
                 let _sp = span::enter("outlier_finalize");
-                store.finalize_observed(
-                    &mut self.tree,
-                    &mut Tee(&mut self.recorder, &mut self.sink),
-                );
+                store.finalize(&mut self.tree, &mut Tee(&mut self.recorder, &mut self.sink));
             }
         }
 
@@ -773,21 +755,18 @@ impl<S: EventSink> Phase1Builder<S> {
         // Bank the counters no event carries: the disks' traffic and the
         // trees' distance calls.
         let c = self.recorder.counters_mut();
-        if let Some(store) = &self.outliers {
-            c.disk_writes += store.writes();
-            c.disk_reads += store.reads();
-            c.disk_bytes_written += store.bytes_written();
-            c.disk_bytes_read += store.bytes_read();
-            c.disk_write_attempts += store.write_attempts();
-            c.disk_faults_injected += store.faults_injected();
-        }
-        if let Some(buf) = &self.delay {
-            c.disk_writes += buf.writes();
-            c.disk_reads += buf.reads();
-            c.disk_bytes_written += buf.bytes_written();
-            c.disk_bytes_read += buf.bytes_read();
-            c.disk_write_attempts += buf.write_attempts();
-            c.disk_faults_injected += buf.faults_injected();
+        for log in self
+            .outliers
+            .iter()
+            .map(OutlierStore::log)
+            .chain(&self.delay)
+        {
+            c.disk_writes += log.writes();
+            c.disk_reads += log.reads();
+            c.disk_bytes_written += log.bytes_written();
+            c.disk_bytes_read += log.bytes_read();
+            c.disk_write_attempts += log.write_attempts();
+            c.disk_faults_injected += log.faults_injected();
         }
         c.distance_calls = self.retired_distance_calls + self.tree.stats().distance_calls;
 
@@ -925,31 +904,40 @@ mod tests {
     }
 
     #[test]
-    fn out_of_core_outlier_journal_round_trips() {
-        let cfg = tiny_config().out_of_core(true);
+    fn out_of_core_outlier_log_round_trips_under_the_spill_dir() {
+        let dir =
+            std::env::temp_dir().join(format!("birch-phase1-outlier-log-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = tiny_config()
+            .out_of_core(true)
+            .disk(64 * 1024)
+            .spill_dir(&dir);
         let mut b = Phase1Builder::new(&cfg, 2);
         for cf in blobs(500, 4) {
             b.feed(cf);
         }
         // Far singletons: absorption fails at the tiny threshold, so they
-        // park on the outlier disk — and its real backing journal.
-        for i in 0..8 {
+        // park on the outlier log, past its first page.
+        for i in 0..40 {
             let j = f64::from(i);
             b.feed_outlier_candidate(Cf::from_point(&Point::xy(1e6 + j * 1e4, -1e6 - j * 1e4)));
         }
-        assert!(
-            !b.outliers_mut().expect("outliers on").is_empty(),
-            "test premise: at least one candidate must have parked"
-        );
+        let log = b.outlier_log_mut().expect("outliers on");
+        assert!(log.len() > 32, "test premise: a full page must be written");
+        assert!(log.path().starts_with(&dir) && log.path().exists());
+        let path = log.path().to_path_buf();
         let out = b.finish();
-        let store = out.outliers.as_ref().expect("outlier handling on");
-        let (jw, jr) = store.journal_bytes();
-        assert!(jw > 0, "parked entries never hit the journal file");
+        let log = out.outliers.as_ref().expect("outlier handling on").log();
+        assert!(log.writes() > 32);
         assert_eq!(
-            jw, jr,
-            "finalize must read back (and bit-verify) every journaled byte"
+            log.reads(),
+            log.writes(),
+            "every parked entry must be read back from its page"
         );
         crate::audit::audit(&out.tree).unwrap();
+        drop(out);
+        assert!(!path.exists(), "the log's file outlives its store");
+        std::fs::remove_dir(&dir).expect("the spill dir is left empty");
     }
 
     #[test]
@@ -1003,7 +991,7 @@ mod tests {
     #[test]
     fn disk_counters_populate_under_pressure() {
         let out = run(&tiny_config(), 2, blobs(20_000, 4));
-        // With both options on and rebuilds happening, the simulated disk
+        // With both options on and rebuilds happening, the spill logs
         // must see traffic.
         assert!(out.metrics.disk_writes > 0, "{:?}", out.metrics.counters);
     }

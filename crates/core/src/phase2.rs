@@ -91,9 +91,9 @@ pub fn condense_with_sink<S: EventSink>(
         tree = new_tree;
 
         if let Some(store) = outliers.as_deref_mut() {
-            if !store.has_space() && !store.is_empty() {
+            if !store.log().has_space() && !store.log().is_empty() {
                 let mean = mean_entry_n(&tree);
-                store.reabsorb_observed(&mut tree, mean, sink);
+                store.reabsorb(&mut tree, mean, sink);
             }
         }
     }
@@ -101,11 +101,11 @@ pub fn condense_with_sink<S: EventSink>(
     // Final absorption attempt for anything still parked: entries may fit
     // under the (much larger) condensed threshold now.
     if let Some(store) = outliers {
-        if !store.is_empty() {
+        if !store.log().is_empty() {
             let mean = mean_entry_n(&tree);
-            store.reabsorb_observed(&mut tree, mean, sink);
+            store.reabsorb(&mut tree, mean, sink);
         }
-        store.finalize_observed(&mut tree, sink);
+        store.finalize(&mut tree, sink);
     }
     tree.strict_audit("condense");
     tree
@@ -116,6 +116,7 @@ mod tests {
     use super::*;
     use crate::obs::MetricsRecorder;
     use crate::point::Point;
+    use crate::spill::SpillLog;
     use crate::tree::TreeParams;
 
     /// Condenses with a recorder attached, returning its counters too.
@@ -186,7 +187,7 @@ mod tests {
             ));
         }
         let mut est = ThresholdEstimator::new(Some(600));
-        let mut store = OutlierStore::new(64 * 1024, 32, OutlierConfig::default());
+        let mut store = OutlierStore::new(SpillLog::for_tests(64 * 1024), OutlierConfig::default());
         let (out, io) = counted(t, 20, &mut est, Some(&mut store));
         assert!(out.leaf_entry_count() <= 20);
         assert!(io.outliers_discarded > 0.0, "io={io:?}");
@@ -275,10 +276,10 @@ mod tests {
             discard_at_end: false,
             ..OutlierConfig::default()
         };
-        let mut store = OutlierStore::new(64 * 1024, 32, cfg);
+        let mut store = OutlierStore::new(SpillLog::for_tests(64 * 1024), cfg);
         let (out, io) = counted(t, 10, &mut est, Some(&mut store));
         assert_eq!(io.outliers_discarded, 0.0);
-        assert!(store.is_empty());
+        assert!(store.log().is_empty());
         assert!(
             (out.total_cf().n() - 450.0).abs() < 1e-6,
             "tree holds {} of 450 points",

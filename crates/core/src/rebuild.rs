@@ -127,16 +127,10 @@ pub fn rebuild_observed(
                 .as_ref()
                 .is_some_and(|s| s.config().is_potential_outlier(entry.n(), mean_entry_n));
             if is_outlier {
-                match outliers.as_mut().expect("checked above").spill(entry) {
-                    Ok(()) => {
-                        report.entries_spilled += 1;
-                        continue;
-                    }
-                    Err(back) => {
-                        builder.insert(back);
-                        report.entries_reinserted += 1;
-                        continue;
-                    }
+                let store = outliers.as_mut().expect("checked above");
+                if store.log_mut().write(&entry).is_ok() {
+                    report.entries_spilled += 1;
+                    continue;
                 }
             }
             builder.insert(entry);
@@ -348,6 +342,7 @@ mod tests {
     use crate::distance::{DistanceMetric, ThresholdKind};
     use crate::outlier::OutlierConfig;
     use crate::point::Point;
+    use crate::spill::SpillLog;
 
     fn params(threshold: f64) -> TreeParams {
         TreeParams {
@@ -441,10 +436,10 @@ mod tests {
         for i in 0..4 {
             t.insert_point(&Point::xy(100.0 + f64::from(i) * 40.0, 250.0));
         }
-        let mut store = OutlierStore::new(4096, 32, OutlierConfig::default());
+        let mut store = OutlierStore::new(SpillLog::for_tests(4096), OutlierConfig::default());
         let (new, report) = rebuild(&t, 1.0, Some(&mut store));
         assert_eq!(report.entries_spilled, 4, "report: {report:?}");
-        assert_eq!(store.len(), 4);
+        assert_eq!(store.log().len(), 4);
         assert!((new.total_cf().n() - 96.0).abs() < 1e-9);
         new.check_invariants().unwrap();
     }
@@ -459,10 +454,10 @@ mod tests {
             t.insert_point(&Point::xy(100.0 + f64::from(i) * 40.0, 250.0));
         }
         // Disk holds exactly 2 records of 32 bytes.
-        let mut store = OutlierStore::new(64, 32, OutlierConfig::default());
+        let mut store = OutlierStore::new(SpillLog::for_tests(64), OutlierConfig::default());
         let (new, report) = rebuild(&t, 1.0, Some(&mut store));
         assert_eq!(report.entries_spilled, 2);
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.log().len(), 2);
         // No data lost: spilled 2 singles, kept 2 + the blob.
         assert!((new.total_cf().n() - 98.0).abs() < 1e-9);
     }

@@ -33,8 +33,8 @@ use crate::distance::{
 use crate::node::{Node, NodeId, NodeKind};
 use crate::obs::{Event, EventSink, NoopSink};
 use birch_pager::{
-    peek_kind, view_page, ClockCache, PageStore, SnapshotError, SnapshotReader, SnapshotWriter,
-    PAGE_HEADER_BYTES,
+    peek_kind, view_page, ClockCache, PageLayout, PageStore, SnapshotError, SnapshotReader,
+    SnapshotWriter,
 };
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -1108,13 +1108,11 @@ impl CfTree {
             max_resident >= 2,
             "page budget must keep at least the root and one other node resident"
         );
-        // Physical slots leave one entry row of slack over B/L: splits
-        // transiently hold capacity + 1 entries, and a checkpoint taken
-        // from a foreign (pre-rebuild) tree may too.
-        let cf_words = Cf::words_per_entry(self.params.dim);
-        let leaf_words = (self.params.leaf_capacity + 1) * cf_words;
-        let interior_words = (self.params.branching + 1) * (cf_words + 1);
-        let page_bytes = PAGE_HEADER_BYTES + 8 * leaf_words.max(interior_words);
+        let page_bytes = PageLayout::slot_bytes(
+            self.params.branching,
+            self.params.leaf_capacity,
+            Cf::words_per_entry(self.params.dim),
+        );
         let store = PageStore::create(spill_path, page_bytes)?;
         let mut cache = ClockCache::new();
         let free: HashSet<u32> = self.free.iter().map(|id| id.0).collect();

@@ -1,14 +1,17 @@
 //! Deterministic fault-injection: drives the degradation paths that a
-//! healthy simulated disk never exercises.
+//! healthy spill disk never exercises.
 //!
-//! The outlier store and the delay-split buffer sit on a
-//! `birch_pager::SimDisk`, which accepts a seeded [`FaultPlan`]
-//! (fail the k-th write, random failures from a seed, a permanent
-//! force-full watermark). These tests verify the §5.1.3/§5.1.4 machinery
-//! stays lossless under every failure: a refused spill folds the entry
-//! back into the tree, a force-full disk triggers the re-absorption scan,
-//! and a merge stage with a failing outlier disk still conserves every
-//! point carried over from its shards.
+//! The outlier store and the delay-split option park their entries on a
+//! `birch_core::spill::SpillLog`, a log of checksummed pages in a real
+//! file that accepts a seeded [`FaultPlan`] (fail the k-th write, random
+//! failures from a seed, a permanent force-full watermark) and refuses a
+//! write it cannot put on disk as if the disk were full. These tests
+//! verify the §5.1.3/§5.1.4 machinery stays lossless under every failure:
+//! a refused spill folds the entry back into the tree, a force-full disk
+//! triggers the re-absorption scan, a merge stage with a failing outlier
+//! disk still conserves every point carried over from its shards, and a
+//! spill directory that does not exist refuses every write without a
+//! panic.
 
 use birch_core::phase1::Phase1Builder;
 use birch_core::{BirchConfig, Cf, Point};
@@ -50,7 +53,7 @@ fn spill_full_then_reabsorb_end_to_end() {
         .outliers(true)
         .delay_split(false);
     let mut b = Phase1Builder::new(&cfg, 2);
-    b.outliers_mut()
+    b.outlier_log_mut()
         .expect("outliers enabled")
         .set_fault_plan(FaultPlan::new().force_full_after(256));
 
@@ -63,7 +66,7 @@ fn spill_full_then_reabsorb_end_to_end() {
     }
     b.audit().unwrap();
 
-    let store = b.outliers_mut().expect("outliers enabled");
+    let store = b.outlier_log_mut().expect("outliers enabled");
     assert!(
         store.faults_injected() > 0,
         "the forced-full watermark never refused a write"
@@ -80,7 +83,7 @@ fn spill_full_then_reabsorb_end_to_end() {
     );
 
     let tree_n = b.tree().total_cf().n();
-    let parked = b.outliers_mut().map_or(0.0, |s| s.parked_n());
+    let parked = b.outlier_log_mut().map_or(0.0, |s| s.parked_n());
     assert!(
         (tree_n + parked - 3000.0).abs() < 1e-9,
         "points lost mid-run: tree {tree_n} + parked {parked} != 3000"
@@ -106,7 +109,7 @@ fn injected_spill_failure_folds_entry_into_tree() {
     }
     let base = b.tree().total_cf().n();
 
-    b.outliers_mut()
+    b.outlier_log_mut()
         .expect("outliers enabled")
         .set_fault_plan(FaultPlan::new().fail_write(1));
 
@@ -114,7 +117,7 @@ fn injected_spill_failure_folds_entry_into_tree() {
     // and the spill is attempted — and refused by the injected fault.
     b.feed_outlier_candidate(Cf::from_point(&Point::xy(1e5, 1e5)));
     {
-        let store = b.outliers_mut().expect("outliers enabled");
+        let store = b.outlier_log_mut().expect("outliers enabled");
         assert_eq!(store.faults_injected(), 1);
         assert!(store.is_empty(), "refused entry must not be on disk");
     }
@@ -126,7 +129,7 @@ fn injected_spill_failure_folds_entry_into_tree() {
     // The plan is exhausted: the next candidate parks normally.
     b.feed_outlier_candidate(Cf::from_point(&Point::xy(-1e5, -1e5)));
     {
-        let store = b.outliers_mut().expect("outliers enabled");
+        let store = b.outlier_log_mut().expect("outliers enabled");
         assert_eq!(store.len(), 1, "second spill should succeed");
         assert_eq!(store.faults_injected(), 1);
     }
@@ -166,7 +169,7 @@ fn shard_merge_with_failed_spill_conserves_everything() {
     let t = out_a.tree.threshold().max(out_b.tree.threshold());
     let mcfg = cfg.clone().initial_threshold(t);
     let mut m = Phase1Builder::new(&mcfg, 2);
-    m.outliers_mut()
+    m.outlier_log_mut()
         .expect("outliers enabled")
         .set_fault_plan(FaultPlan::new().force_full_after(0));
 
@@ -187,7 +190,7 @@ fn shard_merge_with_failed_spill_conserves_everything() {
     }
     m.audit().unwrap();
     {
-        let store = m.outliers_mut().expect("outliers enabled");
+        let store = m.outlier_log_mut().expect("outliers enabled");
         assert!(store.is_empty(), "no write can have succeeded");
         assert!(
             store.faults_injected() > 0,
@@ -207,7 +210,7 @@ fn shard_merge_with_failed_spill_conserves_everything() {
     );
 }
 
-/// Random seeded failures on the delay-split buffer: a refused park falls
+/// Random seeded failures on the delay-split log: a refused park falls
 /// back to rebuild-then-insert, so delay-mode degradation is lossless too.
 #[test]
 fn delay_split_park_failures_are_lossless() {
@@ -217,7 +220,7 @@ fn delay_split_park_failures_are_lossless() {
         .outliers(false)
         .delay_split(true);
     let mut b = Phase1Builder::new(&cfg, 2);
-    b.delay_mut()
+    b.delay_log_mut()
         .expect("delay-split enabled")
         .set_fault_plan(FaultPlan::new().fail_randomly(0xFA17, 0.5));
 
@@ -231,7 +234,7 @@ fn delay_split_park_failures_are_lossless() {
     }
     b.audit().unwrap();
     assert!(
-        b.delay_mut()
+        b.delay_log_mut()
             .expect("delay-split enabled")
             .faults_injected()
             > 0,
@@ -244,4 +247,36 @@ fn delay_split_park_failures_are_lossless() {
         (out.tree.total_cf().n() - f64::from(u32::try_from(n).unwrap())).abs() < 1e-9,
         "delay-split degradation lost points"
     );
+}
+
+/// An in-core fit whose spill directory does not exist: the spill logs
+/// cannot create their files, so they report themselves full from the
+/// first write on. Every refusal is organic, the fit finishes without a
+/// panic, and every point is kept or counted as discarded.
+#[test]
+fn missing_spill_dir_refuses_every_write_organically() {
+    let dir = std::env::temp_dir().join(format!("birch-faults-no-such-dir-{}", std::process::id()));
+    assert!(!dir.exists());
+    let cfg = BirchConfig::with_clusters(3)
+        .memory(4 * 1024)
+        .disk(4 * 1024)
+        .spill_dir(&dir)
+        .refinement_passes(0)
+        .threads(1);
+    let pts = blobs_with_noise(3000);
+    let model = birch_core::Birch::new(cfg)
+        .fit(&pts)
+        .expect("the fit finishes");
+    let m = &model.stats().metrics;
+    let c = &m.counters;
+    assert!(m.rebuilds > 0, "memory pressure never triggered a rebuild");
+    assert!(c.disk_write_attempts > 0, "nothing tried to spill");
+    assert_eq!(c.disk_writes, 0, "a write landed without a file");
+    assert_eq!(c.disk_faults_injected, 0, "an I/O refusal is organic");
+    // With Phase 4 off, the clusters are the tree's: they hold every
+    // point not discarded, and none was discarded, as none was parked.
+    let kept: f64 = model.clusters().iter().map(|k| k.cf.n()).sum();
+    assert_eq!(c.outliers_discarded, 0.0);
+    assert_eq!(kept, 3000.0, "points lost");
+    assert!(!dir.exists());
 }

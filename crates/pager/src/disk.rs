@@ -1,14 +1,18 @@
-//! Simulated disk for outlier entries and delay-split buffers.
+//! Refusals of the spill disk: the error a refused write returns and the
+//! plan that injects refusals on purpose.
 //!
 //! Paper §5.1.3–§5.1.4: potential outliers are *"written out to disk"* and
 //! periodically *"scanned … to see if they can be re-absorbed"*; the
-//! delay-split option likewise buffers data points on disk to squeeze more
+//! delay-split option likewise parks data points on disk to squeeze more
 //! out of the current threshold before rebuilding. The available disk space
-//! `R` is a first-class resource (Table 2: default 20% of `M`).
+//! `R` is a first-class resource (Table 2: default 20% of `M`), and a full
+//! disk is a normal condition the algorithm degrades around.
 //!
-//! [`SimDisk`] is a typed, append-only spill area with the same observable
-//! behaviour: bounded capacity, sequential writes, whole-area scans, and I/O
-//! counters — but no real device underneath (DESIGN.md substitution 3).
+//! The disk itself is `birch_core::spill::SpillLog`, which keeps its
+//! entries on checksummed pages in a [`crate::PageStore`] file. This module
+//! holds what it shares with any other spill path: [`DiskError`], and the
+//! deterministic [`FaultPlan`] that makes a write fail exactly as a full
+//! disk would.
 
 use std::fmt;
 
@@ -47,7 +51,7 @@ impl fmt::Display for DiskError {
 
 impl std::error::Error for DiskError {}
 
-/// Deterministic fault-injection plan for a [`SimDisk`].
+/// Deterministic fault-injection plan for a spill disk.
 ///
 /// Faulted writes fail exactly like genuine disk-full writes (the record
 /// is handed back with a [`DiskError`]), so every degradation path the
@@ -109,8 +113,9 @@ impl FaultPlan {
 
     /// Whether the per-attempt sources (k-th write, random) fail `attempt`.
     /// Advances the random stream exactly once per call, so the decision
-    /// sequence depends only on the seed and the attempt order.
-    fn fires_on(&mut self, attempt: u64) -> bool {
+    /// sequence depends only on the seed and the attempt order: a disk
+    /// calls this once for every write attempt, however the attempt ends.
+    pub fn fires_on(&mut self, attempt: u64) -> bool {
         let mut fire = self.fail_writes.contains(&attempt);
         if let Some((state, prob)) = &mut self.random {
             // xorshift64 (Marsaglia): full-period over non-zero u64.
@@ -123,416 +128,13 @@ impl FaultPlan {
         }
         fire
     }
-}
 
-/// An append-only simulated spill disk holding records of type `T`.
-///
-/// Each record has a fixed accounting size in bytes (`record_bytes`),
-/// supplied at construction — for BIRCH this is the CF-entry size from
-/// [`crate::PageLayout::cf_entry_bytes`]. Reads and writes bump the
-/// counters that the benchmark harness reports.
-#[derive(Debug, Clone)]
-pub struct SimDisk<T> {
-    records: Vec<T>,
-    record_bytes: usize,
-    capacity_bytes: usize,
-    bytes_written: u64,
-    bytes_read: u64,
-    writes: u64,
-    reads: u64,
-    fault_plan: FaultPlan,
-    write_attempts: u64,
-    faults_injected: u64,
-}
-
-impl<T> SimDisk<T> {
-    /// Creates a disk of `capacity_bytes` holding records that each account
-    /// for `record_bytes` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `record_bytes == 0`.
+    /// Whether the force-full watermark is reached after `bytes_written`
+    /// lifetime bytes: from exactly `bytes_written == limit` on, the disk
+    /// reports itself full for good.
     #[must_use]
-    pub fn new(capacity_bytes: usize, record_bytes: usize) -> Self {
-        assert!(record_bytes > 0, "record size must be positive");
-        Self {
-            records: Vec::new(),
-            record_bytes,
-            capacity_bytes,
-            bytes_written: 0,
-            bytes_read: 0,
-            writes: 0,
-            reads: 0,
-            fault_plan: FaultPlan::default(),
-            write_attempts: 0,
-            faults_injected: 0,
-        }
-    }
-
-    /// Installs a [`FaultPlan`]; subsequent write attempts and space
-    /// checks consult it. Replaces any previous plan (and its random
-    /// stream position).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = plan;
-    }
-
-    /// Number of records currently on disk.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the disk holds no records.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Bytes currently used.
-    #[must_use]
-    pub fn used_bytes(&self) -> usize {
-        self.records.len() * self.record_bytes
-    }
-
-    /// Disk capacity in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Whether one more record fits. A [`FaultPlan::force_full_after`]
-    /// watermark that has been reached makes this permanently `false`.
-    #[must_use]
-    pub fn has_space(&self) -> bool {
-        !self.forced_full() && self.used_bytes() + self.record_bytes <= self.capacity_bytes
-    }
-
-    fn forced_full(&self) -> bool {
-        self.fault_plan
-            .force_full_after_bytes
-            .is_some_and(|limit| self.bytes_written >= limit)
-    }
-
-    /// Appends a record.
-    ///
-    /// Rejection classification, in precedence order:
-    ///
-    /// 1. The record does not fit in the remaining *physical* capacity:
-    ///    the rejection is **organic** (`injected = false`), even if the
-    ///    [`FaultPlan`] also fired on this attempt or the force-full
-    ///    watermark has been reached — the write would have been refused
-    ///    with no plan installed, so counting it as injected would make
-    ///    `faults_injected` over-report.
-    /// 2. Otherwise, a plan firing (k-th write or random) or a reached
-    ///    force-full watermark (`bytes_written >= limit`, the exact
-    ///    boundary included) makes the rejection **injected**.
-    ///
-    /// The plan's random stream is advanced exactly once per attempt
-    /// regardless of how the attempt resolves, so fault sequences stay a
-    /// pure function of the seed and the attempt order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiskError`] (and gives the record back via the error's
-    /// context being recoverable by the caller) when the disk is full or
-    /// the installed [`FaultPlan`] fails this attempt.
-    pub fn write(&mut self, record: T) -> Result<(), (T, DiskError)> {
-        self.write_attempts += 1;
-        let attempt = self.write_attempts;
-        // Consult the plan unconditionally: the xorshift64 stream must
-        // advance once per attempt even when the outcome is decided by
-        // capacity, or fault sequences would depend on disk occupancy.
-        let plan_fired = self.fault_plan.fires_on(attempt);
-        let genuinely_full = self.used_bytes() + self.record_bytes > self.capacity_bytes;
-        let injected = !genuinely_full && (plan_fired || self.forced_full());
-        if !genuinely_full && !injected {
-            self.records.push(record);
-            self.bytes_written += self.record_bytes as u64;
-            self.writes += 1;
-            return Ok(());
-        }
-        if injected {
-            self.faults_injected += 1;
-        }
-        let err = DiskError {
-            used: self.used_bytes(),
-            capacity: self.capacity_bytes,
-            requested: self.record_bytes,
-            injected,
-        };
-        Err((record, err))
-    }
-
-    /// The records currently on disk, without touching any read counter —
-    /// an auditor's view, not an I/O operation.
-    #[must_use]
-    pub fn peek(&self) -> &[T] {
-        &self.records
-    }
-
-    /// Drains every record off the disk, in write order, counting one read
-    /// per record. This models the paper's periodic *"scan the outlier
-    /// entries on disk"* re-absorption pass.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        let n = self.records.len();
-        self.reads += n as u64;
-        self.bytes_read += (n * self.record_bytes) as u64;
-        std::mem::take(&mut self.records)
-    }
-
-    /// Reads every record without removing it (a non-destructive scan),
-    /// counting the reads like [`SimDisk::drain_all`] does.
-    pub fn scan_all(&mut self) -> &[T] {
-        let n = self.records.len();
-        self.reads += n as u64;
-        self.bytes_read += (n * self.record_bytes) as u64;
-        &self.records
-    }
-
-    /// Total bytes written over the disk's lifetime.
-    #[must_use]
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Total bytes read over the disk's lifetime.
-    #[must_use]
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// Total record writes over the disk's lifetime.
-    #[must_use]
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Total record reads over the disk's lifetime.
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total write attempts over the disk's lifetime, including refused
-    /// and faulted ones (the [`FaultPlan`]'s attempt counter).
-    #[must_use]
-    pub fn write_attempts(&self) -> u64 {
-        self.write_attempts
-    }
-
-    /// How many write failures the [`FaultPlan`] injected (k-th-write,
-    /// random, or force-full failures that genuine capacity would have
-    /// allowed).
-    #[must_use]
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn write_then_drain_preserves_order() {
-        let mut d: SimDisk<u32> = SimDisk::new(1024, 32);
-        for i in 0..5 {
-            d.write(i).unwrap();
-        }
-        assert_eq!(d.len(), 5);
-        assert_eq!(d.used_bytes(), 160);
-        let out = d.drain_all();
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert!(d.is_empty());
-        assert_eq!(d.reads(), 5);
-        assert_eq!(d.bytes_read(), 160);
-    }
-
-    #[test]
-    fn full_disk_refuses_and_returns_record() {
-        let mut d: SimDisk<&str> = SimDisk::new(64, 32);
-        d.write("a").unwrap();
-        d.write("b").unwrap();
-        let (rec, err) = d.write("c").unwrap_err();
-        assert_eq!(rec, "c");
-        assert_eq!(err.used, 64);
-        assert!(err.to_string().contains("disk budget exhausted"));
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
-    fn counters_accumulate_across_cycles() {
-        let mut d: SimDisk<u8> = SimDisk::new(320, 32);
-        for i in 0..10 {
-            d.write(i).unwrap();
-        }
-        let _ = d.drain_all();
-        for i in 0..3 {
-            d.write(i).unwrap();
-        }
-        assert_eq!(d.writes(), 13);
-        assert_eq!(d.reads(), 10);
-        assert_eq!(d.bytes_written(), 13 * 32);
-    }
-
-    #[test]
-    fn zero_capacity_disk_never_accepts() {
-        let mut d: SimDisk<u8> = SimDisk::new(0, 32);
-        assert!(!d.has_space());
-        assert!(d.write(1).is_err());
-    }
-
-    #[test]
-    fn fault_plan_fails_exactly_the_kth_write() {
-        let mut d: SimDisk<u32> = SimDisk::new(4096, 32);
-        d.set_fault_plan(FaultPlan::new().fail_write(3));
-        d.write(1).unwrap();
-        d.write(2).unwrap();
-        let (rec, err) = d.write(3).unwrap_err();
-        assert_eq!(rec, 3);
-        assert!(err.injected);
-        assert!(err.to_string().contains("injected fault"), "{err}");
-        // The 4th attempt succeeds again; only attempt 3 was doomed.
-        d.write(4).unwrap();
-        assert_eq!(d.len(), 3);
-        assert_eq!(d.faults_injected(), 1);
-        assert_eq!(d.write_attempts(), 4);
-        assert_eq!(d.writes(), 3);
-    }
-
-    #[test]
-    fn random_faults_are_seed_deterministic() {
-        let run = |seed: u64| {
-            let mut d: SimDisk<u32> = SimDisk::new(1 << 20, 32);
-            d.set_fault_plan(FaultPlan::new().fail_randomly(seed, 0.3));
-            (0..200u32).map(|i| d.write(i).is_err()).collect::<Vec<_>>()
-        };
-        let a = run(42);
-        let b = run(42);
-        let c = run(43);
-        assert_eq!(a, b, "same seed must fail the same attempts");
-        assert_ne!(a, c, "different seeds should differ");
-        let failures = a.iter().filter(|&&f| f).count();
-        assert!((20..=100).contains(&failures), "p=0.3 over 200: {failures}");
-    }
-
-    #[test]
-    fn force_full_after_watermark_is_permanent() {
-        let mut d: SimDisk<u32> = SimDisk::new(4096, 32);
-        d.set_fault_plan(FaultPlan::new().force_full_after(64));
-        d.write(1).unwrap();
-        d.write(2).unwrap();
-        // Watermark reached: full forever, even after a drain frees space.
-        assert!(!d.has_space());
-        let (_, err) = d.write(3).unwrap_err();
-        assert!(err.injected);
-        let _ = d.drain_all();
-        assert!(d.is_empty());
-        assert!(!d.has_space(), "degradation must survive drains");
-        assert!(d.write(4).is_err());
-        assert_eq!(d.faults_injected(), 2);
-    }
-
-    #[test]
-    fn genuine_full_is_not_reported_as_injected() {
-        let mut d: SimDisk<u32> = SimDisk::new(32, 32);
-        d.set_fault_plan(FaultPlan::new().fail_write(99));
-        d.write(1).unwrap();
-        let (_, err) = d.write(2).unwrap_err();
-        assert!(!err.injected);
-        assert_eq!(d.faults_injected(), 0);
-    }
-
-    #[test]
-    fn fault_firing_on_a_full_disk_is_classified_organic() {
-        // The plan fires on attempt 2, but the disk is also genuinely
-        // full: the rejection would have happened with no plan installed,
-        // so it must not count as injected (satellite bugfix 1).
-        let mut d: SimDisk<u32> = SimDisk::new(32, 32);
-        d.set_fault_plan(FaultPlan::new().fail_write(2));
-        d.write(1).unwrap();
-        let (_, err) = d.write(2).unwrap_err();
-        assert!(!err.injected, "genuine-full takes precedence over the plan");
-        assert_eq!(d.faults_injected(), 0);
-        assert_eq!(d.write_attempts(), 2);
-    }
-
-    #[test]
-    fn watermark_on_a_full_disk_is_organic_until_space_frees() {
-        // Capacity 96, watermark 96: after three writes the disk is both
-        // genuinely full and past the watermark. The 4th rejection is
-        // organic (capacity decides); after a drain frees space, the
-        // watermark alone refuses — that rejection is injected.
-        let mut d: SimDisk<u32> = SimDisk::new(96, 32);
-        d.set_fault_plan(FaultPlan::new().force_full_after(96));
-        for i in 0..3 {
-            d.write(i).unwrap();
-        }
-        assert_eq!(d.bytes_written(), 96);
-        let (_, err) = d.write(3).unwrap_err();
-        assert!(!err.injected, "over-determined rejection is organic");
-        assert_eq!(d.faults_injected(), 0);
-        let _ = d.drain_all();
-        let (_, err) = d.write(4).unwrap_err();
-        assert!(err.injected, "with space free, the watermark is the cause");
-        assert_eq!(d.faults_injected(), 1);
-    }
-
-    #[test]
-    fn watermark_fires_at_exactly_bytes_written_equals_limit() {
-        // The documented contract is "reaches this watermark": the exact
-        // `bytes_written == limit` boundary must already refuse (and the
-        // record still fits, so the rejection is injected).
-        let mut d: SimDisk<u32> = SimDisk::new(4096, 32);
-        d.set_fault_plan(FaultPlan::new().force_full_after(64));
-        d.write(1).unwrap();
-        d.write(2).unwrap();
-        assert_eq!(d.bytes_written(), 64);
-        assert!(!d.has_space());
-        let (_, err) = d.write(3).unwrap_err();
-        assert!(err.injected);
-        assert_eq!(d.faults_injected(), 1);
-    }
-
-    #[test]
-    fn random_stream_advances_once_per_attempt_even_when_full() {
-        // Two disks, same random plan; one hits genuine-full rejections
-        // mid-sequence. The injected-fault decisions must depend only on
-        // the attempt index, not on how earlier attempts resolved.
-        let plan = FaultPlan::new().fail_randomly(7, 0.4);
-        let mut roomy: SimDisk<u32> = SimDisk::new(1 << 20, 32);
-        roomy.set_fault_plan(plan.clone());
-        let fired: Vec<bool> = (0..50u32)
-            .map(|i| matches!(roomy.write(i), Err((_, e)) if e.injected))
-            .collect();
-
-        let mut cramped: SimDisk<u32> = SimDisk::new(64, 32);
-        cramped.set_fault_plan(plan);
-        for (i, &expect_fire) in fired.iter().enumerate() {
-            match cramped.write(i as u32) {
-                Ok(()) => assert!(!expect_fire, "attempt {i}: plan fired on the roomy disk"),
-                Err((_, e)) if e.injected => {
-                    assert!(expect_fire, "attempt {i}: injected without the plan firing");
-                }
-                // Organic rejection: the plan may or may not have fired
-                // underneath; either way the stream advanced once.
-                Err(_) => {}
-            }
-            // Keep the cramped disk oscillating between full and one
-            // free slot so both rejection kinds occur.
-            if cramped.len() == 2 {
-                let _ = cramped.drain_all();
-            }
-        }
-        assert!(fired.iter().any(|&f| f), "plan should fire at p=0.4");
-    }
-
-    #[test]
-    fn peek_does_not_touch_read_counters() {
-        let mut d: SimDisk<u32> = SimDisk::new(4096, 32);
-        d.write(7).unwrap();
-        assert_eq!(d.peek(), &[7]);
-        assert_eq!(d.reads(), 0);
-        assert_eq!(d.bytes_read(), 0);
+    pub fn forced_full(&self, bytes_written: u64) -> bool {
+        self.force_full_after_bytes
+            .is_some_and(|limit| bytes_written >= limit)
     }
 }

@@ -71,25 +71,22 @@ impl PageLayout {
         (self.page_bytes.saturating_sub(2 * WORD)) / self.cf_entry_bytes()
     }
 
-    /// Physical bytes of one encoded page slot able to hold either node
-    /// flavour, given how many 8-byte words one CF entry serializes to
-    /// (backend-dependent: the stable mean/SSE form is wider than the
-    /// classic `(N, LS, SS)` triple this cost model counts).
+    /// Bytes of one page slot in a page file, for a tree of branching
+    /// factor `branching` and leaf capacity `leaf_capacity` whose CF
+    /// entries serialize to `cf_words` 8-byte words each: the page header
+    /// plus the larger of a leaf of `leaf_capacity + 1` CF rows and an
+    /// interior node of `branching + 1` rows of CF words and a child id.
     ///
-    /// The slot is the page header plus the larger of a full leaf
-    /// (`L` CF rows) and a full interior node (`B` rows of CF + child).
+    /// The row of slack over B and L holds a node mid-split, which has
+    /// one entry over capacity, and a node of a tree checkpointed before
+    /// its rebuild finished. The CF-tree's pager and the spill logs both
+    /// size their slots with this; it takes B and L rather than a layout
+    /// because a tree's B and L need not come from a page size.
     #[must_use]
-    pub fn physical_page_bytes(&self, cf_entry_words: usize) -> usize {
-        let leaf_words = self.leaf_capacity() * cf_entry_words;
-        let interior_words = self.branching_factor() * (cf_entry_words + 1);
+    pub fn slot_bytes(branching: usize, leaf_capacity: usize, cf_words: usize) -> usize {
+        let leaf_words = (leaf_capacity + 1) * cf_words;
+        let interior_words = (branching + 1) * (cf_words + 1);
         crate::page::PAGE_HEADER_BYTES + WORD * leaf_words.max(interior_words)
-    }
-
-    /// Number of whole pages required to hold `nodes` tree nodes (one node
-    /// per page, as in the paper's cost model).
-    #[must_use]
-    pub fn pages_for_nodes(&self, nodes: usize) -> usize {
-        nodes
     }
 
     /// How many pages a memory budget of `memory_bytes` affords.
@@ -129,7 +126,6 @@ mod tests {
         let l = PageLayout::new(1024, 2);
         // Paper default memory M = 80 KB -> 80 pages.
         assert_eq!(l.pages_in_budget(80 * 1024), 80);
-        assert_eq!(l.pages_for_nodes(17), 17);
     }
 
     #[test]
@@ -145,19 +141,21 @@ mod tests {
     }
 
     #[test]
-    fn physical_page_holds_a_full_node_of_either_kind() {
+    fn a_slot_holds_a_full_node_of_either_kind_plus_one_row() {
         use crate::page::PAGE_HEADER_BYTES;
         for (page, dim) in [(1024, 2), (512, 2), (4096, 64), (2048, 16)] {
             let l = PageLayout::new(page, dim);
-            // Stable CF backend: 2d + 3 words per entry.
-            for cf_words in [dim + 2, 2 * dim + 3] {
-                let phys = l.physical_page_bytes(cf_words);
-                let leaf_payload = l.leaf_capacity() * cf_words * WORD;
-                let interior_payload = l.branching_factor() * (cf_words + 1) * WORD;
-                assert!(phys >= PAGE_HEADER_BYTES + leaf_payload);
-                assert!(phys >= PAGE_HEADER_BYTES + interior_payload);
-            }
+            let (b, leaf) = (l.branching_factor(), l.leaf_capacity());
+            // The one CF width: N, the mean and its carry, SSE and its carry.
+            let cf_words = 2 * dim + 3;
+            let slot = PageLayout::slot_bytes(b, leaf, cf_words);
+            let leaf_payload = (leaf + 1) * cf_words * WORD;
+            let interior_payload = (b + 1) * (cf_words + 1) * WORD;
+            assert_eq!(slot, PAGE_HEADER_BYTES + leaf_payload.max(interior_payload));
         }
+        // The paper's 2-d layout: 32 leaf rows of 7 words beat 26 interior
+        // rows of 8.
+        assert_eq!(PageLayout::slot_bytes(25, 31, 7), 32 + 8 * 32 * 7);
     }
 
     #[test]

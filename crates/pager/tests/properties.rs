@@ -1,8 +1,6 @@
 //! Property tests of the paging substrate.
 
-use birch_pager::{
-    decode_page, encode_page, FaultPlan, MemoryBudget, PageKind, PageLayout, SimDisk, NO_NEIGHBOR,
-};
+use birch_pager::{decode_page, encode_page, PageKind, PageLayout, NO_NEIGHBOR};
 use proptest::prelude::*;
 
 proptest! {
@@ -27,162 +25,37 @@ proptest! {
         prop_assert_eq!(l.cf_entry_bytes(), 8 * (dim + 2));
     }
 
-    /// Budget arithmetic never goes negative or exceeds capacity.
+    /// A full node of either kind plus one row, encoded with the page
+    /// codec, fits the slot `PageLayout::slot_bytes` gives a layout's B
+    /// and L — for every (page, dim) the benches use, at the one CF width
+    /// of 2d + 3 words — and round-trips.
     #[test]
-    fn budget_invariants(ops in prop::collection::vec((prop::bool::ANY, 1usize..20), 0..100)) {
-        let mut b = MemoryBudget::new(50);
-        let mut model = 0usize;
-        for (alloc, n) in ops {
-            if alloc {
-                if b.allocate(n).is_ok() {
-                    model += n;
-                }
-            } else {
-                let n = n.min(model);
-                b.release(n);
-                model -= n;
-            }
-            prop_assert_eq!(b.in_use(), model);
-            prop_assert!(b.in_use() <= b.capacity());
-            prop_assert!(b.peak() >= b.in_use());
-            prop_assert_eq!(b.available(), b.capacity() - b.in_use());
-        }
-    }
-
-    /// The disk conserves records: everything written comes back once, in
-    /// order, and the byte counters match.
-    #[test]
-    fn disk_conserves_records(batches in prop::collection::vec(0usize..40, 1..6)) {
-        let record = 32;
-        let mut disk: SimDisk<usize> = SimDisk::new(16 * 1024, record);
-        let mut written_total = 0u64;
-        let mut next_id = 0usize;
-        for batch in batches {
-            let mut expect = Vec::new();
-            for _ in 0..batch {
-                if disk.write(next_id).is_ok() {
-                    expect.push(next_id);
-                    written_total += 1;
-                }
-                next_id += 1;
-            }
-            let drained = disk.drain_all();
-            let got: Vec<usize> = drained.iter().rev().take(expect.len()).rev().copied().collect();
-            // Drained = everything on disk; the tail must be this batch.
-            prop_assert!(got == expect || drained.len() >= expect.len());
-            prop_assert!(disk.is_empty());
-        }
-        prop_assert_eq!(disk.writes(), written_total);
-        prop_assert_eq!(disk.bytes_written(), written_total * record as u64);
-        prop_assert_eq!(disk.reads(), written_total);
-    }
-
-    /// Fault-accounting conservation laws: every attempt is either a
-    /// landed write or a rejection, and injected faults never exceed the
-    /// rejection count — regardless of capacity, fault plan, or watermark.
-    #[test]
-    fn disk_attempts_conserve(
-        attempts in 1usize..200,
-        capacity_records in 1usize..64,
-        seed in 1u64..u64::MAX,
-        prob in 0.0f64..0.6,
-        watermark_records in 0usize..80,
-    ) {
-        let record = 16;
-        let mut disk: SimDisk<usize> = SimDisk::new(capacity_records * record, record);
-        let mut plan = FaultPlan::new().fail_randomly(seed, prob);
-        // Values past 63 mean "no watermark" (the shim has no Option strategy).
-        if watermark_records < 64 {
-            plan = plan.force_full_after((watermark_records * record) as u64);
-        }
-        disk.set_fault_plan(plan);
-        let mut rejections = 0u64;
-        for i in 0..attempts {
-            // Drain occasionally so the disk isn't permanently full.
-            if i % 17 == 16 {
-                disk.drain_all();
-            }
-            if disk.write(i).is_err() {
-                rejections += 1;
-            }
-        }
-        prop_assert_eq!(disk.write_attempts(), attempts as u64);
-        prop_assert_eq!(disk.write_attempts(), disk.writes() + rejections);
-        prop_assert!(disk.faults_injected() <= rejections);
-    }
-
-    /// Repeated `scan_all` calls bill the same number of bytes each time
-    /// and never mutate the contents.
-    #[test]
-    fn scan_all_bills_consistently(n in 0usize..50, scans in 1usize..5) {
-        let record = 24;
-        let mut disk: SimDisk<usize> = SimDisk::new(64 * 1024, record);
-        for i in 0..n {
-            disk.write(i).unwrap();
-        }
-        let mut per_scan = Vec::new();
-        for _ in 0..scans {
-            let before = disk.bytes_read();
-            let contents: Vec<usize> = disk.scan_all().to_vec();
-            prop_assert_eq!(contents, (0..n).collect::<Vec<_>>());
-            per_scan.push(disk.bytes_read() - before);
-        }
-        for billed in &per_scan {
-            prop_assert_eq!(*billed, (n * record) as u64);
-        }
-        prop_assert_eq!(disk.len(), n);
-    }
-
-    /// `release_all` frees everything but preserves the high-water mark.
-    #[test]
-    fn release_all_preserves_peak(allocs in prop::collection::vec(1usize..10, 1..20)) {
-        let mut b = MemoryBudget::new(1000);
-        let mut high = 0usize;
-        for n in &allocs {
-            b.allocate(*n).unwrap();
-            high = high.max(b.in_use());
-        }
-        prop_assert_eq!(b.peak(), high);
-        b.release_all();
-        prop_assert_eq!(b.in_use(), 0);
-        prop_assert_eq!(b.available(), b.capacity());
-        prop_assert_eq!(b.peak(), high, "release_all must not reset the peak");
-    }
-
-    /// A full node of either kind, encoded with the page codec, fits in
-    /// the physical slot `PageLayout` derives — for every (page, dim) the
-    /// benches use and both CF backends' word counts — and round-trips.
-    #[test]
-    fn encoded_full_node_fits_physical_page(
-        page_kb in 1usize..17,
-        dim in 1usize..65,
-        stable in prop::bool::ANY,
-    ) {
+    fn encoded_full_node_fits_physical_page(page_kb in 1usize..17, dim in 1usize..65) {
         let l = PageLayout::new(page_kb * 1024, dim);
-        // Stable backend: 2d + 3 words per CF; classic: d + 2.
-        let cf_words = if stable { 2 * dim + 3 } else { dim + 2 };
-        let phys = l.physical_page_bytes(cf_words);
+        let cf_words = 2 * dim + 3;
+        let slot = PageLayout::slot_bytes(l.branching_factor(), l.leaf_capacity(), cf_words);
 
-        // Full leaf: L entries of cf_words each.
-        let leaf_words: Vec<u64> = (0..l.leaf_capacity() * cf_words).map(|i| i as u64).collect();
+        // A leaf mid-split: L + 1 entries of cf_words each.
+        let rows = l.leaf_capacity() + 1;
+        let leaf_words: Vec<u64> = (0..rows * cf_words).map(|i| i as u64).collect();
         let leaf = encode_page(
-            phys, PageKind::Leaf, l.leaf_capacity() as u32, 7, NO_NEIGHBOR, &leaf_words,
-        ).expect("full leaf must fit the physical page");
-        prop_assert_eq!(leaf.len(), phys);
+            slot, PageKind::Leaf, rows as u32, 7, NO_NEIGHBOR, &leaf_words,
+        ).expect("a full leaf plus one row must fit the slot");
+        prop_assert_eq!(leaf.len(), slot);
         let got = decode_page(&leaf, cf_words).unwrap();
         prop_assert_eq!(got.words, leaf_words);
         prop_assert_eq!(got.prev, 7);
         prop_assert_eq!(got.next, NO_NEIGHBOR);
 
-        // Full interior: B entries of cf_words + 1 (child pointer) each.
+        // An interior node mid-split: B + 1 entries of cf_words + 1
+        // (child pointer) each.
         let row = cf_words + 1;
-        let int_words: Vec<u64> =
-            (0..l.branching_factor() * row).map(|i| !(i as u64)).collect();
+        let rows = l.branching_factor() + 1;
+        let int_words: Vec<u64> = (0..rows * row).map(|i| !(i as u64)).collect();
         let interior = encode_page(
-            phys, PageKind::Interior, l.branching_factor() as u32,
-            NO_NEIGHBOR, NO_NEIGHBOR, &int_words,
-        ).expect("full interior node must fit the physical page");
-        prop_assert_eq!(interior.len(), phys);
+            slot, PageKind::Interior, rows as u32, NO_NEIGHBOR, NO_NEIGHBOR, &int_words,
+        ).expect("a full interior node plus one row must fit the slot");
+        prop_assert_eq!(interior.len(), slot);
         let got = decode_page(&interior, row).unwrap();
         prop_assert_eq!(got.words, int_words);
     }

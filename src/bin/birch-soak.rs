@@ -145,7 +145,7 @@ fn soak_serial(
     // a small byte watermark, plus sporadic random write failures.
     let mut faulted = false;
     if rng.below(2) == 0 {
-        if let Some(store) = b.outliers_mut() {
+        if let Some(store) = b.outlier_log_mut() {
             let plan = FaultPlan::new()
                 .fail_randomly(rng.next_u64().max(1), 0.2)
                 .force_full_after(512 + rng.below(2048));
@@ -165,7 +165,7 @@ fn soak_serial(
     b.audit().map_err(|v| format!("end-of-scan audit: {v}"))?;
     audits += 1;
     let faults = if faulted {
-        b.outliers_mut().map_or(0, |s| s.faults_injected())
+        b.outlier_log_mut().map_or(0, |s| s.faults_injected())
     } else {
         0
     };

@@ -199,3 +199,30 @@ fn profiled_fit_opens_no_span_per_point() {
         );
     });
 }
+
+#[test]
+fn fits_leave_the_spill_dir_empty() {
+    let ds = ds1_small(7);
+    let dir = std::env::temp_dir().join(format!("birch-pipeline-spill-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the spill dir");
+    for out_of_core in [false, true] {
+        for threads in [1, 4] {
+            let config = BirchConfig::with_clusters(100)
+                .memory(16 * 1024)
+                .out_of_core(out_of_core)
+                .spill_dir(&dir)
+                .threads(threads);
+            let model = Birch::new(config).fit(&ds.points).expect("fit");
+            let c = &model.stats().metrics.counters;
+            if !out_of_core {
+                assert!(c.disk_writes > 0, "threads {threads}: nothing was spilled");
+            }
+            let left: Vec<_> = std::fs::read_dir(&dir).expect("list").collect();
+            assert!(
+                left.is_empty(),
+                "out_of_core {out_of_core}, threads {threads}: {left:?} left behind"
+            );
+        }
+    }
+    std::fs::remove_dir(&dir).expect("remove the spill dir");
+}
