@@ -186,7 +186,6 @@ impl SpillLog {
     /// [`DiskError`] when the entry was refused; the caller still holds
     /// it.
     pub fn write(&mut self, cf: &Cf) -> Result<(), DiskError> {
-        let _sp = crate::obs::span::enter("disk_write");
         self.write_attempts += 1;
         let plan_fired = self.plan.fires_on(self.write_attempts);
         let full = self.failed || self.used_bytes() + self.entry_bytes > self.capacity_bytes;
@@ -218,6 +217,7 @@ impl SpillLog {
             self.store = Some(PageStore::create(&self.path, self.slot_bytes)?);
         }
         if self.tail.entry_count() == self.page_rows {
+            let _sp = crate::obs::span::enter("disk_write");
             let store = self.store.as_mut().expect("created above");
             self.buf.clear();
             self.tail.write_page(&mut self.buf);

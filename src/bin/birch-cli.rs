@@ -101,6 +101,9 @@ fn cluster(flags: HashMap<String, String>) -> ExitCode {
     let k = positive(&flags, "k").unwrap_or_else(|| usage_error("cluster needs --k <n>"));
     let mut config = config(&flags, k);
     if let Some(dir) = flags.get("spill-dir") {
+        if !std::path::Path::new(dir).is_dir() {
+            usage_error(format_args!("--spill-dir {dir:?} is not a directory"));
+        }
         config = config.spill_dir(dir.clone());
     }
 

@@ -517,3 +517,38 @@ fn malformed_values_exit_2_on_both_binaries() {
         }
     }
 }
+
+/// A `--spill-dir` that is not a directory is a usage error naming the
+/// path, found before the input is read, in core and out of core alike
+/// (an in-core fit would otherwise lose its outlier and delay-split
+/// disk without a word, and an out-of-core one could not create its
+/// page file).
+#[test]
+fn missing_spill_dir_exits_2_in_and_out_of_core() {
+    let data = tmp("spill-dir-input.csv");
+    std::fs::write(&data, "1.0,2.0\n3.0,4.0\n5.0,6.0\n").expect("write input");
+    let missing = tmp("no-such-spill-dir");
+    for extra in [&[][..], &["--out-of-core"][..]] {
+        let out = cli()
+            .args(["cluster", "--input"])
+            .arg(&data)
+            .args(["--k", "2", "--spill-dir"])
+            .arg(&missing)
+            .args(extra)
+            .output()
+            .expect("run cluster");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --spill-dir "),
+            "{extra:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&*missing.to_string_lossy()),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{extra:?}: read the input first");
+    }
+    std::fs::remove_file(&data).ok();
+}
