@@ -200,7 +200,7 @@ fn profiled_fit_opens_no_span_per_point() {
     });
 }
 
-/// A profiled fit whose spill logs take many entries (about 960 here)
+/// A profiled fit whose spill logs take many entries (about 820 here)
 /// opens one `disk_write` span per spill page it writes, not one per
 /// write attempt. A page goes to the file only when it is full, and at
 /// d = 2 under the default page size it holds 32 entries, so the pages
@@ -209,12 +209,12 @@ fn profiled_fit_opens_no_span_per_point() {
 fn profiled_fit_opens_one_disk_write_span_per_page() {
     let ds = Dataset::generate(&DatasetSpec {
         k: 1000,
-        n_low: 20,
-        n_high: 20,
+        n_low: 10,
+        n_high: 10,
         ..presets::ds1(42)
     });
     let config = BirchConfig::with_clusters(1000)
-        .memory(100 * 1024)
+        .memory(64 * 1024)
         .threads(1)
         .total_points(ds.len() as u64);
     // Own thread: the profiler switch and its state are thread-local.
