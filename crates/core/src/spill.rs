@@ -363,6 +363,30 @@ mod tests {
         assert_eq!(paper.page_rows, 32, "L + 1 rows of 7 words");
     }
 
+    /// The `disk_write` span times a page going to the file, not an entry
+    /// landing on the tail page: 100 writes on four-entry pages close one
+    /// span per page flushed, 24, with the 25th page still the tail.
+    #[test]
+    fn disk_write_span_opens_once_per_page_written() {
+        use crate::obs::span;
+        // Own thread: the profiler switch and its state are thread-local.
+        let (report, pages) = std::thread::scope(|s| {
+            s.spawn(|| {
+                span::set_enabled(true);
+                let mut d = log(4096);
+                for i in 0..100 {
+                    d.write(&cf(i)).unwrap();
+                }
+                span::set_enabled(false);
+                (span::take_report(), d.pages.len())
+            })
+            .join()
+            .expect("profiled writes")
+        });
+        assert_eq!(pages, 24);
+        assert_eq!(report.get("disk_write").map_or(0, |n| n.calls), 24);
+    }
+
     #[test]
     fn write_then_drain_preserves_order() {
         let mut d = log(1024);

@@ -19,21 +19,22 @@
 //! Each row is parsed in one pass straight out of the buffer, with no
 //! per-line copy, UTF-8 check or split. The fast path takes a row whose
 //! fields are all canonical numbers, `-?digits[.digits][(e|E)[+-]digits]`
-//! with at most 19 significant digits, each followed by `,`, `\n`, `\r\n`
-//! or the end of the file; in a labeled file the last field is the label,
-//! empty or plain digits. It converts each number exactly, to the bits
-//! `str::parse::<f64>` returns (Eisel–Lemire for decimal exponents in
-//! `[-27, 27]`, `str::parse` itself outside them).
+//! with at most 19 significant digits and an exponent below 65,536, each
+//! followed by `,`, `\n`, `\r\n` or the end of the file; in a labeled
+//! file the last field is the label, empty or plain digits. It converts
+//! each number exactly, to the bits `str::parse::<f64>` returns
+//! (Eisel–Lemire for decimal exponents in `[-27, 27]`, `str::parse`
+//! itself outside them).
 //!
 //! Every other row is declined: spaces, a leading `+`, `inf` or `nan`, an
-//! empty field, a non-ASCII byte, a 20th significant digit, a label that
-//! is not plain digits, a row of the wrong arity. A declined row goes
-//! through the per-row path, which reads the line as text exactly as
-//! this reader always has, so its value, its error message and the row
-//! number in that message do not depend on the fast path. After a
-//! decline the fast path sits out a few rows, more after each further
-//! decline, so a file whose rows all decline costs no more than the
-//! per-row path alone.
+//! empty field, a non-ASCII byte, a 20th significant digit, a larger
+//! exponent, a label that is not plain digits, a row of the wrong arity.
+//! A declined row goes through the per-row path, which reads the line as
+//! text exactly as this reader always has, so its value, its error
+//! message and the row number in that message do not depend on the fast
+//! path. After a decline the fast path sits out a few rows, more after
+//! each further decline, so a file whose rows all decline costs no more
+//! than the per-row path alone.
 
 mod decimal;
 

@@ -1,8 +1,9 @@
 //! Exact decimal-to-`f64` conversion for the CSV reader's fast path.
 //!
 //! [`scan`] reads one canonical number, `-?digits[.digits][(e|E)[+-]digits]`
-//! with at most 19 significant digits, into a `u64` mantissa `w` and a
-//! decimal exponent `q`, so that the number is `w × 10^q`.
+//! with at most 19 significant digits and an exponent below 65,536, into a
+//! `u64` mantissa `w` and a decimal exponent `q`, so that the number is
+//! `w × 10^q`.
 //! [`Decimal::to_f64`] rounds that to the nearest `f64` with the
 //! Eisel–Lemire algorithm, the one behind the standard library's
 //! `dec2flt` (Lemire, "Number Parsing at a Gigabyte per Second",
@@ -29,9 +30,12 @@ const _: () = assert!(
 /// Most significant digits a `u64` mantissa takes without overflow.
 const MAX_DIGITS: u32 = 19;
 
-/// An exponent written with more digits saturates here; any `q` this far
-/// out is outside the window, and `str::parse` reads the text.
-const EXP_CAP: i64 = 1 << 20;
+/// A written exponent this large or larger is declined. `q` also counts a
+/// fraction's leading zeros, which have no bound, so no exponent is too
+/// large to land `q` back in the window; and `str::parse` stops reading
+/// exponent digits once it has reached this value (it reads `e700000` as
+/// 70,000), so only a smaller exponent means the same to both.
+const EXP_CAP: i64 = 1 << 16;
 
 /// One canonical number: `(-1)^neg × w × 10^q`.
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +50,8 @@ pub(super) struct Decimal {
 /// Reads a canonical number starting at `data[*pos]`, leaving `*pos` on
 /// the first byte after it. `None`, with `*pos` unmoved, when the bytes
 /// there are not a canonical number or carry more than 19 significant
-/// digits. Leading zeros are not significant.
+/// digits or an exponent of [`EXP_CAP`] or more. Leading zeros are not
+/// significant.
 pub(super) fn scan(data: &[u8], pos: &mut usize) -> Option<Decimal> {
     let mut i = *pos;
     let neg = data.get(i) == Some(&b'-');
@@ -77,7 +82,7 @@ pub(super) fn scan(data: &[u8], pos: &mut usize) -> Option<Decimal> {
             exp = (exp * 10 + i64::from(d)).min(EXP_CAP);
             i += 1;
         }
-        if i == start {
+        if i == start || exp == EXP_CAP {
             return None;
         }
         q += if exp_neg { -exp } else { exp };
@@ -95,22 +100,13 @@ fn digit(data: &[u8], i: usize) -> Option<u8> {
 
 /// Appends the run of digits at `data[*i]` to `w`, returning how many
 /// there were; `None` past the 19th significant digit. Zeros before the
-/// first nonzero digit of `w` are skipped; then the digits go eight at a
-/// time while they fit, then one at a time.
+/// first nonzero digit of `w` are skipped.
 fn digits(data: &[u8], i: &mut usize, w: &mut u64, sig: &mut u32) -> Option<usize> {
     let start = *i;
     if *w == 0 {
         while digit(data, *i) == Some(0) {
             *i += 1;
         }
-    }
-    while *sig + 8 <= MAX_DIGITS {
-        let Some(eight) = eight_digits(data, *i) else {
-            break;
-        };
-        *w = *w * 100_000_000 + eight;
-        *sig += 8;
-        *i += 8;
     }
     while let Some(d) = digit(data, *i) {
         if *sig == MAX_DIGITS {
@@ -121,26 +117,6 @@ fn digits(data: &[u8], i: &mut usize, w: &mut u64, sig: &mut u32) -> Option<usiz
         *i += 1;
     }
     Some(*i - start)
-}
-
-/// The value of the eight bytes at `data[i]` when all are digits, read
-/// as one little-endian word (the standard library's `dec2flt` does the
-/// same).
-fn eight_digits(data: &[u8], i: usize) -> Option<u64> {
-    const ONES: u64 = u64::from_ne_bytes([1; 8]);
-    let v = u64::from_le_bytes(data.get(i..i + 8)?.try_into().ok()?);
-    // A byte is a digit when neither adding 0x46 nor subtracting 0x30
-    // reaches its high bit.
-    if (v.wrapping_add(0x46 * ONES) | v.wrapping_sub(0x30 * ONES)) & (0x80 * ONES) != 0 {
-        return None;
-    }
-    let v = v - 0x30 * ONES;
-    // Pairs of digits, then two multiplies gather the four pairs.
-    let v = v * 10 + (v >> 8);
-    let mask = 0x0000_00ff_0000_00ff;
-    let lo = (v & mask).wrapping_mul(100 + (1_000_000 << 32));
-    let hi = ((v >> 16) & mask).wrapping_mul(1 + (10_000 << 32));
-    Some(lo.wrapping_add(hi) >> 32 & 0xffff_ffff)
 }
 
 impl Decimal {
@@ -309,27 +285,6 @@ mod tests {
         assert_eq!(POW5[26], (0xcccc_cccc_cccc_cccc, 0xcccc_cccc_cccc_cccd));
     }
 
-    /// Eight-byte words mostly of digits, with any byte value mixed in:
-    /// the word step reads exactly the words a byte loop would, to the
-    /// same value.
-    #[test]
-    fn eight_digits_matches_a_byte_loop() {
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..CASES {
-            let bytes: [u8; 8] = std::array::from_fn(|_| {
-                if rng.gen_bool(0.9) {
-                    b'0' + rng.gen_range(0u32..10) as u8
-                } else {
-                    rng.gen_range(0u32..256) as u8
-                }
-            });
-            let want = bytes.iter().try_fold(0u64, |w, &b| {
-                b.is_ascii_digit().then(|| w * 10 + u64::from(b - b'0'))
-            });
-            assert_eq!(eight_digits(&bytes, 0), want, "{bytes:?}");
-        }
-    }
-
     #[test]
     fn grammar_edges() {
         for (s, read) in [
@@ -361,6 +316,20 @@ mod tests {
         assert!(fast("-0").unwrap().unwrap().is_sign_negative());
         assert_eq!(fast("1e400"), Some(None));
         assert_eq!(fast("0e400"), Some(Some(0.0)));
+        // A fraction's leading zeros count against the exponent, so a
+        // large exponent can bring `q` back into the window. Below 65,536
+        // the exponent is read exactly; from there on the text is
+        // declined, whatever `str::parse` makes of it (it reads the first
+        // of these as 0, not 10, and the last as 1).
+        let zeros = |n: usize| "0".repeat(n);
+        for s in [
+            format!("0.{}1e1048577", zeros((1 << 20) - 1)),
+            format!("0.{}1e700000", zeros(699_999)),
+            format!("0.{}1e65536", zeros(65_535)),
+        ] {
+            assert_eq!(fast(&s), None, "…{}", &s[s.len() - 12..]);
+        }
+        assert!(check(&format!("0.{}1e65535", zeros(65_534))));
     }
 
     /// Finite `f64`s from random bit patterns, and from random mantissas

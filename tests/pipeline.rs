@@ -200,59 +200,6 @@ fn profiled_fit_opens_no_span_per_point() {
     });
 }
 
-/// A profiled fit whose spill logs take many entries (about 820 here)
-/// opens one `disk_write` span per spill page it writes, not one per
-/// write attempt. A page goes to the file only when it is full, and at
-/// d = 2 under the default page size it holds 32 entries, so the pages
-/// written number at most `disk_writes / 32`.
-#[test]
-fn profiled_fit_opens_one_disk_write_span_per_page() {
-    let ds = Dataset::generate(&DatasetSpec {
-        k: 1000,
-        n_low: 10,
-        n_high: 10,
-        ..presets::ds1(42)
-    });
-    let config = BirchConfig::with_clusters(1000)
-        .memory(64 * 1024)
-        .threads(1)
-        .total_points(ds.len() as u64);
-    // Own thread: the profiler switch and its state are thread-local.
-    let model = std::thread::scope(|s| {
-        s.spawn(|| {
-            birch_core::obs::span::set_enabled(true);
-            let model = Birch::new(config).fit(&ds.points).expect("fit");
-            birch_core::obs::span::set_enabled(false);
-            model
-        })
-        .join()
-        .expect("profiled fit")
-    });
-    let c = &model.stats().metrics.counters;
-    let mut spans = 0;
-    let profile = model
-        .stats()
-        .spans
-        .as_ref()
-        .expect("profiled run has spans");
-    profile.visit(|node| {
-        if node.name == "disk_write" {
-            spans += node.calls;
-        }
-    });
-    assert!(
-        c.disk_writes > 500,
-        "only {} entries spilled",
-        c.disk_writes
-    );
-    assert!(
-        spans > 0 && spans * 32 <= c.disk_writes,
-        "{spans} disk_write spans for {} entries written in {} attempts",
-        c.disk_writes,
-        c.disk_write_attempts
-    );
-}
-
 #[test]
 fn fits_leave_the_spill_dir_empty() {
     let ds = ds1_small(7);
